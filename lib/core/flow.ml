@@ -34,7 +34,7 @@ let assemble ~t0 nl (s1 : Stage1.result) (s2 : Stage2.result) =
     teil_final = s2.Stage2.teil;
     area_final = Rect.area s2.Stage2.chip;
     chip = s2.Stage2.chip;
-    elapsed_s = Sys.time () -. t0 }
+    elapsed_s = Twmc_obs.Clock.s_of_ns (Twmc_obs.Clock.now_ns () - t0) }
 
 (* A pool is only worth its domains when asked for: [jobs = 1] keeps every
    call on the caller's domain with zero synchronization.  When metrics are
@@ -117,7 +117,7 @@ let run ?(params = Params.default) ?seed ?core ?(jobs = 1) ?(replicas = 1)
     ?(obs = Obs.disabled) nl =
   let seed = match seed with Some s -> s | None -> params.Params.seed in
   let rng = Twmc_sa.Rng.create ~seed in
-  let t0 = Sys.time () in
+  let t0 = Twmc_obs.Clock.now_ns () in
   Obs.span obs ~name:"flow"
     ~attrs:
       (if Obs.tracing obs then
@@ -157,12 +157,6 @@ type checkpoint_cfg = { dir : string; every : int }
 let checkpoint_path cfg nl =
   Filename.concat cfg.dir (nl.Twmc_netlist.Netlist.name ^ ".ckpt")
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
 (* Terminal-status policy, shared by [run_resilient] and [resume] so a
    resumed flow classifies identically to an uninterrupted one. *)
 let flow_status ~strict ~guard ~diags (s1 : Stage1.result) (s2 : Stage2.result)
@@ -189,8 +183,9 @@ let s1_summary_of (s1 : Stage1.result) =
 
 (* Best-effort durable-checkpoint writer: the RNG cursor is read at call
    time, so a write at a stage boundary captures exactly the stream position
-   the continuation will consume.  A failed write degrades to a G410
-   warning — durability costs resume coverage, never the flow. *)
+   the continuation will consume.  A failed write — an uncreatable
+   checkpoint directory included — degrades to a G410 warning: durability
+   costs resume coverage, never the flow. *)
 let durable_writer ~add ~params ~nl ~checkpoint ~seed_used ~rng ~s1 stage =
   match checkpoint with
   | None -> ()
@@ -210,7 +205,10 @@ let durable_writer ~add ~params ~nl ~checkpoint ~seed_used ~rng ~s1 stage =
           ~rng_cursor:(Rng.to_binary_string rng) ~s1:(s1_summary_of s1)
           s1.Stage1.placement
       in
-      match Checkpoint.save ~path:(checkpoint_path cfg nl) ~netlist:nl ~params d with
+      match
+        Twmc_util.Atomic_io.mkdir_p cfg.dir;
+        Checkpoint.save ~path:(checkpoint_path cfg nl) ~netlist:nl ~params d
+      with
       | () -> ()
       | exception ((Out_of_memory | Stack_overflow | Sys.Break
                    | Twmc_util.Fault.Abort _) as e) ->
@@ -295,8 +293,7 @@ let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
     let guard = Guard.create ?time_budget_s () in
     let should_stop = Guard.should_stop guard in
     let base_seed = match seed with Some s -> s | None -> params.Params.seed in
-    let t0 = Sys.time () in
-    (match checkpoint with Some cfg -> mkdir_p cfg.dir | None -> ());
+    let t0 = Twmc_obs.Clock.now_ns () in
     (* Stage 1 with retry-on-failure: a throwing or invariant-violating
        anneal is retried from a perturbed seed — SA failures are usually
        trajectory-specific, so a different random walk sidesteps them. *)
@@ -470,10 +467,7 @@ let resume ?(params = Params.default) ?(strict = false) ?time_budget_s
             with_optional_pool ~jobs ~obs (fun pool ->
                 let guard = Guard.create ?time_budget_s () in
                 let should_stop = Guard.should_stop guard in
-                let t0 = Sys.time () in
-                (match checkpoint with
-                | Some cfg -> mkdir_p cfg.dir
-                | None -> ());
+                let t0 = Twmc_obs.Clock.now_ns () in
                 (* Reattach the derivable parts the payload stores only as
                    markers: a stage-1 [Dynamic] expander is rebuilt from
                    (params, netlist, stage-1 core) — the same inputs the

@@ -14,6 +14,10 @@ type result = {
   area_final : int;
   chip : Twmc_geometry.Rect.t;
   elapsed_s : float;
+      (** Wall-clock seconds spent producing this result (for the guarded
+          drivers, after the netlist lint and checkpoint loading), read
+          from {!Twmc_obs.Clock}.  Wall time, not process CPU time, so work
+          spread over several domains does not inflate it. *)
 }
 
 val run :

@@ -5,6 +5,7 @@ module Params = Twmc_place.Params
 module Moves = Twmc_place.Moves
 module Range_limiter = Twmc_place.Range_limiter
 module Stage1 = Twmc_place.Stage1
+module Anneal_loop = Twmc_place.Anneal_loop
 module Schedule = Twmc_sa.Schedule
 module Extract = Twmc_channel.Extract
 module Graph = Twmc_channel.Graph
@@ -89,139 +90,26 @@ let channel_and_route ?should_stop ?pool ?(obs = Obs.disabled) ~rng p =
   in
   route
 
-let avg_effective_cell_area p =
-  let nl = Placement.netlist p in
-  let n = Netlist.n_cells nl in
-  let total = ref 0 in
-  for ci = 0 to n - 1 do
-    List.iter
-      (fun r -> total := !total + Rect.area r)
-      (Placement.expanded_tiles p ci)
-  done;
-  float_of_int !total /. float_of_int (max 1 n)
-
-let anneal ?(should_stop = fun () -> false) ?(obs = Obs.disabled) ?iteration
-    ~rng ~final p =
+(* The refinement anneal (Sec 4.3): Table 2 schedule from the temperature
+   at which the window is the fraction mu of its T∞ span, displacements and
+   pin moves only.  The final iteration stops on a frozen cost, the others
+   on the minimum window span. *)
+let anneal ?should_stop ?(obs = Obs.disabled) ?iteration ~rng ~final p =
   let prm = Placement.params p in
-  let nl = Placement.netlist p in
-  let s_t = Schedule.s_t ~avg_cell_area:(avg_effective_cell_area p) in
+  let s_t = Schedule.s_t ~avg_cell_area:(Anneal_loop.avg_cell_area p) in
   let t_inf = Schedule.t_infinity ~s_t in
-  let schedule = Schedule.stage2 ~s_t in
   let limiter =
     Range_limiter.of_core ~rho:prm.Params.rho ~t_inf ~core:(Placement.core p)
       ~min_window:prm.Params.min_window
   in
-  let t_start = Range_limiter.t_for_window_fraction limiter ~mu:prm.Params.mu in
-  let stats = Moves.make_stats () in
-  let ctx =
-    Moves.make_ctx ~allow_orient:false ~allow_variant:false ~interchanges:false
-      ~placement:p ~limiter ~stats ()
-  in
-  let a = prm.Params.a_c * Netlist.n_cells nl in
-  let t_floor = 1e-6 *. t_inf in
-  let frozen = ref 0 and last_cost = ref nan in
-  let stopped = ref false in
-  (* Per-temperature trajectory, same record type as stage 1's so tooling
-     can plot both stages' acceptance curves uniformly. *)
-  let trace = ref [] in
-  let inner temp =
-    let i = ref 0 in
-    while !i < a && not !stopped do
-      Moves.generate ctx rng ~temp;
-      incr i;
-      if !i land 127 = 0 && should_stop () then stopped := true
-    done
-  in
-  let rec loop temp =
-    let accepted_before =
-      stats.Moves.displacements + stats.Moves.interchanges
-      + stats.Moves.orient_changes + stats.Moves.aspect_rescues
-    in
-    inner temp;
-    Placement.recompute_all p;
-    let accepted_after =
-      stats.Moves.displacements + stats.Moves.interchanges
-      + stats.Moves.orient_changes + stats.Moves.aspect_rescues
-    in
-    let c = Placement.total_cost p in
-    let rec_ =
-      { Stage1.temperature = temp;
-        cost = c;
-        c1 = Placement.c1 p;
-        c2_raw = Placement.c2_raw p;
-        c3 = Placement.c3 p;
-        acceptance =
-          float_of_int (accepted_after - accepted_before) /. float_of_int a;
-        window = Range_limiter.window limiter ~temp }
-    in
-    trace := rec_ :: !trace;
-    Twmc_obs.Flight_recorder.note ?i:iteration ~f:temp "stage2.temp";
-    if Obs.tracing obs then
-      Obs.point obs ~name:"stage2.temp"
-        ~attrs:
-          ((match iteration with
-           | Some i -> [ ("iteration", Attr.Int i) ]
-           | None -> [])
-          @ [ ("t", Attr.Float temp); ("cost", Attr.Float c);
-              ("c1", Attr.Float rec_.Stage1.c1);
-              ("c2", Attr.Float rec_.Stage1.c2_raw);
-              ("c3", Attr.Float rec_.Stage1.c3);
-              ("acceptance", Attr.Float rec_.Stage1.acceptance) ])
-        ();
-    if c = !last_cost then incr frozen else frozen := 0;
-    last_cost := c;
-    let stop =
-      if final then !frozen >= 3
-      else Range_limiter.at_min_span limiter ~temp
-    in
-    if !stopped then ()
-    else if stop then quench temp 0
-    else begin
-      let temp' = Schedule.next schedule temp in
-      if temp' >= t_floor then loop temp' else quench temp' 0
-    end
-  (* Bounded quench past the formal stopping criterion: refinement must end
-     overlap-free for the routed channel widths to be realizable. *)
-  and quench temp _k =
-    ignore
-      (Twmc_place.Quench.run ~rng ~placement:p ~stats ~limiter
-         ~moves_per_loop:a ~t_start:temp ~allow_orient:false
-         ~allow_variant:false ~interchanges:false ~should_stop ())
-  in
-  loop t_start;
-  if Obs.metrics_on obs then begin
-    let m = obs.Obs.metrics in
-    Metrics.add (Metrics.counter m "stage2.moves.attempts") stats.Moves.attempts;
-    Metrics.add
-      (Metrics.counter m "stage2.moves.displacements")
-      stats.Moves.displacements;
-    Metrics.add (Metrics.counter m "stage2.moves.pin_moves") stats.Moves.pin_moves;
-    for c = 0 to Moves.n_classes - 1 do
-      let cls = Moves.class_name c in
-      Metrics.add
-        (Metrics.counter m (Printf.sprintf "stage2.class.%s.attempts" cls))
-        stats.Moves.class_attempts.(c);
-      Metrics.add
-        (Metrics.counter m (Printf.sprintf "stage2.class.%s.accepts" cls))
-        stats.Moves.class_accepts.(c)
-    done
-  end;
-  if Obs.tracing obs then
-    (* Per-class efficacy of this refinement anneal, mirroring stage 1's
-       [stage1.classes] points (iteration instead of replica). *)
-    for c = 0 to Moves.n_classes - 1 do
-      Obs.point obs ~name:"stage2.classes"
-        ~attrs:
-          ((match iteration with
-           | Some i -> [ ("iteration", Attr.Int i) ]
-           | None -> [])
-          @ [ ("cls", Attr.Str (Moves.class_name c));
-              ("attempts", Attr.Int stats.Moves.class_attempts.(c));
-              ("accepts", Attr.Int stats.Moves.class_accepts.(c));
-              ("dcost", Attr.Float stats.Moves.class_dcost.(c)) ])
-        ()
-    done;
-  (!stopped, List.rev !trace)
+  Anneal_loop.run (Anneal_loop.Stage2 iteration) ?should_stop ~obs ~rng
+    ~schedule:(Schedule.stage2 ~s_t)
+    ~t_start:(Range_limiter.t_for_window_fraction limiter ~mu:prm.Params.mu)
+    ~t_floor:(1e-6 *. t_inf)
+    ~stop:(if final then Anneal_loop.Frozen 3 else Anneal_loop.Min_window)
+    (Moves.make_ctx ~allow_orient:false ~allow_variant:false
+       ~interchanges:false ~placement:p ~limiter ~stats:(Moves.make_stats ())
+       ())
 
 (* Resize the core so the statically-expanded cells fit at the configured
    fill fraction — the paper's refinement "provides additional space as
@@ -229,14 +117,7 @@ let anneal ?(should_stop = fun () -> false) ?(obs = Obs.disabled) ?iteration
    routed channel widths could be unrealizable. *)
 let resize_core p =
   let prm = Placement.params p in
-  let nl = Placement.netlist p in
-  let total = ref 0 in
-  for ci = 0 to Netlist.n_cells nl - 1 do
-    List.iter
-      (fun r -> total := !total + Rect.area r)
-      (Placement.expanded_tiles p ci)
-  done;
-  let area = float_of_int !total /. prm.Params.fill_target in
+  let area = float_of_int (Placement.expanded_area p) /. prm.Params.fill_target in
   let w = sqrt (area *. prm.Params.core_aspect) in
   let h = area /. w in
   let w = int_of_float (Float.round w) and h = int_of_float (Float.round h) in
@@ -271,7 +152,7 @@ let refine_once ~rng ?(final = false) ?should_stop ?pool ?(obs = Obs.disabled)
       let exps = required_expansions p route in
       Placement.set_expander p (Placement.Static exps);
       resize_core p;
-      let _interrupted, trace = anneal ?should_stop ~obs ?iteration ~rng ~final p in
+      let a = anneal ?should_stop ~obs ?iteration ~rng ~final p in
       let it =
         { regions = Graph.n_nodes route.Router.graph;
           graph_edges = Graph.n_edges route.Router.graph;
@@ -284,7 +165,7 @@ let refine_once ~rng ?(final = false) ?should_stop ?pool ?(obs = Obs.disabled)
           cost_after = Placement.total_cost p;
           overlap_after = Placement.c2_raw p }
       in
-      (it, route, trace))
+      (it, route, a.Anneal_loop.trace))
 
 let run ~rng ?(should_stop = fun () -> false) ?(resilient = false) ?pool
     ?(obs = Obs.disabled) ?(start_iteration = 1) ?on_iteration

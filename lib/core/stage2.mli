@@ -76,9 +76,17 @@ val refine_once :
     the per-net route enumeration without changing the result.  The third
     component is the refinement anneal's per-temperature trace.
 
+    The refinement anneal is one {!Twmc_place.Anneal_loop.run}:
+    displacements and pin moves only, from the μ-window temperature down
+    the Table 2 schedule to a floor of [10⁻⁶·T∞], stopping at the minimum
+    window span — or, when [final], once the cost is unchanged for 3 inner
+    loops — then quenching.
+
     [obs] (default disabled, zero overhead) wraps the execution in a
-    ["stage2.refine"] span and emits per-temperature ["stage2.temp"] points
-    (tagged with [iteration] when given); it never draws from [rng]. *)
+    ["stage2.refine"] span, emits per-temperature ["stage2.temp"] points
+    and per-class ["stage2.classes"] points (tagged with [iteration] when
+    given) and adds the anneal's [stage2.moves.*] / [stage2.class.*]
+    counters; it never draws from [rng]. *)
 
 val run :
   rng:Twmc_sa.Rng.t ->

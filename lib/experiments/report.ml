@@ -36,14 +36,8 @@ let csv_string ~header ~rows =
   let line row = String.concat "," (List.map csv_escape row) in
   String.concat "\n" (line header :: List.map line rows) ^ "\n"
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 let write_csv ~path ~header ~rows =
-  mkdir_p (Filename.dirname path);
+  Twmc_util.Atomic_io.mkdir_p (Filename.dirname path);
   Twmc_util.Atomic_io.write_string path (csv_string ~header ~rows)
 
 let pct f = Printf.sprintf "%.1f" f

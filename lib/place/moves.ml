@@ -102,6 +102,11 @@ let make_ctx ?(allow_orient = true) ?(allow_variant = true)
     fixed;
     region }
 
+let placement ctx = ctx.p
+let limiter ctx = ctx.limiter
+let stats ctx = ctx.stats
+let with_limiter ctx limiter = { ctx with limiter }
+
 (* A proposed move that a hard constraint forbids: any geometric change of
    a fixed cell, or a target center outside a region lock. *)
 let violates ctx = function

@@ -59,6 +59,14 @@ val make_ctx :
     displacements and pin moves, because orientation and aspect-ratio
     changes invalidate the per-edge interconnect areas (Sec 4.3). *)
 
+val placement : ctx -> Placement.t
+val limiter : ctx -> Range_limiter.t
+val stats : ctx -> stats
+
+val with_limiter : ctx -> Range_limiter.t -> ctx
+(** The same move set, drawing displacement targets from another window;
+    it shares the placement and the stats. *)
+
 val generate : ctx -> Twmc_sa.Rng.t -> temp:float -> unit
 (** One top-level attempt, mutating the placement in place. *)
 

@@ -566,6 +566,13 @@ let site_of_pin t ~cell ~pin = t.cells.(cell).sites.(pin)
 let pin_position t ~cell ~pin = t.cells.(cell).pin_pos.(pin)
 let abs_tiles t ci = t.cells.(ci).abs_tiles
 let expanded_tiles t ci = t.cells.(ci).exp_tiles
+
+let expanded_area t =
+  Array.fold_left
+    (fun acc cs ->
+      List.fold_left (fun acc r -> acc + Rect.area r) acc cs.exp_tiles)
+    0 t.cells
+
 let c1 t = t.c1v
 let c2_raw t = t.c2v
 let c3 t = t.c3v

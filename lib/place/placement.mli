@@ -61,6 +61,10 @@ val pin_position : t -> cell:int -> pin:int -> int * int
 val abs_tiles : t -> int -> Twmc_geometry.Rect.t list
 val expanded_tiles : t -> int -> Twmc_geometry.Rect.t list
 
+val expanded_area : t -> int
+(** Total area of every cell's {!expanded_tiles}: the cells plus the
+    interconnect area their expanders assign. *)
+
 val set_cell :
   t ->
   int ->

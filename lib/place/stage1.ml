@@ -4,7 +4,7 @@ module Rng = Twmc_sa.Rng
 module Schedule = Twmc_sa.Schedule
 module Domain_pool = Twmc_util.Domain_pool
 
-type temp_record = {
+type temp_record = Anneal_loop.temp_record = {
   temperature : float;
   cost : float;
   c1 : float;
@@ -70,70 +70,12 @@ let normalize_p2 rng p ~eta ~samples =
   let p2 = if !c2s <= 0.0 then 1.0 else eta *. !c1s /. !c2s in
   Placement.set_p2 p p2
 
-(* The paper scales T∞ by the average cell area including the estimated
-   interconnect area (Eqns 19–21). *)
-let avg_effective_cell_area p =
-  let nl = Placement.netlist p in
-  let n = Netlist.n_cells nl in
-  let total = ref 0 in
-  for ci = 0 to n - 1 do
-    List.iter
-      (fun r -> total := !total + Rect.area r)
-      (Placement.expanded_tiles p ci)
-  done;
-  float_of_int !total /. float_of_int (max 1 n)
-
 module Obs = Twmc_obs.Ctx
 module Attr = Twmc_obs.Attr
 module Metrics = Twmc_obs.Metrics
 
-(* Aggregate move-class accept counters into the registry.  Counter adds
-   commute, so the totals are deterministic even when best-of-K replicas
-   record concurrently. *)
-let record_move_stats obs (s : Moves.stats) =
-  if Obs.metrics_on obs then begin
-    let m = obs.Obs.metrics in
-    let add name v = Metrics.add (Metrics.counter m name) v in
-    add "stage1.moves.attempts" s.Moves.attempts;
-    add "stage1.moves.displacements" s.Moves.displacements;
-    add "stage1.moves.aspect_rescues" s.Moves.aspect_rescues;
-    add "stage1.moves.orient_changes" s.Moves.orient_changes;
-    add "stage1.moves.interchanges" s.Moves.interchanges;
-    add "stage1.moves.interchange_rescues" s.Moves.interchange_rescues;
-    add "stage1.moves.pin_moves" s.Moves.pin_moves;
-    add "stage1.moves.variant_changes" s.Moves.variant_changes;
-    for c = 0 to Moves.n_classes - 1 do
-      let cls = Moves.class_name c in
-      add
-        (Printf.sprintf "stage1.class.%s.attempts" cls)
-        s.Moves.class_attempts.(c);
-      add
-        (Printf.sprintf "stage1.class.%s.accepts" cls)
-        s.Moves.class_accepts.(c)
-    done
-  end
-
-(* One per-class efficacy point per finished anneal: attempts, accepts and
-   summed Δcost for every move class of the trial ladder — the trace-side
-   source for [Health]'s move-class table. *)
-let record_class_points obs ?replica ~prefix (s : Moves.stats) =
-  if Obs.tracing obs then
-    for c = 0 to Moves.n_classes - 1 do
-      Obs.point obs
-        ~name:(prefix ^ ".classes")
-        ~attrs:
-          ((match replica with
-           | Some r -> [ ("replica", Attr.Int r) ]
-           | None -> [])
-          @ [ ("cls", Attr.Str (Moves.class_name c));
-              ("attempts", Attr.Int s.Moves.class_attempts.(c));
-              ("accepts", Attr.Int s.Moves.class_accepts.(c));
-              ("dcost", Attr.Float s.Moves.class_dcost.(c)) ])
-        ()
-    done
-
-let run ?(params = Params.default) ?core ?on_temp ?should_stop
-    ?(obs = Obs.disabled) ?replica ~rng nl =
+let run ?(params = Params.default) ?core ?should_stop ?(obs = Obs.disabled)
+    ?replica ~rng nl =
   (* Flight-recorder note first, then the fault site: an injected abort
      leaves the site it killed as the ring's last entry. *)
   Twmc_obs.Flight_recorder.note ?i:replica "stage1.replica";
@@ -161,101 +103,22 @@ let run ?(params = Params.default) ?core ?on_temp ?should_stop
       nl
   in
   normalize_p2 rng p ~eta:params.Params.eta ~samples:params.Params.n_p2_samples;
-  let s_t = Schedule.s_t ~avg_cell_area:(avg_effective_cell_area p) in
+  (* The paper scales T∞ by the average cell area including the estimated
+     interconnect area (Eqns 19–21). *)
+  let s_t = Schedule.s_t ~avg_cell_area:(Anneal_loop.avg_cell_area p) in
   let t_inf = Schedule.t_infinity ~s_t in
-  let schedule = Schedule.stage1 ~s_t in
   let limiter =
     Range_limiter.of_core ~rho:params.Params.rho ~t_inf ~core
       ~min_window:params.Params.min_window
   in
   let stats = Moves.make_stats () in
-  let ctx = Moves.make_ctx ~placement:p ~limiter ~stats () in
-  let a = params.Params.a_c * Netlist.n_cells nl in
-  let trace = ref [] in
-  let n_temps = ref 0 in
-  let t_floor = 1e-4 *. t_inf in
-  let poll = match should_stop with None -> fun () -> false | Some f -> f in
-  let stopped = ref false in
-  (* Cooperative timeout: poll the guard every 128 moves so a wall-clock
-     budget cuts the anneal off mid-inner-loop, not at the next temperature. *)
-  let inner temp =
-    let i = ref 0 in
-    while !i < a && not !stopped do
-      Moves.generate ctx rng ~temp;
-      incr i;
-      if !i land 127 = 0 && poll () then stopped := true
-    done
+  (* Stops after an inner loop at the minimum window span (Sec 3.3). *)
+  let a =
+    Anneal_loop.run (Anneal_loop.Stage1 replica) ?should_stop ~obs ~rng
+      ~schedule:(Schedule.stage1 ~s_t) ~t_start:t_inf ~t_floor:(1e-4 *. t_inf)
+      ~stop:Anneal_loop.Min_window
+      (Moves.make_ctx ~placement:p ~limiter ~stats ())
   in
-  let rec loop temp =
-    incr n_temps;
-    let accepted_before =
-      stats.Moves.displacements + stats.Moves.interchanges
-      + stats.Moves.orient_changes + stats.Moves.aspect_rescues
-    in
-    inner temp;
-    (* Correct any float drift in the incremental accumulators. *)
-    Placement.recompute_all p;
-    let accepted_after =
-      stats.Moves.displacements + stats.Moves.interchanges
-      + stats.Moves.orient_changes + stats.Moves.aspect_rescues
-    in
-    let rec_ =
-      { temperature = temp;
-        cost = Placement.total_cost p;
-        c1 = Placement.c1 p;
-        c2_raw = Placement.c2_raw p;
-        c3 = Placement.c3 p;
-        acceptance = float_of_int (accepted_after - accepted_before) /. float_of_int a;
-        window = Range_limiter.window limiter ~temp }
-    in
-    trace := rec_ :: !trace;
-    (match on_temp with Some f -> f rec_ | None -> ());
-    Twmc_obs.Flight_recorder.note ?i:replica ~f:temp "stage1.temp";
-    if Obs.tracing obs then begin
-      let wx, wy = rec_.window in
-      Obs.point obs ~name:"stage1.temp"
-        ~attrs:
-          ((match replica with
-           | Some r -> [ ("replica", Attr.Int r) ]
-           | None -> [])
-          @ [ ("t", Attr.Float temp); ("cost", Attr.Float rec_.cost);
-              ("c1", Attr.Float rec_.c1); ("c2", Attr.Float rec_.c2_raw);
-              ("c3", Attr.Float rec_.c3);
-              ("acceptance", Attr.Float rec_.acceptance);
-              ("wx", Attr.Float wx); ("wy", Attr.Float wy);
-              (* The schedule's Eqn 19-21 driver, sampled per temperature
-                 so [Health] can watch the estimator converge. *)
-              ("est", Attr.Float (avg_effective_cell_area p)) ])
-        ()
-    end;
-    if !stopped then ()
-    (* Stop after an inner loop at the minimum window span (Sec 3.3). *)
-    else if Range_limiter.at_min_span limiter ~temp then quench temp 0
-    else
-      let temp' = Schedule.next schedule temp in
-      if temp' < t_floor then quench temp' 0 else loop temp'
-  (* The paper's T0 is effectively zero; for small cores the minimum window
-     span is reached while T is still warm enough to leave residual overlap,
-     so finish with the explicit quench tail. *)
-  and quench temp _k =
-    n_temps :=
-      !n_temps
-      + Quench.run ~rng ~placement:p ~stats ~limiter ~moves_per_loop:a
-          ~t_start:temp ?should_stop ()
-  in
-  Obs.span obs ~name:"stage1.anneal"
-    ~attrs:
-      (if Obs.tracing obs then
-         (match replica with
-         | Some r -> [ ("replica", Attr.Int r) ]
-         | None -> [])
-         @ [ ("cells", Attr.Int (Netlist.n_cells nl));
-             ("t_inf", Attr.Float t_inf) ]
-       else [])
-    (fun () -> loop t_inf);
-  Placement.recompute_all p;
-  record_move_stats obs stats;
-  record_class_points obs ?replica ~prefix:"stage1" stats;
   { placement = p;
     t_inf;
     s_t;
@@ -265,9 +128,9 @@ let run ?(params = Params.default) ?core ?on_temp ?should_stop
     residual_overlap = Placement.c2_raw p;
     chip = Placement.chip_bbox p;
     move_stats = stats;
-    trace = List.rev !trace;
-    temperatures_visited = !n_temps;
-    interrupted = !stopped || poll () }
+    trace = a.Anneal_loop.trace;
+    temperatures_visited = a.Anneal_loop.temperatures;
+    interrupted = a.Anneal_loop.interrupted }
 
 (* --------------------------------------------- best-of-K multi-start *)
 

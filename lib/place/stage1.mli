@@ -7,15 +7,17 @@
     the Table 1 schedule until the range-limiter window reaches its minimum
     span. *)
 
-type temp_record = {
+type temp_record = Anneal_loop.temp_record = {
   temperature : float;
   cost : float;
   c1 : float;
   c2_raw : float;
   c3 : float;
-  acceptance : float;  (** Accepted top-level moves / attempts, approximate. *)
+  acceptance : float;
   window : float * float;
 }
+(** One stage-1 or stage-2 annealing temperature; see
+    {!Anneal_loop.temp_record}. *)
 
 val normalize_p2 :
   Twmc_sa.Rng.t -> Placement.t -> eta:float -> samples:int -> unit
@@ -46,7 +48,6 @@ type result = {
 val run :
   ?params:Params.t ->
   ?core:Twmc_geometry.Rect.t ->
-  ?on_temp:(temp_record -> unit) ->
   ?should_stop:(unit -> bool) ->
   ?obs:Twmc_obs.Ctx.t ->
   ?replica:int ->
@@ -54,18 +55,22 @@ val run :
   Twmc_netlist.Netlist.t ->
   result
 (** When [core] is omitted it is determined by {!Twmc_estimator.Core_area}
-    and centered on the origin.  [should_stop] is polled every 128 moves
+    and centered on the origin.  After this setup the anneal is one
+    {!Anneal_loop.run}: the full move set from [T∞] down the Table 1
+    schedule to a floor of [10⁻⁴·T∞], stopping at the minimum window span
+    (Sec 3.3), then quenching.  [should_stop] is polled every 128 moves
     inside the inner loop (cooperative timeout): when it returns true the
     anneal exits after repairing its cost caches, flagging [interrupted].
 
     [obs] (default disabled, zero overhead) wraps the anneal in a
     ["stage1.anneal"] span, emits one ["stage1.temp"] point per
     temperature (cost, C1/C2/C3 decomposition, acceptance rate,
-    range-limiter window) and records the move-class accept counters
-    ([stage1.moves.*]) into the metrics registry.  [replica] tags every
-    emitted event with the replica index (set by {!run_best_of_k}).
-    Instrumentation only reads placement state: results are bit-identical
-    with it on or off. *)
+    range-limiter window, average expanded cell area), then records the
+    move counters ([stage1.moves.*], [stage1.class.*]) into the metrics
+    registry and one ["stage1.classes"] point per move class.  [replica]
+    tags every emitted event with the replica index (set by
+    {!run_best_of_k}).  Instrumentation only reads placement state:
+    results are bit-identical with it on or off. *)
 
 type multi_result = {
   best : result;  (** The replica with the lowest final {!Placement.total_cost}. *)

@@ -6,4 +6,4 @@ module Placement = Placement
 module Range_limiter = Range_limiter
 module Moves = Moves
 module Stage1 = Stage1
-module Quench = Quench
+module Anneal_loop = Anneal_loop

@@ -57,12 +57,6 @@ let gen_plan ~rng =
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (gen_rule ~rng :: acc) in
   go n []
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
 let rm_rf dir =
   if Sys.file_exists dir then begin
     Array.iter
@@ -123,7 +117,7 @@ let run_one ~scratch ~case ~plan ~jobs nl =
   (status, fired, ckpt_ok, List.rev !reasons)
 
 let save_survivor ~dir s =
-  mkdir_p dir;
+  Twmc_util.Atomic_io.mkdir_p dir;
   let b = Buffer.create 256 in
   Buffer.add_string b (Printf.sprintf "# chaos survivor %d: %s\n" s.index s.reason);
   Buffer.add_string b (Printf.sprintf "# jobs %d\n" s.jobs);

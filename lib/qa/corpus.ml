@@ -1,11 +1,5 @@
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 let save ~dir ?key c =
-  mkdir_p dir;
+  Twmc_util.Atomic_io.mkdir_p dir;
   let body = Fuzz_case.to_string c in
   let name =
     Printf.sprintf "case-%s.twq"

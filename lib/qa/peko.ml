@@ -15,15 +15,8 @@ let spec_of_scale ?(locality = 0.7) ?(utilization = 0.5) ?(nets_per_cell = 1.6)
 let default_scales = [ 25; 49; 100 ]
 let full_scales = [ 25; 49; 100; 225; 400; 784 ]
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let save ~dir nl (cert : Gen.certificate) =
-  mkdir_p dir;
+  Atomic_io.mkdir_p dir;
   let base = Filename.concat dir cert.Gen.spec.Gen.name in
   Atomic_io.write_string (base ^ ".twn") (Writer.to_string nl);
   Atomic_io.write_string (base ^ ".peko") (Gen.certificate_to_string cert);

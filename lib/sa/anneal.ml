@@ -1,81 +1,3 @@
 let metropolis rng ~t ~delta =
   delta <= 0.0
   || (t > 0.0 && Rng.unit_float rng < exp (-.delta /. t))
-
-type proposal = {
-  delta : float;
-  commit : unit -> unit;
-  abandon : unit -> unit;
-}
-
-type stats = {
-  temperature : float;
-  attempts : int;
-  accepts : int;
-  cost : float;
-}
-
-type stop_reason = Schedule_exhausted | Frozen of int | Client_stop
-
-type config = {
-  schedule : Schedule.t;
-  t_start : float;
-  t_floor : float;
-  moves_per_temp : int;
-  freeze_loops : int;
-}
-
-let run config ~rng ~generate ~cost ?(on_temp = fun _ -> ())
-    ?(obs = Twmc_obs.Ctx.disabled) ?stop () =
-  if config.moves_per_temp <= 0 then invalid_arg "Anneal.run: moves_per_temp";
-  let trace = ref [] in
-  let frozen = ref 0 in
-  let last_cost = ref nan in
-  let rec loop t =
-    let accepts = ref 0 in
-    for _ = 1 to config.moves_per_temp do
-      match generate rng ~t with
-      | None -> ()
-      | Some p ->
-          if metropolis rng ~t ~delta:p.delta then (
-            p.commit ();
-            incr accepts)
-          else p.abandon ()
-    done;
-    let c = cost () in
-    let st =
-      { temperature = t; attempts = config.moves_per_temp;
-        accepts = !accepts; cost = c }
-    in
-    trace := st :: !trace;
-    on_temp st;
-    if Twmc_obs.Ctx.tracing obs then
-      Twmc_obs.Ctx.point obs ~name:"anneal.temp"
-        ~attrs:
-          [ ("t", Twmc_obs.Attr.Float t);
-            ("acceptance",
-             Twmc_obs.Attr.Float
-               (float_of_int !accepts /. float_of_int config.moves_per_temp));
-            ("cost", Twmc_obs.Attr.Float c) ]
-        ();
-    if c = !last_cost then incr frozen else frozen := 0;
-    last_cost := c;
-    if config.freeze_loops > 0 && !frozen >= config.freeze_loops then
-      Frozen !frozen
-    else
-      match stop with
-      | Some f when f ~t -> Client_stop
-      | _ ->
-          let t' = Schedule.next config.schedule t in
-          if t' < config.t_floor then Schedule_exhausted else loop t'
-  in
-  let reason =
-    Twmc_obs.Ctx.span obs ~name:"anneal"
-      ~attrs:
-        (if Twmc_obs.Ctx.tracing obs then
-           [ ("t_start", Twmc_obs.Attr.Float config.t_start);
-             ("moves_per_temp", Twmc_obs.Attr.Int config.moves_per_temp) ]
-         else [])
-      (fun () -> loop config.t_start)
-  in
-  (reason, List.rev !trace)

@@ -1,62 +1,6 @@
-(** The generic simulated-annealing engine.
-
-    Per Sec 2.1 the algorithm is characterized by (1) the [generate]
-    function, (2) the acceptance function, (3) the temperature [update]
-    function, (4) the inner-loop criterion and (5) the stopping criterion.
-    The engine owns (2)–(5); the client supplies (1) as a callback that
-    proposes a move, reports its ΔC, and commits or rolls back on demand —
-    the natural shape for the heavily mutable placement state. *)
+(** The Metropolis acceptance function (Sec 2.1, part 2 of the algorithm).
+    The annealing loop that uses it is {!Twmc_place.Anneal_loop}. *)
 
 val metropolis : Rng.t -> t:float -> delta:float -> bool
 (** Standard acceptance: always for [delta <= 0], else with probability
     [exp (-delta /. t)].  [t <= 0] accepts only improving moves. *)
-
-type proposal = {
-  delta : float;  (** ΔC of the proposed move. *)
-  commit : unit -> unit;  (** Make the move permanent. *)
-  abandon : unit -> unit;  (** Restore the pre-move state. *)
-}
-
-type stats = {
-  temperature : float;
-  attempts : int;
-  accepts : int;
-  cost : float;  (** Client-reported cost after the inner loop. *)
-}
-
-type stop_reason =
-  | Schedule_exhausted  (** Temperature fell below the floor. *)
-  | Frozen of int  (** Cost unchanged for the configured number of loops. *)
-  | Client_stop  (** The [stop] callback returned true. *)
-
-type config = {
-  schedule : Schedule.t;
-  t_start : float;
-  t_floor : float;
-      (** Stop when the updated temperature would fall below this. *)
-  moves_per_temp : int;  (** The inner-loop length [A = A_c · N_c] (Eqn 17). *)
-  freeze_loops : int;
-      (** Stop after this many consecutive inner loops with unchanged cost;
-          0 disables the criterion (Stage 2's final iteration uses 3). *)
-}
-
-val run :
-  config ->
-  rng:Rng.t ->
-  generate:(Rng.t -> t:float -> proposal option) ->
-  cost:(unit -> float) ->
-  ?on_temp:(stats -> unit) ->
-  ?obs:Twmc_obs.Ctx.t ->
-  ?stop:(t:float -> bool) ->
-  unit ->
-  stop_reason * stats list
-(** Runs the annealing loop.  [generate] may return [None] for a
-    degenerate/self-rejecting attempt (still counted as an attempt).
-    [stop ~t] is evaluated after each inner loop — TimberWolfMC's stage-1
-    criterion (range-limiter window at minimum span) plugs in here.
-    Returns the reason plus per-temperature statistics, oldest first.
-
-    [obs] (default disabled, zero overhead) wraps the run in an ["anneal"]
-    span and emits one ["anneal.temp"] point per inner loop (temperature,
-    acceptance rate, cost).  Tracing never draws from [rng] and never
-    mutates client state: results are identical with it on or off. *)

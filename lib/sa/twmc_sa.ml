@@ -1,5 +1,5 @@
 (** Simulated-annealing substrate: deterministic RNG, the TimberWolfMC
-    cooling schedules, and the generic Metropolis engine. *)
+    cooling schedules, and the Metropolis acceptance function. *)
 
 module Rng = Rng
 module Schedule = Schedule

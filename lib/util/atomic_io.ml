@@ -73,3 +73,16 @@ let write_file path f =
           raise e)
 
 let write_string path s = write_file path (fun oc -> output_string oc s)
+
+let rec mkdir_p dir =
+  if Sys.file_exists dir then begin
+    if not (Sys.is_directory dir) then
+      raise (Sys_error (dir ^ ": Not a directory"))
+  end
+  else if dir <> "" then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    (* Losing a race to another creator of [dir] is success. *)
+    try Sys.mkdir dir 0o755
+    with Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
+  end

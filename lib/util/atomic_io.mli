@@ -23,3 +23,9 @@ val write_string : string -> string -> unit
 
 val read_string : string -> string
 (** Whole-file read (binary); raises [Sys_error] like [open_in]. *)
+
+val mkdir_p : string -> unit
+(** [mkdir_p dir] creates [dir] and any missing parents (mode 0o755).  An
+    existing directory is fine, including one another process creates
+    concurrently; anything else — a file in the way, a permission error —
+    raises [Sys_error]. *)

@@ -122,6 +122,27 @@ let test_short_write_detected () =
   checks "destination untouched" "old-content" (Atomic_io.read_string path);
   Sys.remove path
 
+let test_mkdir_p () =
+  let root = fresh_dir "mkdir" in
+  let parent = Filename.concat root "a" in
+  let nested = Filename.concat parent "b" in
+  Atomic_io.mkdir_p nested;
+  checkb "nested dirs created" true (Sys.is_directory nested);
+  (* Existing directories are not an error. *)
+  Atomic_io.mkdir_p nested;
+  Atomic_io.mkdir_p root;
+  let file = Filename.concat root "f" in
+  Atomic_io.write_string file "x";
+  let raises d =
+    match Atomic_io.mkdir_p d with () -> false | exception Sys_error _ -> true
+  in
+  checkb "file in the way raises" true (raises file);
+  checkb "file in the way of a parent raises" true
+    (raises (Filename.concat file "sub"));
+  Sys.rmdir nested;
+  Sys.rmdir parent;
+  rm_rf root
+
 (* Property: whatever single io fault hits the writer, the destination holds
    either the complete old contents or the complete new ones — never a
    prefix — and the writer works again afterwards. *)
@@ -173,6 +194,18 @@ let test_rng_cursor_roundtrip () =
       checkb "garbage rejected" true (Rng.of_binary_string "garbage" = None)
 
 (* ------------------------------------------- durable checkpoint format *)
+
+(* A checkpoint directory that cannot be created costs the checkpoints, not
+   the flow: the first write reports it as a G410 warning. *)
+let test_uncreatable_checkpoint_dir () =
+  let root = fresh_dir "blocked" in
+  let file = Filename.concat root "f" in
+  Atomic_io.write_string file "x";
+  let cfg = { Flow.dir = Filename.concat file "ckpt"; every = 1 } in
+  let rr = Flow.run_resilient ~params ~seed:9 ~checkpoint:cfg (netlist ()) in
+  checkb "flow completed" true (rr.Flow.flow <> None);
+  checkb "G410 warning" true (has_code "G410" rr.Flow.diagnostics);
+  rm_rf root
 
 let durable_fixture nl =
   let rng = Rng.create ~seed:5 in
@@ -437,10 +470,13 @@ let () =
           Alcotest.test_case "plan serialization" `Quick test_plan_serialization ] );
       ( "atomic_io",
         [ Alcotest.test_case "short write detected" `Quick test_short_write_detected;
+          Alcotest.test_case "mkdir_p" `Quick test_mkdir_p;
           QCheck_alcotest.to_alcotest atomic_io_crash_consistency ] );
       ( "checkpoint",
         [ Alcotest.test_case "rng cursor round-trip" `Quick test_rng_cursor_roundtrip;
           Alcotest.test_case "durable round-trip" `Quick test_checkpoint_roundtrip;
+          Alcotest.test_case "uncreatable dir warns" `Quick
+            test_uncreatable_checkpoint_dir;
           Alcotest.test_case "validation rejects corruption" `Quick
             test_checkpoint_validation ] );
       ( "containment",

@@ -1,5 +1,5 @@
 (* Tests for the placement state, cost function, range limiter, move
-   generator and stage-1 driver. *)
+   generator, annealing loop and stage-1 driver. *)
 
 open Twmc_place
 open Twmc_netlist
@@ -484,30 +484,77 @@ let test_fig2_aspect_rescue () =
   ignore snap;
   Placement.verify_consistency p
 
-(* -------------------------------------------------------------- Quench *)
+(* --------------------------------------------------------- Anneal_loop *)
 
-let test_quench_removes_overlap () =
+(* Every cell of the mixed netlist piled at the origin under a fixed
+   two-unit expansion: a heavily overlapped start.  The inner loop is
+   [a_c * 8] moves long. *)
+let piled_placement ~a_c =
   let nl = mixed_netlist () in
   let exps = Array.make (Netlist.n_cells nl) (2, 2, 2, 2) in
-  let p = make_placement ~expander:(Placement.Static exps) nl in
-  (* Pile everything at the origin. *)
+  let p =
+    Placement.create ~params:{ Params.default with Params.a_c } ~core:core100
+      ~expander:(Placement.Static exps) ~rng:(Rng.create ~seed:3) nl
+  in
   for ci = 0 to Netlist.n_cells nl - 1 do
     Placement.set_cell p ci ~x:0 ~y:0 ()
   done;
-  let before = Placement.c2_raw p in
-  checkb "starts overlapped" true (before > 0.0);
-  let lim =
+  p
+
+(* A stage-1 style anneal on a geometric schedule.  The window is at its
+   minimum span below T = 29, so a [Min_window] run from T = 5 stops after
+   its first temperature. *)
+let drive ?should_stop ~stop ~t_start p =
+  let limiter =
     Range_limiter.create ~rho:4.0 ~t_inf:1e5 ~wx_inf:800.0 ~wy_inf:800.0
       ~min_window:6
   in
   let stats = Moves.make_stats () in
-  let loops =
-    Quench.run
+  let r =
+    Anneal_loop.run (Anneal_loop.Stage1 None) ?should_stop
       ~rng:(Rng.create ~seed:13)
-      ~placement:p ~stats ~limiter:lim ~moves_per_loop:400 ~t_start:5.0 ()
+      ~schedule:(Twmc_sa.Schedule.geometric ~alpha:0.9)
+      ~t_start ~t_floor:1e-9 ~stop
+      (Moves.make_ctx ~placement:p ~limiter ~stats ())
   in
-  checkb "ran some loops" true (loops > 0);
-  checkb "overlap mostly gone" true (Placement.c2_raw p < 0.05 *. before)
+  (r, stats)
+
+let test_anneal_freeze () =
+  (* An empty inner loop never changes the cost, so [Frozen 3] fires after
+     the fourth temperature.  The quench still runs on the overlap left,
+     finding no improvement: 1 + 20 loops. *)
+  let p = piled_placement ~a_c:0 in
+  let r, _ = drive ~stop:(Anneal_loop.Frozen 3) ~t_start:1e4 p in
+  check "frozen after 3 unchanged loops" 4 (List.length r.Anneal_loop.trace);
+  check "quench tail ran to its patience" (4 + 21) r.Anneal_loop.temperatures;
+  checkb "not interrupted" false r.Anneal_loop.interrupted
+
+let test_anneal_client_stop () =
+  (* The third poll, after move 384 of the first 400-move inner loop, stops
+     the run: one temperature and no quench, though cells still overlap. *)
+  let p = piled_placement ~a_c:50 in
+  let polls = ref 0 in
+  let should_stop () =
+    incr polls;
+    !polls >= 3
+  in
+  let r, stats = drive ~should_stop ~stop:Anneal_loop.Min_window ~t_start:1e4 p in
+  checkb "interrupted" true r.Anneal_loop.interrupted;
+  check "stopped mid-loop" 384 stats.Moves.attempts;
+  check "one temperature" 1 (List.length r.Anneal_loop.trace);
+  check "no quench" 1 r.Anneal_loop.temperatures;
+  checkb "overlap left" true (Placement.c2_raw p > 0.0);
+  Placement.verify_consistency p
+
+let test_quench_removes_overlap () =
+  let p = piled_placement ~a_c:50 in
+  let before = Placement.c2_raw p in
+  checkb "starts overlapped" true (before > 0.0);
+  let r, _ = drive ~stop:Anneal_loop.Min_window ~t_start:5.0 p in
+  check "one annealing temperature" 1 (List.length r.Anneal_loop.trace);
+  checkb "quench loops ran" true (r.Anneal_loop.temperatures > 1);
+  checkf 0.0 "overlap cleared" 0.0 (Placement.c2_raw p);
+  Placement.verify_consistency p
 
 let () =
   let qt = List.map (QCheck_alcotest.to_alcotest ~long:false) in
@@ -537,4 +584,7 @@ let () =
         [ Alcotest.test_case "small run" `Quick test_stage1_small;
           Alcotest.test_case "deterministic" `Quick test_stage1_deterministic;
           Alcotest.test_case "beats random" `Quick test_stage1_improves_over_random ] );
+      ( "anneal",
+        [ Alcotest.test_case "freeze stop" `Quick test_anneal_freeze;
+          Alcotest.test_case "client stop" `Quick test_anneal_client_stop ] );
       ("quench", [ Alcotest.test_case "removes overlap" `Quick test_quench_removes_overlap ]) ]

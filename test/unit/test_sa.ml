@@ -1,4 +1,4 @@
-(* Tests for the annealing substrate: RNG, schedules, engine. *)
+(* Tests for the annealing substrate: RNG, schedules, Metropolis acceptance. *)
 
 open Twmc_sa
 
@@ -136,77 +136,6 @@ let test_metropolis () =
   let rate = float_of_int !hits /. 10_000.0 in
   checkb "boltzmann rate" true (Float.abs (rate -. exp (-1.0)) < 0.02)
 
-(* Minimize |x| over integers with +-1 moves: the engine must find 0. *)
-let test_anneal_toy () =
-  let state = ref 50 in
-  let config =
-    { Anneal.schedule = Schedule.geometric ~alpha:0.9;
-      t_start = 100.0;
-      t_floor = 0.01;
-      moves_per_temp = 200;
-      freeze_loops = 0 }
-  in
-  let generate rng ~t:_ =
-    let step = if Rng.bool_with_prob rng 0.5 then 1 else -1 in
-    let old = !state in
-    let delta = float_of_int (abs (old + step) - abs old) in
-    Some
-      { Anneal.delta;
-        commit = (fun () -> state := old + step);
-        abandon = (fun () -> ()) }
-  in
-  let reason, trace =
-    Anneal.run config ~rng:(Rng.create ~seed:8) ~generate
-      ~cost:(fun () -> float_of_int (abs !state))
-      ()
-  in
-  checkb "finished by schedule" true (reason = Anneal.Schedule_exhausted);
-  checkb "found minimum region" true (abs !state <= 2);
-  checkb "trace recorded" true (List.length trace > 50);
-  let first = List.hd trace in
-  checkb "hot acceptance high" true
-    (float_of_int first.Anneal.accepts /. float_of_int first.Anneal.attempts
-    > 0.8)
-
-let test_anneal_freeze () =
-  let config =
-    { Anneal.schedule = Schedule.geometric ~alpha:0.9;
-      t_start = 10.0;
-      t_floor = 1e-9;
-      moves_per_temp = 5;
-      freeze_loops = 3 }
-  in
-  (* No move ever changes anything: cost is constant, freeze should fire. *)
-  let reason, trace =
-    Anneal.run config ~rng:(Rng.create ~seed:9)
-      ~generate:(fun _ ~t:_ -> None)
-      ~cost:(fun () -> 42.0)
-      ()
-  in
-  checkb "frozen" true (match reason with Anneal.Frozen _ -> true | _ -> false);
-  checkb "stopped early" true (List.length trace <= 5)
-
-let test_anneal_client_stop () =
-  let config =
-    { Anneal.schedule = Schedule.geometric ~alpha:0.9;
-      t_start = 10.0;
-      t_floor = 1e-9;
-      moves_per_temp = 5;
-      freeze_loops = 0 }
-  in
-  let loops = ref 0 in
-  let reason, _ =
-    Anneal.run config ~rng:(Rng.create ~seed:10)
-      ~generate:(fun _ ~t:_ -> None)
-      ~cost:(fun () ->
-        incr loops;
-        float_of_int !loops)
-      ~stop:(fun ~t:_ -> !loops >= 4)
-      ()
-  in
-  checkb "client stop" true (reason = Anneal.Client_stop);
-  check "loop count" 4 !loops
-
 let () =
   Alcotest.run "sa"
     [ ( "rng",
@@ -221,7 +150,4 @@ let () =
           Alcotest.test_case "custom errors" `Quick test_schedule_custom_errors;
           Alcotest.test_case "scaling" `Quick test_schedule_scaling ] );
       ( "anneal",
-        [ Alcotest.test_case "metropolis" `Quick test_metropolis;
-          Alcotest.test_case "toy minimization" `Quick test_anneal_toy;
-          Alcotest.test_case "freeze stop" `Quick test_anneal_freeze;
-          Alcotest.test_case "client stop" `Quick test_anneal_client_stop ] ) ]
+        [ Alcotest.test_case "metropolis" `Quick test_metropolis ] ) ]
