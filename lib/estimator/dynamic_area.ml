@@ -1,9 +1,9 @@
-open Twmc_netlist
 open Twmc_geometry
 
 type t = {
   modulation : Modulation.t;
   pin_density : Pin_density.t;
+  f_rp : float array array;  (* Pin_density.f_rp_table *)
   c_w : float;
   inv_mean : float;  (* 1 / core-mean of f_x·f_y *)
   core_w : float;
@@ -17,8 +17,10 @@ let create ?beta ?(modulation = Modulation.default) ~core_w ~core_h nl =
      only the positional modulation sees the actual core. *)
   let ref_w, ref_h = Wire_estimate.reference_dims nl in
   let c_w = Wire_estimate.channel_width ?beta ~core_w:ref_w ~core_h:ref_h nl in
+  let pin_density = Pin_density.compute nl in
   { modulation;
-    pin_density = Pin_density.compute nl;
+    pin_density;
+    f_rp = Pin_density.f_rp_table pin_density;
     c_w;
     inv_mean = 1.0 /. Modulation.alpha modulation;
     core_w = core_wf;
@@ -27,26 +29,50 @@ let create ?beta ?(modulation = Modulation.default) ~core_w ~core_h nl =
 let c_w t = t.c_w
 let pin_density t = t.pin_density
 
-let raw_expansion t ~f_rp ~x ~y =
-  0.5 *. t.c_w *. t.inv_mean
-  *. Modulation.weight t.modulation ~core_w:t.core_w ~core_h:t.core_h ~x ~y
-  *. f_rp
+(* [Modulation.tent], [Float.min] included, operand for operand: inlined
+   into [side_expansion] so that no float is boxed on the per-move path. *)
+let[@inline] tent m b half_span v =
+  if half_span <= 0.0 then m
+  else
+    let a = Float.abs v in
+    let v =
+      if half_span > a || ((not (Float.sign_bit half_span)) && Float.sign_bit a)
+      then if half_span <> half_span then half_span else a
+      else if a <> a then a
+      else half_span
+    in
+    m -. (v *. ((m -. b) /. half_span))
+
+(* Eqn 2 for one edge with pin-density factor [f_rp] at [(x, y)]:
+   [Modulation.weight] times the constant factors, rounded. *)
+let[@inline] side_expansion t f_rp ~x ~y =
+  let m = t.modulation in
+  let w =
+    tent m.Modulation.mx m.Modulation.bx (t.core_w /. 2.0) x
+    *. tent m.Modulation.my m.Modulation.by (t.core_h /. 2.0) y
+  in
+  int_of_float (Float.round (0.5 *. t.c_w *. t.inv_mean *. w *. f_rp))
 
 let edge_expansion t ~cell ~variant ~side ~x ~y =
-  let f_rp = Pin_density.f_rp t.pin_density ~cell ~variant side in
-  int_of_float (Float.round (raw_expansion t ~f_rp ~x ~y))
+  side_expansion t (Pin_density.f_rp t.pin_density ~cell ~variant side) ~x ~y
+
+let tile_expansions_into t ~cell ~variant ~x0 ~y0 ~x1 ~y1 out off =
+  let fx0 = float_of_int x0
+  and fx1 = float_of_int x1
+  and fy0 = float_of_int y0
+  and fy1 = float_of_int y1 in
+  let xm = (fx0 +. fx1) /. 2.0 and ym = (fy0 +. fy1) /. 2.0 in
+  let f = t.f_rp.(cell) and base = 4 * variant in
+  out.(off) <- side_expansion t f.(base) ~x:fx0 ~y:ym;
+  out.(off + 1) <- side_expansion t f.(base + 1) ~x:fx1 ~y:ym;
+  out.(off + 2) <- side_expansion t f.(base + 2) ~x:xm ~y:fy0;
+  out.(off + 3) <- side_expansion t f.(base + 3) ~x:xm ~y:fy1
 
 let tile_expansions t ~cell ~variant (r : Rect.t) =
-  let fx0 = float_of_int r.Rect.x0
-  and fx1 = float_of_int r.Rect.x1
-  and fy0 = float_of_int r.Rect.y0
-  and fy1 = float_of_int r.Rect.y1 in
-  let xm = (fx0 +. fx1) /. 2.0 and ym = (fy0 +. fy1) /. 2.0 in
-  let e side ~x ~y = edge_expansion t ~cell ~variant ~side ~x ~y in
-  ( e Side.Left ~x:fx0 ~y:ym,
-    e Side.Right ~x:fx1 ~y:ym,
-    e Side.Bottom ~x:xm ~y:fy0,
-    e Side.Top ~x:xm ~y:fy1 )
+  let e = Array.make 4 0 in
+  tile_expansions_into t ~cell ~variant ~x0:r.Rect.x0 ~y0:r.Rect.y0
+    ~x1:r.Rect.x1 ~y1:r.Rect.y1 e 0;
+  (e.(0), e.(1), e.(2), e.(3))
 
 let expand_tile t ~cell ~variant r =
   let left, right, bottom, top = tile_expansions t ~cell ~variant r in

@@ -36,6 +36,22 @@ val tile_expansions :
 (** [(left, right, bottom, top)] expansions for an absolutely-positioned
     tile: each side is evaluated at its own midpoint (Eqn 2's [x_i, y_i]). *)
 
+val tile_expansions_into :
+  t ->
+  cell:int ->
+  variant:int ->
+  x0:int ->
+  y0:int ->
+  x1:int ->
+  y1:int ->
+  int array ->
+  int ->
+  unit
+(** [tile_expansions_into t ~cell ~variant ~x0 ~y0 ~x1 ~y1 out off] is
+    {!tile_expansions} of the tile [(x0, y0)-(x1, y1)], written as left,
+    right, bottom, top into [out.(off)] .. [out.(off + 3)].  Bit-identical
+    to it and allocates nothing: the move-evaluation hot path. *)
+
 val expand_tile :
   t -> cell:int -> variant:int -> Twmc_geometry.Rect.t -> Twmc_geometry.Rect.t
 (** The tile grown by {!tile_expansions} — the footprint used by the overlap

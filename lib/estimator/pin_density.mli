@@ -25,6 +25,12 @@ val f_rp :
   t -> cell:int -> variant:int -> Twmc_netlist.Side.t -> float
 (** The factor [max(1, d_rp)] for one side of one cell variant. *)
 
+val f_rp_table : t -> float array array
+(** The factors as stored: [(f_rp_table t).(cell).(4 * variant + s)] is
+    [f_rp t ~cell ~variant side] for [s] = 0, 1, 2, 3 on the [Left],
+    [Right], [Bottom], [Top] side.  Read-only; the per-move expansion
+    reads it directly so that no lookup is built per call. *)
+
 val side_density :
   t -> cell:int -> variant:int -> Twmc_netlist.Side.t -> float
 (** The raw pin density of the side (pins per unit length), before dividing

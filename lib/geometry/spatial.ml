@@ -5,13 +5,15 @@
    structure is tuned for that traffic pattern:
 
    - keys are small non-negative ints, so per-key state (current
-     rectangle, presence, query stamp) lives in flat arrays that grow
-     geometrically — no hashing, no polymorphic equality anywhere;
-   - [query]/[iter_query] deduplicate multi-bin entries with a
-     monotonically increasing stamp per call against a per-key stamp
-     array: no per-call allocation at all on the [iter_query] path;
-   - [update] diffs the old and new bin ranges of a moved rectangle and
-     touches only the bins in the symmetric difference — a short move
+     rectangle as four ints, presence, query stamp) lives in flat arrays
+     that grow geometrically — no hashing, no polymorphic equality
+     anywhere;
+   - [query_into] deduplicates multi-bin entries with a monotonically
+     increasing stamp per call against a per-key stamp array and writes
+     the hits into a caller-owned buffer: no allocation at all, per call
+     or per bin;
+   - [update_coords] diffs the old and new bin ranges of a moved rectangle
+     and touches only the bins in the symmetric difference — a short move
      that stays within its bins is O(1). *)
 
 type t = {
@@ -20,7 +22,8 @@ type t = {
   nx : int;
   ny : int;
   bins : int list array;
-  mutable rects : Rect.t array;  (* key -> current rectangle *)
+  (* key -> current rectangle, as x0 y0 x1 y1 at [4 * key] *)
+  mutable coords : int array;
   mutable present : bool array;
   mutable seen : int array;  (* key -> stamp of the query that last saw it *)
   mutable stamp : int;
@@ -37,46 +40,43 @@ let create ~world ~cell_size =
     nx;
     ny;
     bins = Array.make (nx * ny) [];
-    rects = Array.make 16 Rect.empty;
+    coords = Array.make (4 * 16) 0;
     present = Array.make 16 false;
     seen = Array.make 16 0;
     stamp = 0;
     count = 0 }
 
-let clamp lo hi v = max lo (min hi v)
+let clamp lo hi (v : int) = if v < lo then lo else if v > hi then hi else v
 
-(* Inclusive bin-index ranges covered by a rectangle, clamped into the grid.
-   The high edges use [x1]/[y1] themselves (not minus one) so that touching
+(* Bin index of a coordinate, clamped into the grid.  The high edges of a
+   rectangle use [x1]/[y1] themselves (not minus one) so that touching
    rectangles always share a bin. *)
-let bin_range t (r : Rect.t) =
-  let ix0 = clamp 0 (t.nx - 1) ((r.Rect.x0 - t.world.Rect.x0) / t.cell_size)
-  and ix1 = clamp 0 (t.nx - 1) ((r.Rect.x1 - t.world.Rect.x0) / t.cell_size)
-  and iy0 = clamp 0 (t.ny - 1) ((r.Rect.y0 - t.world.Rect.y0) / t.cell_size)
-  and iy1 = clamp 0 (t.ny - 1) ((r.Rect.y1 - t.world.Rect.y0) / t.cell_size) in
-  (ix0, ix1, iy0, iy1)
+let bin_x t v = clamp 0 (t.nx - 1) ((v - t.world.Rect.x0) / t.cell_size)
+let bin_y t v = clamp 0 (t.ny - 1) ((v - t.world.Rect.y0) / t.cell_size)
 
 let grow t key =
-  let n = Array.length t.rects in
+  let n = Array.length t.present in
   if key >= n then begin
     let n' = max (key + 1) (2 * n) in
-    let rects = Array.make n' Rect.empty
+    let coords = Array.make (4 * n') 0
     and present = Array.make n' false
     and seen = Array.make n' 0 in
-    Array.blit t.rects 0 rects 0 n;
+    Array.blit t.coords 0 coords 0 (4 * n);
     Array.blit t.present 0 present 0 n;
     Array.blit t.seen 0 seen 0 n;
-    t.rects <- rects;
+    t.coords <- coords;
     t.present <- present;
     t.seen <- seen
   end
 
-let add_to_bins t key (ix0, ix1, iy0, iy1) =
-  for iy = iy0 to iy1 do
-    for ix = ix0 to ix1 do
-      let i = (iy * t.nx) + ix in
-      t.bins.(i) <- key :: t.bins.(i)
-    done
-  done
+let set_coords t key ~x0 ~y0 ~x1 ~y1 =
+  let o = 4 * key in
+  t.coords.(o) <- x0;
+  t.coords.(o + 1) <- y0;
+  t.coords.(o + 2) <- x1;
+  t.coords.(o + 3) <- y1
+
+let add_to_bin t key i = t.bins.(i) <- key :: t.bins.(i)
 
 let drop_from_bin t key i =
   let rec drop = function
@@ -85,42 +85,44 @@ let drop_from_bin t key i =
   in
   t.bins.(i) <- drop t.bins.(i)
 
-let remove_from_bins t key (ix0, ix1, iy0, iy1) =
-  for iy = iy0 to iy1 do
-    for ix = ix0 to ix1 do
-      drop_from_bin t key ((iy * t.nx) + ix)
+(* Every bin of the key's current rectangle. *)
+let fold_bins t key f =
+  let o = 4 * key in
+  for iy = bin_y t t.coords.(o + 1) to bin_y t t.coords.(o + 3) do
+    for ix = bin_x t t.coords.(o) to bin_x t t.coords.(o + 2) do
+      f t key ((iy * t.nx) + ix)
     done
   done
 
-let insert t key rect =
+let insert t key (rect : Rect.t) =
   if key < 0 then invalid_arg "Spatial.insert: negative key";
   grow t key;
   if t.present.(key) then invalid_arg "Spatial.insert: key already present";
   t.present.(key) <- true;
-  t.rects.(key) <- rect;
-  add_to_bins t key (bin_range t rect);
+  set_coords t key ~x0:rect.Rect.x0 ~y0:rect.Rect.y0 ~x1:rect.Rect.x1
+    ~y1:rect.Rect.y1;
+  fold_bins t key add_to_bin;
   t.count <- t.count + 1
 
+let mem t key = key >= 0 && key < Array.length t.present && t.present.(key)
+
 let remove t key =
-  if key < 0 || key >= Array.length t.present || not t.present.(key) then
-    invalid_arg "Spatial.remove: key not present";
-  remove_from_bins t key (bin_range t t.rects.(key));
+  if not (mem t key) then invalid_arg "Spatial.remove: key not present";
+  fold_bins t key drop_from_bin;
   t.present.(key) <- false;
-  t.rects.(key) <- Rect.empty;
+  set_coords t key ~x0:0 ~y0:0 ~x1:0 ~y1:0;
   t.count <- t.count - 1
 
-let ranges_equal (a0, a1, b0, b1) (c0, c1, d0, d1) =
-  a0 = c0 && a1 = c1 && b0 = d0 && b1 = d1
-
-let update t key rect =
-  if key < 0 || key >= Array.length t.present || not t.present.(key) then
-    invalid_arg "Spatial.update: key not present";
-  let old_range = bin_range t t.rects.(key)
-  and new_range = bin_range t rect in
-  t.rects.(key) <- rect;
-  if not (ranges_equal old_range new_range) then begin
+let update_coords t key ~x0 ~y0 ~x1 ~y1 =
+  if not (mem t key) then invalid_arg "Spatial.update: key not present";
+  let o = 4 * key in
+  let ox0 = bin_x t t.coords.(o) and ox1 = bin_x t t.coords.(o + 2)
+  and oy0 = bin_y t t.coords.(o + 1) and oy1 = bin_y t t.coords.(o + 3) in
+  let nx0 = bin_x t x0 and nx1 = bin_x t x1
+  and ny0 = bin_y t y0 and ny1 = bin_y t y1 in
+  set_coords t key ~x0 ~y0 ~x1 ~y1;
+  if not (ox0 = nx0 && ox1 = nx1 && oy0 = ny0 && oy1 = ny1) then begin
     (* Touch only the symmetric difference of the two bin ranges. *)
-    let ox0, ox1, oy0, oy1 = old_range and nx0, nx1, ny0, ny1 = new_range in
     for iy = oy0 to oy1 do
       for ix = ox0 to ox1 do
         if not (ix >= nx0 && ix <= nx1 && iy >= ny0 && iy <= ny1) then
@@ -130,17 +132,22 @@ let update t key rect =
     for iy = ny0 to ny1 do
       for ix = nx0 to nx1 do
         if not (ix >= ox0 && ix <= ox1 && iy >= oy0 && iy <= oy1) then
-          let i = (iy * t.nx) + ix in
-          t.bins.(i) <- key :: t.bins.(i)
+          add_to_bin t key ((iy * t.nx) + ix)
       done
     done
   end
 
-let mem t key = key >= 0 && key < Array.length t.present && t.present.(key)
+let update t key (rect : Rect.t) =
+  update_coords t key ~x0:rect.Rect.x0 ~y0:rect.Rect.y0 ~x1:rect.Rect.x1
+    ~y1:rect.Rect.y1
 
 let rect_of t key =
   if not (mem t key) then invalid_arg "Spatial.rect_of: key not present";
-  t.rects.(key)
+  let o = 4 * key in
+  { Rect.x0 = t.coords.(o);
+    y0 = t.coords.(o + 1);
+    x1 = t.coords.(o + 2);
+    y1 = t.coords.(o + 3) }
 
 let next_stamp t =
   (* Wraparound safety: re-zero the stamp array on the (never in practice)
@@ -152,33 +159,63 @@ let next_stamp t =
   t.stamp <- t.stamp + 1;
   t.stamp
 
-let iter_query t rect f =
-  let stamp = next_stamp t in
-  let ix0, ix1, iy0, iy1 = bin_range t rect in
-  for iy = iy0 to iy1 do
-    for ix = ix0 to ix1 do
-      List.iter
-        (fun key ->
-          if t.seen.(key) <> stamp then begin
-            t.seen.(key) <- stamp;
-            if Rect.touches t.rects.(key) rect then f key
-          end)
-        t.bins.((iy * t.nx) + ix)
-    done
-  done
+(* [Rect.touches] of a stored key against the query box (non-empty). *)
+let touches_key t key ~x0 ~y0 ~x1 ~y1 =
+  let o = 4 * key in
+  let kx0 = t.coords.(o) and ky0 = t.coords.(o + 1)
+  and kx1 = t.coords.(o + 2) and ky1 = t.coords.(o + 3) in
+  kx0 < kx1 && ky0 < ky1 && kx1 >= x0 && x1 >= kx0 && ky1 >= y0 && y1 >= ky0
 
-let query t rect =
-  let acc = ref [] in
-  iter_query t rect (fun key -> acc := key :: !acc);
-  !acc
+(* One bin's keys appended to [buf] from position [n]; returns the new
+   count.  A top-level tail-recursive walk, so no closure is built. *)
+let rec scan_bin t keys stamp ~x0 ~y0 ~x1 ~y1 buf n =
+  match keys with
+  | [] -> n
+  | key :: rest ->
+      let n =
+        if t.seen.(key) = stamp then n
+        else begin
+          t.seen.(key) <- stamp;
+          if touches_key t key ~x0 ~y0 ~x1 ~y1 then begin
+            if n >= Array.length buf then
+              invalid_arg "Spatial.query_into: buffer too small";
+            buf.(n) <- key;
+            n + 1
+          end
+          else n
+        end
+      in
+      scan_bin t rest stamp ~x0 ~y0 ~x1 ~y1 buf n
+
+let query_into t ~x0 ~y0 ~x1 ~y1 buf =
+  let n = ref 0 in
+  if x0 < x1 && y0 < y1 then begin
+    let stamp = next_stamp t in
+    for iy = bin_y t y0 to bin_y t y1 do
+      for ix = bin_x t x0 to bin_x t x1 do
+        n := scan_bin t t.bins.((iy * t.nx) + ix) stamp ~x0 ~y0 ~x1 ~y1 buf !n
+      done
+    done
+  end;
+  !n
+
+let query t (rect : Rect.t) =
+  let buf = Array.make (max 1 t.count) 0 in
+  let n =
+    query_into t ~x0:rect.Rect.x0 ~y0:rect.Rect.y0 ~x1:rect.Rect.x1
+      ~y1:rect.Rect.y1 buf
+  in
+  Array.to_list (Array.sub buf 0 n)
 
 (* The owner bin of a touching pair is the smallest-index bin common to both
    rectangles' bin ranges; reporting the pair only from its owner makes
    [iter_pairs] visit each pair exactly once. *)
-let owner_bin t a b =
-  let ax0, ax1, ay0, ay1 = bin_range t a and bx0, bx1, by0, by1 = bin_range t b in
-  let ix = max ax0 bx0 and iy = max ay0 by0 in
-  assert (ix <= min ax1 bx1 && iy <= min ay1 by1);
+let owner_bin t (a : Rect.t) (b : Rect.t) =
+  let ix = max (bin_x t a.Rect.x0) (bin_x t b.Rect.x0)
+  and iy = max (bin_y t a.Rect.y0) (bin_y t b.Rect.y0) in
+  assert (
+    ix <= min (bin_x t a.Rect.x1) (bin_x t b.Rect.x1)
+    && iy <= min (bin_y t a.Rect.y1) (bin_y t b.Rect.y1));
   (iy * t.nx) + ix
 
 let iter_pairs t f =
@@ -187,10 +224,10 @@ let iter_pairs t f =
       let rec go = function
         | [] -> ()
         | k :: rest ->
-            let rk = t.rects.(k) in
+            let rk = rect_of t k in
             List.iter
               (fun k' ->
-                let rk' = t.rects.(k') in
+                let rk' = rect_of t k' in
                 if Rect.touches rk rk' && owner_bin t rk rk' = bin then
                   f k rk k' rk')
               rest;

@@ -4,9 +4,10 @@
     bounding boxes intersect; the index keeps move evaluation O(local
     density) instead of O(cells).  Keys are small non-negative integers
     (cell indices): per-key state lives in flat arrays, queries
-    deduplicate with a per-key stamp array (no allocation on the
-    [iter_query] path), and moving an entry only touches the bins in the
-    symmetric difference of its old and new bin ranges. *)
+    deduplicate with a per-key stamp array and write their hits into a
+    caller-owned buffer (no allocation on the {!query_into} path), and
+    moving an entry only touches the bins in the symmetric difference of
+    its old and new bin ranges. *)
 
 type t
 
@@ -27,6 +28,10 @@ val update : t -> int -> Rect.t -> unit
     covers the same grid bins; otherwise touches only the bins entering or
     leaving the key's range.  Raises [Invalid_argument] if absent. *)
 
+val update_coords : t -> int -> x0:int -> y0:int -> x1:int -> y1:int -> unit
+(** {!update} with the rectangle given by its corners, so a caller holding
+    flat coordinates builds no [Rect.t]. *)
+
 val mem : t -> int -> bool
 
 val rect_of : t -> int -> Rect.t
@@ -37,9 +42,12 @@ val query : t -> Rect.t -> int list
 (** All keys whose rectangle intersects (touching counts) the query
     rectangle; deduplicated, order unspecified. *)
 
-val iter_query : t -> Rect.t -> (int -> unit) -> unit
-(** [query] without building the result list: calls [f] once per touching
-    key.  Allocation-free; this is the move-evaluation hot path. *)
+val query_into : t -> x0:int -> y0:int -> x1:int -> y1:int -> int array -> int
+(** {!query} of the rectangle [(x0, y0)-(x1, y1)] without building a list:
+    writes the keys into the buffer from index 0 and returns how many it
+    wrote.  Allocates nothing; this is the move-evaluation hot path.  A
+    buffer as long as the largest key plus one always suffices; raises
+    [Invalid_argument] if the buffer fills up. *)
 
 val iter_pairs : t -> (int -> Rect.t -> int -> Rect.t -> unit) -> unit
 (** Visits every unordered pair of distinct stored objects whose rectangles

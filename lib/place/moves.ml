@@ -69,6 +69,19 @@ type ctx = {
   constrained : bool;
   fixed : bool array;
   region : Rect.t option array;
+  (* Per cell, what proposals would otherwise rebuild every time: the
+     custom flag, the uncommitted-pin count, the pin groups (members in
+     [Sites.group_members] order) and lone uncommitted pins, and the
+     proposal buffer a pin move fills. *)
+  custom : bool array;
+  n_uncommitted : int array;
+  groups : int array array array;
+  lone : int array array;
+  sites_buf : int array array;
+  (* Per cell and variant, per site: the first site and the site count of
+     its edge ([Sites.edge_ranges] of the site's edge). *)
+  edge_start : int array array array;
+  edge_len : int array array array;
 }
 
 let make_ctx ?(allow_orient = true) ?(allow_variant = true)
@@ -92,6 +105,19 @@ let make_ctx ?(allow_orient = true) ?(allow_variant = true)
   let constrained =
     Array.exists Fun.id fixed || Array.exists Option.is_some region
   in
+  let cells = nl.Netlist.cells in
+  let per_site f =
+    Array.map
+      (fun (c : Cell.t) ->
+        Array.map
+          (fun (v : Cell.variant) ->
+            let ranges = Sites.edge_ranges v in
+            Array.map
+              (fun (s : Pin_site.t) -> f ranges.(s.Pin_site.edge))
+              v.Cell.sites)
+          c.Cell.variants)
+      cells
+  in
   { p = placement;
     limiter;
     stats;
@@ -100,7 +126,25 @@ let make_ctx ?(allow_orient = true) ?(allow_variant = true)
     prob_displacement = (if interchanges then r /. (r +. 1.0) else 1.0);
     constrained;
     fixed;
-    region }
+    region;
+    custom = Array.map (fun (c : Cell.t) -> c.Cell.kind = Cell.Custom) cells;
+    n_uncommitted =
+      Array.map
+        (fun (c : Cell.t) ->
+          Array.fold_left
+            (fun acc (p : Pin.t) -> if Pin.is_committed p then acc else acc + 1)
+            0 c.Cell.pins)
+        cells;
+    groups =
+      Array.map
+        (fun c ->
+          Array.of_list
+            (List.map (fun (_, m) -> Array.of_list m) (Sites.group_members c)))
+        cells;
+    lone = Array.map (fun c -> Array.of_list (Sites.lone_uncommitted c)) cells;
+    sites_buf = Array.map (fun c -> Array.make (Cell.n_pins c) (-1)) cells;
+    edge_start = per_site fst;
+    edge_len = per_site snd }
 
 let placement ctx = ctx.p
 let limiter ctx = ctx.limiter
@@ -125,14 +169,14 @@ let violates ctx = function
           and ty = Option.value y ~default:py in
           not (Rect.contains_point r (tx, ty)))
 
-(* Metropolis-test [moves] on their evaluated cost change and commit only
-   on acceptance.  Rejected proposals — the vast majority at low
-   temperature — never mutate the placement, its net caches or the spatial
-   index.  [Placement.delta_cost] computes the same float the old
-   mutate-then-difference trial produced, so acceptance decisions and RNG
-   consumption are unchanged.  [cls] tags the trial for the per-class
-   efficacy counters (array stores only — nothing here allocates).
-   Returns acceptance. *)
+(* Metropolis-test [moves] on their evaluated cost change and, on
+   acceptance, commit the evaluated state: each move is evaluated once,
+   and rejected proposals — the vast majority at low temperature — never
+   mutate the placement, its net caches or the spatial index.
+   [Placement.delta_cost] computes the same float a mutate-then-difference
+   trial would, so acceptance decisions and RNG consumption are unchanged.
+   [cls] tags the trial for the per-class efficacy counters (array stores
+   only — nothing here allocates).  Returns acceptance. *)
 let trial ctx rng ~cls ~temp ~moves =
   let s = ctx.stats in
   s.class_attempts.(cls) <- s.class_attempts.(cls) + 1;
@@ -143,7 +187,7 @@ let trial ctx rng ~cls ~temp ~moves =
   else
   let delta = Placement.delta_cost ctx.p moves in
   if Anneal.metropolis rng ~t:temp ~delta then begin
-    List.iter (Placement.apply_move ctx.p) moves;
+    Placement.commit ctx.p;
     s.class_accepts.(cls) <- s.class_accepts.(cls) + 1;
     s.class_dcost.(cls) <- s.class_dcost.(cls) +. delta;
     true
@@ -181,11 +225,19 @@ let attempt_displacement_inverted ctx rng ~temp ~cell ~x ~y =
   trial ctx rng ~cls:cls_displace_inverted ~temp
     ~moves:[ cell_move ~x ~y ~orient:o' cell ]
 
+(* The orientations other than each one, in [Orient.all] order, indexed
+   by [Orient.to_int]. *)
+let other_orients =
+  Array.init 8 (fun i ->
+      Array.of_list
+        (List.filter
+           (fun o' -> not (Orient.equal (Orient.of_int i) o'))
+           Orient.all))
+
 (* A_0(i): random in-place orientation change. *)
 let attempt_orient ctx rng ~temp ~cell =
   let o = Placement.cell_orient ctx.p cell in
-  let candidates = List.filter (fun o' -> not (Orient.equal o o')) Orient.all in
-  let o' = Rng.pick_list rng candidates in
+  let o' = Rng.pick rng other_orients.(Orient.to_int o) in
   trial ctx rng ~cls:cls_orient ~temp ~moves:[ cell_move ~orient:o' cell ]
 
 (* A_2(i, j): pairwise interchange of cell centers. *)
@@ -205,40 +257,43 @@ let attempt_interchange ctx rng ~temp ~i ~j ~invert =
 
 (* A_p(i): reassign one pin group or lone pin to fresh sites. *)
 let attempt_pin_move ctx rng ~temp ~cell =
-  let nl = Placement.netlist ctx.p in
-  let c = nl.Netlist.cells.(cell) in
-  let groups = Sites.group_members c in
-  let lone = Sites.lone_uncommitted c in
-  let n_groups = List.length groups in
-  let n_choices = n_groups + List.length lone in
+  let groups = ctx.groups.(cell) and lone = ctx.lone.(cell) in
+  let n_groups = Array.length groups in
+  let n_choices = n_groups + Array.length lone in
   if n_choices = 0 then false
   else begin
     let variant = Placement.cell_variant ctx.p cell in
     let choice = Rng.int_incl rng 0 (n_choices - 1) in
     (* The site picks draw from the RNG while building the proposal —
-       before the Metropolis draw, exactly where the old mutate closure
-       drew them. *)
-    let sites =
-      Array.init (Cell.n_pins c) (fun p ->
-          Placement.site_of_pin ctx.p ~cell ~pin:p)
-    in
+       before the Metropolis draw.  [Placement.delta_cost] copies the
+       buffer, so it is reused by the next proposal. *)
+    let sites = ctx.sites_buf.(cell) in
+    for pin = 0 to Array.length sites - 1 do
+      sites.(pin) <- Placement.site_of_pin ctx.p ~cell ~pin
+    done;
     (if choice < n_groups then begin
-       let _, members = List.nth groups choice in
-       match members with
-       | [] -> ()
-       | first :: _ -> (
-           match Cell.allowed_sites c ~variant first with
-           | [] -> ()
-           | allowed ->
-               let anchor = Rng.pick_list rng allowed in
-               Sites.assign_group c ~variant ~members ~anchor_site:anchor
-                 ~sites)
+       let members = groups.(choice) in
+       if Array.length members > 0 then begin
+         let allowed =
+           Placement.allowed_sites ctx.p ~cell ~variant ~pin:members.(0)
+         in
+         if Array.length allowed > 0 then begin
+           (* [Sites.assign_group] from the anchor on precomputed edge
+              ranges. *)
+           let anchor = Rng.pick rng allowed in
+           let start = ctx.edge_start.(cell).(variant).(anchor)
+           and len = ctx.edge_len.(cell).(variant).(anchor) in
+           let off = anchor - start in
+           for k = 0 to Array.length members - 1 do
+             sites.(members.(k)) <- start + ((off + k) mod len)
+           done
+         end
+       end
      end
      else
-       let pin = List.nth lone (choice - n_groups) in
-       match Cell.allowed_sites c ~variant pin with
-       | [] -> ()
-       | allowed -> sites.(pin) <- Rng.pick_list rng allowed);
+       let pin = lone.(choice - n_groups) in
+       let allowed = Placement.allowed_sites ctx.p ~cell ~variant ~pin in
+       if Array.length allowed > 0 then sites.(pin) <- Rng.pick rng allowed);
     let accepted =
       trial ctx rng ~cls:cls_pin ~temp
         ~moves:[ Placement.Sites_move { ci = cell; sites } ]
@@ -268,18 +323,6 @@ let attempt_variant ctx rng ~temp ~cell =
     accepted
   end
 
-let is_custom ctx ci =
-  let nl = Placement.netlist ctx.p in
-  match nl.Netlist.cells.(ci).Cell.kind with
-  | Cell.Custom -> true
-  | Cell.Macro -> false
-
-let n_uncommitted ctx ci =
-  let nl = Placement.netlist ctx.p in
-  Array.fold_left
-    (fun acc (p : Pin.t) -> if Pin.is_committed p then acc else acc + 1)
-    0 nl.Netlist.cells.(ci).Cell.pins
-
 let generate ctx rng ~temp =
   ctx.stats.attempts <- ctx.stats.attempts + 1;
   let prm = Placement.params ctx.p in
@@ -298,8 +341,8 @@ let generate ctx rng ~temp =
     then ctx.stats.aspect_rescues <- ctx.stats.aspect_rescues + 1
     else if ctx.allow_orient && attempt_orient ctx rng ~temp ~cell:i then
       ctx.stats.orient_changes <- ctx.stats.orient_changes + 1;
-    if is_custom ctx i then begin
-      for _ = 1 to n_uncommitted ctx i do
+    if ctx.custom.(i) then begin
+      for _ = 1 to ctx.n_uncommitted.(i) do
         ignore (attempt_pin_move ctx rng ~temp ~cell:i)
       done;
       if ctx.allow_variant then ignore (attempt_variant ctx rng ~temp ~cell:i)

@@ -6,39 +6,84 @@ type expander =
   | Dynamic of Twmc_estimator.Dynamic_area.t
   | Static of (int * int * int * int) array
 
+(* One cell's geometry and pin state, flat: tile [k] is [4k .. 4k+3]
+   (x0 y0 x1 y1) of [abs]/[exp], pin [p]'s absolute position is [2p],
+   [2p+1] of [pp].  The committed cells use this record, and so do the two
+   pending slots of [delta_cost], sized for the largest cell. *)
 type cell_state = {
   mutable x : int;
   mutable y : int;
   mutable orient : Orient.t;
   mutable variant : int;
-  mutable sites : int array;
-  mutable abs_tiles : Rect.t list;
-  mutable exp_tiles : Rect.t list;
-  mutable pin_pos : (int * int) array;
-  mutable bbox : Rect.t;
-  mutable occ : int array;
-  (* occupancy of the current variant's sites *)
+  sites : int array;
+  mutable n_tiles : int;
+  abs : int array;
+  exp : int array;
+  bb : int array;  (* bounding box of the expanded tiles *)
+  pp : int array;
 }
+
+(* Exact per-net span extremes with support counts: how many pin refs sit
+   on each extreme. *)
+type spans = {
+  minx : int array;
+  maxx : int array;
+  miny : int array;
+  maxy : int array;
+  cminx : int array;
+  cmaxx : int array;
+  cminy : int array;
+  cmaxy : int array;
+}
+
+let make_spans n =
+  let a () = Array.make n 0 in
+  { minx = a (); maxx = a (); miny = a (); maxy = a ();
+    cminx = a (); cmaxx = a (); cminy = a (); cmaxy = a () }
+
+let copy_span src dst n =
+  dst.minx.(n) <- src.minx.(n);
+  dst.maxx.(n) <- src.maxx.(n);
+  dst.miny.(n) <- src.miny.(n);
+  dst.maxy.(n) <- src.maxy.(n);
+  dst.cminx.(n) <- src.cminx.(n);
+  dst.cmaxx.(n) <- src.cmaxx.(n);
+  dst.cminy.(n) <- src.cminy.(n);
+  dst.cmaxy.(n) <- src.cmaxy.(n)
+
+(* Indices into [tot] (the committed cost accumulators) and [acc] (the
+   accumulators of the last evaluation).  Float arrays, not mutable float
+   fields, so that updating them boxes nothing. *)
+let k_c1 = 0
+let k_c2 = 1
+let k_c3 = 2
+let k_c4 = 3
+let k_teil = 4
 
 type t = {
   nl : Netlist.t;
   prm : Params.t;
   mutable core : Rect.t;
+  (* [Rect.center core]: the origin of the dynamic estimator's modulation. *)
+  mutable ccx : int;
+  mutable ccy : int;
   mutable expander : expander;
   cells : cell_state array;
+  (* Static per-cell data: which pins are committed, the uncommitted ones,
+     the capacity of each site and each pin's allowed sites, per variant. *)
+  pin_committed : bool array array;
+  uncommitted : int array array;
+  site_cap : int array array array;
+  allowed : int array array array array;
+  (* Net pin refs flattened to (cell, pin) pairs, and the net weights. *)
+  net_refs : int array array;
+  net_hw : float array;
+  net_vw : float array;
   net_c1 : float array;
   net_len : float array;
-  (* Exact per-net span extremes with support counts: how many pin refs sit
-     on each extreme.  A moved pin only forces a net rescan when it was the
-     sole support of a boundary it left. *)
-  net_minx : int array;
-  net_maxx : int array;
-  net_miny : int array;
-  net_maxy : int array;
-  net_cminx : int array;
-  net_cmaxx : int array;
-  net_cminy : int array;
-  net_cmaxy : int array;
+  (* A moved pin only forces a net rescan when it was the sole support of
+     a boundary it left. *)
+  span : spans;
   (* nets_of_cell as arrays (same order as the list — the C1/TEIL float
      accumulator chains depend on it), plus the pin refs of each cell on
      each of its nets (with multiplicity, matching the rescan counting). *)
@@ -52,98 +97,227 @@ type t = {
   cons : Constr.t array;
   cpen : float array;
   cons_of_cell : int array array;
-  mutable c1v : float;
-  mutable c2v : float;
-  mutable c3v : float;
-  mutable c4v : float;
-  mutable teilv : float;
+  tot : float array;
   mutable p2v : float;
   (* Spatial index of expanded-tile bboxes, keyed by cell index; kept in
-     sync with [cell_state.bbox] and rebuilt by [recompute_all]. *)
+     sync with the cells' bboxes and rebuilt by [recompute_all]. *)
   mutable idx : Spatial.t;
-  (* Scratch: pre-move pin positions of the cell being mutated. *)
-  old_pp : (int * int) array;
-  (* Scratch for [delta_cost]: per-net simulated C1, valid when the stamp
-     matches the current simulation pass. *)
-  sim_net_c1 : float array;
+  (* Any mutation bumps [version]; [evaluated] is the version the last
+     completed [delta_cost] saw, or -1. *)
+  mutable version : int;
+  mutable evaluated : int;
+  (* Scratch, preallocated at [create]. *)
+  old_pp : int array;  (* pre-move pin positions of the cell being set *)
+  qbuf : int array;  (* index query hits *)
+  occ_buf : int array;  (* per-site pin counts, all zero between uses *)
+  ebuf : int array;  (* one tile's four dynamic expansions *)
+  bbuf : int array;  (* two bounding boxes for the constraint evaluator *)
+  (* Scratch of [delta_cost]: the pending slots (a move touches at most
+     two cells), whether a slot's geometry differs from the committed
+     cell's, its C3; and the simulated per-net extremes, counts, C1 and
+     length, and per-constraint penalties, valid where their stamp equals
+     [sim_stamp]. *)
+  slots : cell_state array;
+  sl_ci : int array;
+  sl_geom : bool array;
+  sl_c3 : float array;
+  mutable n_pending : int;
+  acc : float array;
+  sim_span : spans;
+  sim_c1 : float array;
+  sim_len : float array;
   sim_net_stamp : int array;
-  (* Same device for simulated constraint penalties. *)
   sim_cpen : float array;
   sim_cpen_stamp : int array;
   mutable sim_stamp : int;
-  (* Lazy caches of orientation-transformed geometry, keyed
-     [cell][variant][orient]. *)
-  tiles_cache : Rect.t list option array array array;
-  sites_cache : (int * int) array option array array array;
-  fixed_cache : (int * int) array option array array;  (* [cell][orient] *)
+  (* Lazy caches of orientation-transformed geometry, flat like the cell
+     state, keyed [cell][variant][orient] ([cell][orient] for the
+     committed pins); [unset] marks an entry not yet computed. *)
+  tiles_cache : int array array array array;
+  sites_cache : int array array array array;
+  fixed_cache : int array array array;
 }
 
 let netlist t = t.nl
 let params t = t.prm
 let core t = t.core
+let touch t = t.version <- t.version + 1
+
+let[@inline] imin (a : int) b = if a < b then a else b
+let[@inline] imax (a : int) b = if a > b then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Geometry caches                                                     *)
 
+let unset = [| min_int |]
+
+let flat_of_rects rects =
+  let a = Array.make (4 * List.length rects) 0 in
+  List.iteri
+    (fun k (r : Rect.t) ->
+      a.(4 * k) <- r.Rect.x0;
+      a.((4 * k) + 1) <- r.Rect.y0;
+      a.((4 * k) + 2) <- r.Rect.x1;
+      a.((4 * k) + 3) <- r.Rect.y1)
+    rects;
+  a
+
+let flat_of_points pts =
+  let a = Array.make (2 * Array.length pts) 0 in
+  Array.iteri
+    (fun k (x, y) ->
+      a.(2 * k) <- x;
+      a.((2 * k) + 1) <- y)
+    pts;
+  a
+
 let cached_tiles t ci vi o =
   let oi = Orient.to_int o in
-  match t.tiles_cache.(ci).(vi).(oi) with
-  | Some tiles -> tiles
-  | None ->
-      let shape = (Cell.variant t.nl.Netlist.cells.(ci) vi).Cell.shape in
-      let tiles = Shape.tiles (Shape.transform o shape) in
-      t.tiles_cache.(ci).(vi).(oi) <- Some tiles;
-      tiles
+  let a = t.tiles_cache.(ci).(vi).(oi) in
+  if a != unset then a
+  else begin
+    let shape = (Cell.variant t.nl.Netlist.cells.(ci) vi).Cell.shape in
+    let a = flat_of_rects (Shape.tiles (Shape.transform o shape)) in
+    t.tiles_cache.(ci).(vi).(oi) <- a;
+    a
+  end
 
 let cached_sites t ci vi o =
   let oi = Orient.to_int o in
-  match t.sites_cache.(ci).(vi).(oi) with
-  | Some a -> a
-  | None ->
-      let v = Cell.variant t.nl.Netlist.cells.(ci) vi in
-      let a =
-        Array.map
-          (fun (s : Pin_site.t) -> Orient.apply o (s.Pin_site.x, s.Pin_site.y))
-          v.Cell.sites
-      in
-      t.sites_cache.(ci).(vi).(oi) <- Some a;
-      a
+  let a = t.sites_cache.(ci).(vi).(oi) in
+  if a != unset then a
+  else begin
+    let v = Cell.variant t.nl.Netlist.cells.(ci) vi in
+    let a =
+      flat_of_points
+        (Array.map
+           (fun (s : Pin_site.t) -> Orient.apply o (s.Pin_site.x, s.Pin_site.y))
+           v.Cell.sites)
+    in
+    t.sites_cache.(ci).(vi).(oi) <- a;
+    a
+  end
 
 let cached_fixed t ci o =
   let oi = Orient.to_int o in
-  match t.fixed_cache.(ci).(oi) with
-  | Some a -> a
-  | None ->
-      let c = t.nl.Netlist.cells.(ci) in
-      let a =
-        Array.map
-          (fun (p : Pin.t) ->
-            match p.Pin.loc with
-            | Pin.Fixed (x, y) -> Orient.apply o (x, y)
-            | Pin.Uncommitted _ -> (0, 0))
-          c.Cell.pins
-      in
-      t.fixed_cache.(ci).(oi) <- Some a;
-      a
+  let a = t.fixed_cache.(ci).(oi) in
+  if a != unset then a
+  else begin
+    let c = t.nl.Netlist.cells.(ci) in
+    let a =
+      flat_of_points
+        (Array.map
+           (fun (p : Pin.t) ->
+             match p.Pin.loc with
+             | Pin.Fixed (x, y) -> Orient.apply o (x, y)
+             | Pin.Uncommitted _ -> (0, 0))
+           c.Cell.pins)
+    in
+    t.fixed_cache.(ci).(oi) <- a;
+    a
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Tile expansion                                                      *)
+(* Geometry of one cell state                                          *)
 
-let expand_tile t ci vi (r : Rect.t) =
+(* [Rect.expand] of tile [k] of [g.abs] into [g.exp]. *)
+let set_expanded g k ~left ~right ~bottom ~top =
+  let o = 4 * k in
+  let x0 = g.abs.(o) - left
+  and y0 = g.abs.(o + 1) - bottom
+  and x1 = g.abs.(o + 2) + right
+  and y1 = g.abs.(o + 3) + top in
+  if x0 >= x1 || y0 >= y1 then begin
+    g.exp.(o) <- 0;
+    g.exp.(o + 1) <- 0;
+    g.exp.(o + 2) <- 0;
+    g.exp.(o + 3) <- 0
+  end
+  else begin
+    g.exp.(o) <- x0;
+    g.exp.(o + 1) <- y0;
+    g.exp.(o + 2) <- x1;
+    g.exp.(o + 3) <- y1
+  end
+
+let expand_tiles t ci g =
   match t.expander with
-  | No_expansion -> r
-  | Dynamic est ->
-      (* The modulation functions live in core-centered coordinates. *)
-      let ccx, ccy = Rect.center t.core in
-      let shifted = Rect.translate r ~dx:(-ccx) ~dy:(-ccy) in
-      let left, right, bottom, top =
-        Twmc_estimator.Dynamic_area.tile_expansions est ~cell:ci ~variant:vi
-          shifted
-      in
-      Rect.expand r ~left ~right ~bottom ~top
+  | No_expansion -> Array.blit g.abs 0 g.exp 0 (4 * g.n_tiles)
   | Static exps ->
       let left, right, bottom, top = exps.(ci) in
-      Rect.expand r ~left ~right ~bottom ~top
+      for k = 0 to g.n_tiles - 1 do
+        set_expanded g k ~left ~right ~bottom ~top
+      done
+  | Dynamic est ->
+      (* The modulation functions live in core-centered coordinates. *)
+      let e = t.ebuf in
+      for k = 0 to g.n_tiles - 1 do
+        let o = 4 * k in
+        Twmc_estimator.Dynamic_area.tile_expansions_into est ~cell:ci
+          ~variant:g.variant ~x0:(g.abs.(o) - t.ccx) ~y0:(g.abs.(o + 1) - t.ccy)
+          ~x1:(g.abs.(o + 2) - t.ccx) ~y1:(g.abs.(o + 3) - t.ccy) e 0;
+        set_expanded g k ~left:e.(0) ~right:e.(1) ~bottom:e.(2) ~top:e.(3)
+      done
+
+(* [List.fold_left Rect.hull] over the first [n] rectangles of [flat],
+   written to [dst.(o)] .. [dst.(o + 3)]; all zero when [n] is 0. *)
+let hull_into flat n dst o =
+  if n = 0 then Array.fill dst o 4 0
+  else begin
+    Array.blit flat 0 dst o 4;
+    for k = 1 to n - 1 do
+      let q = 4 * k in
+      if dst.(o) >= dst.(o + 2) || dst.(o + 1) >= dst.(o + 3) then
+        Array.blit flat q dst o 4
+      else if not (flat.(q) >= flat.(q + 2) || flat.(q + 1) >= flat.(q + 3))
+      then begin
+        dst.(o) <- imin dst.(o) flat.(q);
+        dst.(o + 1) <- imin dst.(o + 1) flat.(q + 1);
+        dst.(o + 2) <- imax dst.(o + 2) flat.(q + 2);
+        dst.(o + 3) <- imax dst.(o + 3) flat.(q + 3)
+      end
+    done
+  end
+
+let refresh_pins t ci g =
+  let fixed = cached_fixed t ci g.orient in
+  let site_pos = cached_sites t ci g.variant g.orient in
+  let committed = t.pin_committed.(ci) in
+  for p = 0 to Array.length committed - 1 do
+    if committed.(p) then begin
+      g.pp.(2 * p) <- g.x + fixed.(2 * p);
+      g.pp.((2 * p) + 1) <- g.y + fixed.((2 * p) + 1)
+    end
+    else begin
+      let s = g.sites.(p) in
+      g.pp.(2 * p) <- g.x + site_pos.(2 * s);
+      g.pp.((2 * p) + 1) <- g.y + site_pos.((2 * s) + 1)
+    end
+  done
+
+(* Tiles, expanded tiles, bbox and pin positions from the state's
+   position, orientation, variant and sites. *)
+let refresh_geometry t ci g =
+  let tiles0 = cached_tiles t ci g.variant g.orient in
+  let n = Array.length tiles0 / 4 in
+  g.n_tiles <- n;
+  for k = 0 to n - 1 do
+    let o = 4 * k in
+    g.abs.(o) <- tiles0.(o) + g.x;
+    g.abs.(o + 1) <- tiles0.(o + 1) + g.y;
+    g.abs.(o + 2) <- tiles0.(o + 2) + g.x;
+    g.abs.(o + 3) <- tiles0.(o + 3) + g.y
+  done;
+  expand_tiles t ci g;
+  hull_into g.exp n g.bb 0;
+  refresh_pins t ci g
+
+let rects_of flat n =
+  List.init n (fun k ->
+      { Rect.x0 = flat.(4 * k);
+        y0 = flat.((4 * k) + 1);
+        x1 = flat.((4 * k) + 2);
+        y1 = flat.((4 * k) + 3) })
 
 (* ------------------------------------------------------------------ *)
 (* Spatial index                                                       *)
@@ -159,87 +333,82 @@ let make_index t =
 (* ------------------------------------------------------------------ *)
 (* Per-cell cache refresh                                              *)
 
+let bbox_rect g = { Rect.x0 = g.bb.(0); y0 = g.bb.(1); x1 = g.bb.(2); y1 = g.bb.(3) }
+
+let index_update t ci g =
+  Spatial.update_coords t.idx ci ~x0:g.bb.(0) ~y0:g.bb.(1) ~x1:g.bb.(2)
+    ~y1:g.bb.(3)
+
 let refresh_cell t ci =
   let cs = t.cells.(ci) in
-  let c = t.nl.Netlist.cells.(ci) in
-  let tiles0 = cached_tiles t ci cs.variant cs.orient in
-  cs.abs_tiles <- List.map (fun r -> Rect.translate r ~dx:cs.x ~dy:cs.y) tiles0;
-  cs.exp_tiles <- List.map (expand_tile t ci cs.variant) cs.abs_tiles;
-  cs.bbox <-
-    (match cs.exp_tiles with
-    | [] -> Rect.empty
-    | r :: rest -> List.fold_left Rect.hull r rest);
-  if Spatial.mem t.idx ci then Spatial.update t.idx ci cs.bbox
-  else Spatial.insert t.idx ci cs.bbox;
-  let fixed = cached_fixed t ci cs.orient in
-  let site_pos = cached_sites t ci cs.variant cs.orient in
-  Array.iteri
-    (fun p (pin : Pin.t) ->
-      let lx, ly =
-        match pin.Pin.loc with
-        | Pin.Fixed _ -> fixed.(p)
-        | Pin.Uncommitted _ -> site_pos.(cs.sites.(p))
-      in
-      cs.pin_pos.(p) <- (cs.x + lx, cs.y + ly))
-    c.Cell.pins
+  refresh_geometry t ci cs;
+  if Spatial.mem t.idx ci then index_update t ci cs
+  else Spatial.insert t.idx ci (bbox_rect cs)
 
 (* ------------------------------------------------------------------ *)
 (* Net spans                                                           *)
 
-(* Full rescan of one net: extremes and their support counts in one pass
-   over the pin refs.  This is the fallback when an incremental update
-   cannot prove the surviving support of a boundary. *)
-let rescan_net_span t n =
-  let net = t.nl.Netlist.nets.(n) in
+let slot_of t ci =
+  if t.n_pending > 0 && t.sl_ci.(0) = ci then 0
+  else if t.n_pending > 1 && t.sl_ci.(1) = ci then 1
+  else -1
+
+(* Full rescan of net [n] into [dst]: extremes and their support counts in
+   one pass over the pin refs, at the pending slots' pin positions when
+   [pending].  The apply path falls back on it when an incremental update
+   cannot prove the surviving support of a boundary; the evaluation always
+   rescans.  Extremes and counts are exact ints, so both paths agree. *)
+let rescan t n ~pending dst =
+  let refs = t.net_refs.(n) in
   let minx = ref max_int and maxx = ref min_int in
   let miny = ref max_int and maxy = ref min_int in
   let cminx = ref 0 and cmaxx = ref 0 and cminy = ref 0 and cmaxy = ref 0 in
-  Array.iter
-    (fun (r : Net.pin_ref) ->
-      let x, y = t.cells.(r.Net.cell).pin_pos.(r.Net.pin) in
-      if x < !minx then begin minx := x; cminx := 1 end
-      else if x = !minx then incr cminx;
-      if x > !maxx then begin maxx := x; cmaxx := 1 end
-      else if x = !maxx then incr cmaxx;
-      if y < !miny then begin miny := y; cminy := 1 end
-      else if y = !miny then incr cminy;
-      if y > !maxy then begin maxy := y; cmaxy := 1 end
-      else if y = !maxy then incr cmaxy)
-    net.Net.pins;
-  t.net_minx.(n) <- !minx;
-  t.net_maxx.(n) <- !maxx;
-  t.net_miny.(n) <- !miny;
-  t.net_maxy.(n) <- !maxy;
-  t.net_cminx.(n) <- !cminx;
-  t.net_cmaxx.(n) <- !cmaxx;
-  t.net_cminy.(n) <- !cminy;
-  t.net_cmaxy.(n) <- !cmaxy
+  for k = 0 to (Array.length refs / 2) - 1 do
+    let c = refs.(2 * k) and p = refs.((2 * k) + 1) in
+    let s = if pending then slot_of t c else -1 in
+    let pp = if s >= 0 then t.slots.(s).pp else t.cells.(c).pp in
+    let x = pp.(2 * p) and y = pp.((2 * p) + 1) in
+    if x < !minx then begin minx := x; cminx := 1 end
+    else if x = !minx then incr cminx;
+    if x > !maxx then begin maxx := x; cmaxx := 1 end
+    else if x = !maxx then incr cmaxx;
+    if y < !miny then begin miny := y; cminy := 1 end
+    else if y = !miny then incr cminy;
+    if y > !maxy then begin maxy := y; cmaxy := 1 end
+    else if y = !maxy then incr cmaxy
+  done;
+  dst.minx.(n) <- !minx;
+  dst.maxx.(n) <- !maxx;
+  dst.miny.(n) <- !miny;
+  dst.maxy.(n) <- !maxy;
+  dst.cminx.(n) <- !cminx;
+  dst.cmaxx.(n) <- !cmaxx;
+  dst.cminy.(n) <- !cminy;
+  dst.cmaxy.(n) <- !cmaxy
 
-(* C1/TEIL contribution of a net from its cached extremes — the exact same
-   float expression [net_contrib] used on the freshly scanned extremes, so
-   the incremental path is bit-identical. *)
-let net_cost_of_span t n =
-  let net = t.nl.Netlist.nets.(n) in
-  let dx = float_of_int (t.net_maxx.(n) - t.net_minx.(n))
-  and dy = float_of_int (t.net_maxy.(n) - t.net_miny.(n)) in
-  ((dx *. net.Net.hweight) +. (dy *. net.Net.vweight), dx +. dy)
+(* C1 and TEIL contribution of net [n] from its span in [sp], written to
+   [c1.(n)] and [len.(n)]: one expression for every path, so cached,
+   evaluated and recomputed values agree bit for bit. *)
+let span_cost t sp n c1 len =
+  let dx = float_of_int (sp.maxx.(n) - sp.minx.(n))
+  and dy = float_of_int (sp.maxy.(n) - sp.miny.(n)) in
+  c1.(n) <- (dx *. t.net_hw.(n)) +. (dy *. t.net_vw.(n));
+  len.(n) <- dx +. dy
 
-(* Incremental update of one min-extreme axis after the pins [pins] of one
-   cell moved from [old_pp] to [new_pp].  Returns [false] when the old
-   extreme lost all its support and no moved pin re-establishes it — the
-   caller must rescan the net. *)
-let update_min_axis ext cnt n pins old_pp new_pp ~use_x =
+(* Incremental update of one min-extreme axis ([off] 0 for x, 1 for y)
+   after the pins [pins] of one cell moved from [old_pp] to [new_pp].
+   Returns [false] when the old extreme lost all its support and no moved
+   pin re-establishes it — the caller must rescan the net. *)
+let update_min_axis ext cnt n pins old_pp new_pp off =
   let e = ext.(n) in
   let removed = ref 0 and bestnew = ref max_int and bestcnt = ref 0 in
-  Array.iter
-    (fun p ->
-      let ox, oy = old_pp.(p) in
-      if (if use_x then ox else oy) = e then incr removed;
-      let nx, ny = new_pp.(p) in
-      let v = if use_x then nx else ny in
-      if v < !bestnew then begin bestnew := v; bestcnt := 1 end
-      else if v = !bestnew then incr bestcnt)
-    pins;
+  for k = 0 to Array.length pins - 1 do
+    let p = pins.(k) in
+    if old_pp.((2 * p) + off) = e then incr removed;
+    let v = new_pp.((2 * p) + off) in
+    if v < !bestnew then begin bestnew := v; bestcnt := 1 end
+    else if v = !bestnew then incr bestcnt
+  done;
   let rem = cnt.(n) - !removed in
   if !bestnew < e then begin
     ext.(n) <- !bestnew;
@@ -250,18 +419,16 @@ let update_min_axis ext cnt n pins old_pp new_pp ~use_x =
   else if rem > 0 then begin cnt.(n) <- rem; true end
   else false
 
-let update_max_axis ext cnt n pins old_pp new_pp ~use_x =
+let update_max_axis ext cnt n pins old_pp new_pp off =
   let e = ext.(n) in
   let removed = ref 0 and bestnew = ref min_int and bestcnt = ref 0 in
-  Array.iter
-    (fun p ->
-      let ox, oy = old_pp.(p) in
-      if (if use_x then ox else oy) = e then incr removed;
-      let nx, ny = new_pp.(p) in
-      let v = if use_x then nx else ny in
-      if v > !bestnew then begin bestnew := v; bestcnt := 1 end
-      else if v = !bestnew then incr bestcnt)
-    pins;
+  for k = 0 to Array.length pins - 1 do
+    let p = pins.(k) in
+    if old_pp.((2 * p) + off) = e then incr removed;
+    let v = new_pp.((2 * p) + off) in
+    if v > !bestnew then begin bestnew := v; bestcnt := 1 end
+    else if v = !bestnew then incr bestcnt
+  done;
   let rem = cnt.(n) - !removed in
   if !bestnew > e then begin
     ext.(n) <- !bestnew;
@@ -276,164 +443,310 @@ let update_max_axis ext cnt n pins old_pp new_pp ~use_x =
    [ci]'s pins moved from [t.old_pp] to their current positions. *)
 let update_net_span t ci k n =
   let pins = t.cell_net_pins.(ci).(k) in
-  let np = t.cells.(ci).pin_pos and op = t.old_pp in
+  let np = t.cells.(ci).pp and op = t.old_pp and sp = t.span in
   let ok =
-    update_min_axis t.net_minx t.net_cminx n pins op np ~use_x:true
-    && update_max_axis t.net_maxx t.net_cmaxx n pins op np ~use_x:true
-    && update_min_axis t.net_miny t.net_cminy n pins op np ~use_x:false
-    && update_max_axis t.net_maxy t.net_cmaxy n pins op np ~use_x:false
+    update_min_axis sp.minx sp.cminx n pins op np 0
+    && update_max_axis sp.maxx sp.cmaxx n pins op np 0
+    && update_min_axis sp.miny sp.cminy n pins op np 1
+    && update_max_axis sp.maxy sp.cmaxy n pins op np 1
   in
-  if not ok then rescan_net_span t n
+  if not ok then rescan t n ~pending:false sp
 
 (* ------------------------------------------------------------------ *)
 (* Cost terms                                                          *)
 
-let tiles_overlap tiles_a tiles_b total =
-  List.iter
-    (fun ra ->
-      List.iter (fun rb -> total := !total + Rect.inter_area ra rb) tiles_b)
-    tiles_a
-
-(* Overlap of cell [ci]'s expanded tiles against every other cell and the
-   core-boundary dummies (footnote 16: area outside the core is overlap).
-   Only the index's candidate neighbors are visited; the total is an exact
-   integer sum, so any enumeration of a superset of the overlapping pairs
-   yields the identical float. *)
-let cell_overlap t ci =
-  let cs = t.cells.(ci) in
+(* Summed [Rect.inter_area] of every expanded-tile pair of [a] and [b]. *)
+let tiles_overlap a b =
   let total = ref 0 in
-  List.iter
-    (fun r -> total := !total + (Rect.area r - Rect.inter_area r t.core))
-    cs.exp_tiles;
-  Spatial.iter_query t.idx cs.bbox (fun cj ->
-      if cj <> ci then begin
-        let other = t.cells.(cj) in
-        if Rect.overlaps cs.bbox other.bbox then
-          tiles_overlap cs.exp_tiles other.exp_tiles total
-      end);
-  float_of_int !total
-
-(* The pre-index full scan, kept as the benchmark and differential-test
-   reference. *)
-let cell_overlap_scan t ci =
-  let cs = t.cells.(ci) in
-  let total = ref 0 in
-  List.iter
-    (fun r -> total := !total + (Rect.area r - Rect.inter_area r t.core))
-    cs.exp_tiles;
-  Array.iteri
-    (fun cj other ->
-      if cj <> ci && Rect.overlaps cs.bbox other.bbox then
-        tiles_overlap cs.exp_tiles other.exp_tiles total)
-    t.cells;
-  float_of_int !total
-
-let occupancy_of t ci ~variant ~sites =
-  let c = t.nl.Netlist.cells.(ci) in
-  let v = Cell.variant c variant in
-  let occ = Array.make (Array.length v.Cell.sites) 0 in
-  Array.iteri
-    (fun p (pin : Pin.t) ->
-      match pin.Pin.loc with
-      | Pin.Uncommitted _ -> occ.(sites.(p)) <- occ.(sites.(p)) + 1
-      | Pin.Fixed _ -> ())
-    c.Cell.pins;
-  occ
-
-let c3_of_occ t ci ~variant occ =
-  let c = t.nl.Netlist.cells.(ci) in
-  let v = Cell.variant c variant in
-  let kappa = t.prm.Params.kappa in
-  let total = ref 0.0 in
-  Array.iteri
-    (fun s n ->
-      let cap = v.Cell.sites.(s).Pin_site.capacity in
-      if n > cap then
-        let e = float_of_int (n - cap + kappa) in
-        total := !total +. (e *. e))
-    occ;
+  for i = 0 to a.n_tiles - 1 do
+    let oa = 4 * i in
+    let ax0 = a.exp.(oa) and ay0 = a.exp.(oa + 1)
+    and ax1 = a.exp.(oa + 2) and ay1 = a.exp.(oa + 3) in
+    for j = 0 to b.n_tiles - 1 do
+      let ob = 4 * j in
+      let x0 = imax ax0 b.exp.(ob) and x1 = imin ax1 b.exp.(ob + 2) in
+      let y0 = imax ay0 b.exp.(ob + 1) and y1 = imin ay1 b.exp.(ob + 3) in
+      if x0 < x1 && y0 < y1 then total := !total + ((x1 - x0) * (y1 - y0))
+    done
+  done;
   !total
 
-let refresh_occupancy t ci =
+(* [Rect.overlaps] of the two bboxes. *)
+let bbox_overlap a b =
+  let a = a.bb and b = b.bb in
+  imax a.(0) b.(0) < imin a.(2) b.(2) && imax a.(1) b.(1) < imin a.(3) b.(3)
+
+(* [Rect.inter_area] of the rectangle at [o] in [flat] with [r]. *)
+let inter_area_at flat o (r : Rect.t) =
+  let x0 = imax flat.(o) r.Rect.x0 and x1 = imin flat.(o + 2) r.Rect.x1 in
+  let y0 = imax flat.(o + 1) r.Rect.y0 and y1 = imin flat.(o + 3) r.Rect.y1 in
+  if x0 < x1 && y0 < y1 then (x1 - x0) * (y1 - y0) else 0
+
+(* [Rect.area] of the rectangle at [o] in [flat]. *)
+let area_at flat o =
+  let w = flat.(o + 2) - flat.(o) and h = flat.(o + 3) - flat.(o + 1) in
+  if w <= 0 || h <= 0 then 0 else w * h
+
+(* Area of [g]'s expanded tiles outside the core: the overlap with the
+   four boundary dummy cells (footnote 16). *)
+let boundary_overlap t g =
+  let total = ref 0 in
+  for k = 0 to g.n_tiles - 1 do
+    total := !total + (area_at g.exp (4 * k) - inter_area_at g.exp (4 * k) t.core)
+  done;
+  !total
+
+(* The geometry pending slot [s] evaluates: its own, or the committed
+   cell's when only pins moved. *)
+let slot_geometry t s = if t.sl_geom.(s) then t.slots.(s) else t.cells.(t.sl_ci.(s))
+
+(* Overlap of cell [ci], placed as [g], against every other cell and the
+   core boundary.  Only the index's candidate neighbours are visited; with
+   [~pending] the cells pending in [delta_cost] are skipped there (the
+   index holds their committed geometry) and added back as evaluated.
+   The total is an exact integer sum, so any enumeration of a superset of
+   the overlapping pairs gives the same value. *)
+let overlap t ci g ~pending =
+  let total = ref (boundary_overlap t g) in
+  let n =
+    Spatial.query_into t.idx ~x0:g.bb.(0) ~y0:g.bb.(1) ~x1:g.bb.(2)
+      ~y1:g.bb.(3) t.qbuf
+  in
+  for k = 0 to n - 1 do
+    let cj = t.qbuf.(k) in
+    if cj <> ci && not (pending && slot_of t cj >= 0) then begin
+      let o = t.cells.(cj) in
+      if bbox_overlap g o then total := !total + tiles_overlap g o
+    end
+  done;
+  if pending then
+    for s = 0 to t.n_pending - 1 do
+      if t.sl_ci.(s) <> ci then begin
+        let o = slot_geometry t s in
+        if bbox_overlap g o then total := !total + tiles_overlap g o
+      end
+    done;
+  !total
+
+let cell_overlap t ci =
+  float_of_int (overlap t ci t.cells.(ci) ~pending:false)
+
+(* C3 of cell [ci] as variant [variant] with site assignment [sites],
+   written to [out.(k)]: the penalty of every over-capacity site, summed in
+   site order. *)
+let c3_into t ci ~variant sites out k =
+  let caps = t.site_cap.(ci).(variant) and unc = t.uncommitted.(ci) in
+  for j = 0 to Array.length unc - 1 do
+    let s = sites.(unc.(j)) in
+    if s < 0 || s >= Array.length caps then
+      invalid_arg "Placement: pin site out of range for the variant"
+  done;
+  let occ = t.occ_buf in
+  for j = 0 to Array.length unc - 1 do
+    let s = sites.(unc.(j)) in
+    occ.(s) <- occ.(s) + 1
+  done;
+  let kappa = t.prm.Params.kappa in
+  out.(k) <- 0.0;
+  for s = 0 to Array.length caps - 1 do
+    let n = occ.(s) in
+    if n > caps.(s) then begin
+      let e = float_of_int (n - caps.(s) + kappa) in
+      out.(k) <- out.(k) +. (e *. e)
+    end
+  done;
+  for j = 0 to Array.length unc - 1 do
+    occ.(sites.(unc.(j))) <- 0
+  done
+
+let refresh_c3 t ci =
   let cs = t.cells.(ci) in
-  cs.occ <- occupancy_of t ci ~variant:cs.variant ~sites:cs.sites;
   let old = t.cell_c3.(ci) in
-  let v = c3_of_occ t ci ~variant:cs.variant cs.occ in
-  t.cell_c3.(ci) <- v;
-  t.c3v <- t.c3v -. old +. v
+  c3_into t ci ~variant:cs.variant cs.sites t.cell_c3 ci;
+  t.tot.(k_c3) <- t.tot.(k_c3) -. old +. t.cell_c3.(ci)
 
 (* ------------------------------------------------------------------ *)
 (* Constraint penalties (C4)                                           *)
+
+let abs_tiles t ci =
+  let cs = t.cells.(ci) in
+  rects_of cs.abs cs.n_tiles
 
 (* Whole-constraint evaluation against the committed state.  [Constr.eval]
    returns an exact integer, so the float accumulator chains built on it
    cancel exactly across the apply, delta and recompute paths. *)
 let eval_constraint t k =
   float_of_int
-    (Constr.eval ~n_cells:(Array.length t.cells)
-       ~tiles:(fun ci -> t.cells.(ci).abs_tiles)
+    (Constr.eval ~n_cells:(Array.length t.cells) ~tiles:(abs_tiles t)
        ~pos:(fun ci -> (t.cells.(ci).x, t.cells.(ci).y))
        ~core:t.core t.cons.(k))
+
+(* The state [delta_cost] evaluates cell [ci] in: its pending slot, or
+   the committed cell. *)
+let eval_state t ci =
+  let s = slot_of t ci in
+  if s >= 0 then slot_geometry t s else t.cells.(ci)
+
+(* Bounding box of [g]'s absolute tiles ([Constr.bbox_of_tiles]) into
+   [t.bbuf.(o)] .. [t.bbuf.(o + 3)]; false when [g] has no tiles. *)
+let abs_bbox t g o =
+  hull_into g.abs g.n_tiles t.bbuf o;
+  g.n_tiles > 0
+
+(* Summed [Rect.inter_area] of every cell's absolute tiles with [r]. *)
+let tiles_in_rect t (r : Rect.t) =
+  let total = ref 0 in
+  for ci = 0 to Array.length t.cells - 1 do
+    let g = eval_state t ci in
+    for k = 0 to g.n_tiles - 1 do
+      total := !total + inter_area_at g.abs (4 * k) r
+    done
+  done;
+  !total
+
+(* [Constr.eval] over the evaluated state, case for case, on flat
+   geometry.  Both return exact integers, so they agree exactly; the
+   committed caches keep using [Constr.eval] itself. *)
+let eval_constraint_pending t k =
+  match t.cons.(k) with
+  | Constr.Blockage r -> tiles_in_rect t r
+  | Constr.Keepout { cell; margin } ->
+      let h = eval_state t cell in
+      let total = ref 0 in
+      for ci = 0 to Array.length t.cells - 1 do
+        if ci <> cell then begin
+          let g = eval_state t ci in
+          for i = 0 to g.n_tiles - 1 do
+            let oi = 4 * i in
+            for j = 0 to h.n_tiles - 1 do
+              let oj = 4 * j in
+              (* The halo tile, [Rect.expand_uniform]: empty when
+                 degenerate. *)
+              let hx0 = h.abs.(oj) - margin and hy0 = h.abs.(oj + 1) - margin
+              and hx1 = h.abs.(oj + 2) + margin
+              and hy1 = h.abs.(oj + 3) + margin in
+              if hx0 < hx1 && hy0 < hy1 then begin
+                let x0 = imax g.abs.(oi) hx0 and x1 = imin g.abs.(oi + 2) hx1 in
+                let y0 = imax g.abs.(oi + 1) hy0
+                and y1 = imin g.abs.(oi + 3) hy1 in
+                if x0 < x1 && y0 < y1 then
+                  total := !total + ((x1 - x0) * (y1 - y0))
+              end
+            done
+          done
+        end
+      done;
+      !total
+  | Constr.Fixed { cell; x; y } ->
+      let g = eval_state t cell in
+      abs (g.x - x) + abs (g.y - y)
+  | Constr.Region { cell; rect } ->
+      let g = eval_state t cell in
+      let total = ref 0 in
+      for k = 0 to g.n_tiles - 1 do
+        total :=
+          !total + (area_at g.abs (4 * k) - inter_area_at g.abs (4 * k) rect)
+      done;
+      !total
+  | Constr.Boundary { cell; side } ->
+      if not (abs_bbox t (eval_state t cell) 0) then 0
+      else begin
+        let b = t.bbuf and c = t.core in
+        match side with
+        | Side.Left -> abs (b.(0) - c.Rect.x0)
+        | Side.Right -> abs (c.Rect.x1 - b.(2))
+        | Side.Bottom -> abs (b.(1) - c.Rect.y0)
+        | Side.Top -> abs (c.Rect.y1 - b.(3))
+      end
+  | Constr.Align { a; b; axis } -> (
+      let ga = eval_state t a and gb = eval_state t b in
+      match axis with
+      | Constr.H -> abs (ga.y - gb.y)
+      | Constr.V -> abs (ga.x - gb.x))
+  | Constr.Abut { a; b } ->
+      if
+        not (abs_bbox t (eval_state t a) 0 && abs_bbox t (eval_state t b) 4)
+      then 0
+      else begin
+        let bb = t.bbuf in
+        let gap lo0 hi0 lo1 hi1 = imax 0 (imax (lo1 - hi0) (lo0 - hi1)) in
+        gap bb.(0) bb.(2) bb.(4) bb.(6) + gap bb.(1) bb.(3) bb.(5) bb.(7)
+      end
+  | Constr.Density { rect; cap_permille } ->
+      imax 0 (tiles_in_rect t rect - (Rect.area rect * cap_permille / 1000))
 
 (* ------------------------------------------------------------------ *)
 (* Full recomputation                                                  *)
 
 let recompute_all t =
+  touch t;
   t.idx <- make_index t;
   Array.iteri (fun ci _ -> refresh_cell t ci) t.cells;
-  t.c1v <- 0.0;
-  t.teilv <- 0.0;
-  Array.iteri
-    (fun n _ ->
-      rescan_net_span t n;
-      let c1, len = net_cost_of_span t n in
-      t.net_c1.(n) <- c1;
-      t.net_len.(n) <- len;
-      t.c1v <- t.c1v +. c1;
-      t.teilv <- t.teilv +. len)
-    t.nl.Netlist.nets;
-  t.c3v <- 0.0;
+  t.tot.(k_c1) <- 0.0;
+  t.tot.(k_teil) <- 0.0;
+  for n = 0 to Array.length t.net_refs - 1 do
+    rescan t n ~pending:false t.span;
+    span_cost t t.span n t.net_c1 t.net_len;
+    t.tot.(k_c1) <- t.tot.(k_c1) +. t.net_c1.(n);
+    t.tot.(k_teil) <- t.tot.(k_teil) +. t.net_len.(n)
+  done;
+  t.tot.(k_c3) <- 0.0;
   Array.iteri
     (fun ci cs ->
-      cs.occ <- occupancy_of t ci ~variant:cs.variant ~sites:cs.sites;
-      t.cell_c3.(ci) <- c3_of_occ t ci ~variant:cs.variant cs.occ;
-      t.c3v <- t.c3v +. t.cell_c3.(ci))
+      c3_into t ci ~variant:cs.variant cs.sites t.cell_c3 ci;
+      t.tot.(k_c3) <- t.tot.(k_c3) +. t.cell_c3.(ci))
     t.cells;
   (* Each unordered pair counted once; cell_overlap counts both directions,
      and the boundary term once per cell.  Deliberately the full O(n^2)
      scan, independent of the index: this is the drift oracle the
-     incremental path is checked against. *)
+     incremental path is checked against.  Partial sums are exact integers
+     well under 2^53, so summing per pair or per tile gives the same
+     float. *)
   let pairwise = ref 0.0 and boundary = ref 0.0 in
   Array.iteri
     (fun ci cs ->
-      List.iter
-        (fun r ->
-          boundary :=
-            !boundary +. float_of_int (Rect.area r - Rect.inter_area r t.core))
-        cs.exp_tiles;
+      boundary := !boundary +. float_of_int (boundary_overlap t cs);
       Array.iteri
         (fun cj other ->
-          if cj > ci && Rect.overlaps cs.bbox other.bbox then
-            List.iter
-              (fun ra ->
-                List.iter
-                  (fun rb ->
-                    pairwise := !pairwise +. float_of_int (Rect.inter_area ra rb))
-                  other.exp_tiles)
-              cs.exp_tiles)
+          if cj > ci && bbox_overlap cs other then
+            pairwise := !pairwise +. float_of_int (tiles_overlap cs other))
         t.cells)
     t.cells;
-  t.c2v <- !pairwise +. !boundary;
-  t.c4v <- 0.0;
+  t.tot.(k_c2) <- !pairwise +. !boundary;
+  t.tot.(k_c4) <- 0.0;
   Array.iteri
     (fun k _ ->
       let v = eval_constraint t k in
       t.cpen.(k) <- v;
-      t.c4v <- t.c4v +. v)
+      t.tot.(k_c4) <- t.tot.(k_c4) +. v)
     t.cons
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
+
+let make_state ~max_tiles ~n_pins ~x ~y ~sites =
+  { x;
+    y;
+    orient = Orient.R0;
+    variant = 0;
+    sites;
+    n_tiles = 0;
+    abs = Array.make (4 * max_tiles) 0;
+    exp = Array.make (4 * max_tiles) 0;
+    bb = Array.make 4 0;
+    pp = Array.make (2 * n_pins) 0 }
+
+let max_tiles_of (c : Cell.t) =
+  let m = ref 0 in
+  for vi = 0 to Cell.n_variants c - 1 do
+    m := max !m (List.length (Shape.tiles (Cell.variant c vi).Cell.shape))
+  done;
+  !m
+
+let set_center t =
+  let cx, cy = Rect.center t.core in
+  t.ccx <- cx;
+  t.ccy <- cy
 
 let create ~params ~core ~expander ~rng (nl : Netlist.t) =
   if Rect.is_empty core then invalid_arg "Placement.create: empty core";
@@ -441,16 +754,13 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
   let cells =
     Array.init n (fun ci ->
         let c = nl.Netlist.cells.(ci) in
-        { x = Twmc_sa.Rng.int_incl rng core.Rect.x0 core.Rect.x1;
-          y = Twmc_sa.Rng.int_incl rng core.Rect.y0 core.Rect.y1;
-          orient = Orient.R0;
-          variant = 0;
-          sites = Sites.random_assignment rng c ~variant:0;
-          abs_tiles = [];
-          exp_tiles = [];
-          pin_pos = Array.make (Cell.n_pins c) (0, 0);
-          bbox = Rect.empty;
-          occ = [||] })
+        (* Draw order: sites, then y, then x.  Every seeded result
+           depends on it. *)
+        let sites = Sites.random_assignment rng c ~variant:0 in
+        let y = Twmc_sa.Rng.int_incl rng core.Rect.y0 core.Rect.y1 in
+        let x = Twmc_sa.Rng.int_incl rng core.Rect.x0 core.Rect.x1 in
+        make_state ~max_tiles:(max_tiles_of c) ~n_pins:(Cell.n_pins c) ~x ~y
+          ~sites)
   in
   (* Preplaced macros start at their target, overriding the random draw
      (the draw still happens, keeping RNG consumption uniform per cell). *)
@@ -491,57 +801,111 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
             Array.of_list (List.rev !acc))
           cell_nets.(ci))
   in
-  let max_pins =
-    Array.fold_left (fun acc c -> max acc (Cell.n_pins c)) 0 nl.Netlist.cells
+  let net_refs =
+    Array.map
+      (fun (net : Net.t) ->
+        let refs = net.Net.pins in
+        Array.init
+          (2 * Array.length refs)
+          (fun k ->
+            let r = refs.(k / 2) in
+            if k mod 2 = 0 then r.Net.cell else r.Net.pin))
+      nl.Netlist.nets
+  in
+  let per_variant f =
+    Array.map
+      (fun (c : Cell.t) -> Array.init (Cell.n_variants c) (f c))
+      nl.Netlist.cells
+  in
+  let fold_cells f = Array.fold_left (fun acc c -> max acc (f c)) 0 nl.Netlist.cells in
+  let max_pins = fold_cells Cell.n_pins in
+  let max_tiles = fold_cells max_tiles_of in
+  let max_sites =
+    fold_cells (fun c ->
+        Array.fold_left
+          (fun acc (v : Cell.variant) -> max acc (Array.length v.Cell.sites))
+          0 c.Cell.variants)
+  in
+  let slot () =
+    make_state ~max_tiles ~n_pins:max_pins ~x:0 ~y:0
+      ~sites:(Array.make max_pins (-1))
+  in
+  let unset_per_variant () =
+    per_variant (fun _ _ -> Array.make 8 unset)
   in
   let t =
     { nl;
       prm = params;
       core;
+      ccx = 0;
+      ccy = 0;
       expander;
       cells;
+      pin_committed =
+        Array.map
+          (fun (c : Cell.t) -> Array.map Pin.is_committed c.Cell.pins)
+          nl.Netlist.cells;
+      uncommitted =
+        Array.map
+          (fun (c : Cell.t) ->
+            let acc = ref [] in
+            Array.iteri
+              (fun p pin -> if not (Pin.is_committed pin) then acc := p :: !acc)
+              c.Cell.pins;
+            Array.of_list (List.rev !acc))
+          nl.Netlist.cells;
+      site_cap =
+        per_variant (fun c vi ->
+            Array.map
+              (fun (s : Pin_site.t) -> s.Pin_site.capacity)
+              (Cell.variant c vi).Cell.sites);
+      allowed =
+        per_variant (fun c vi ->
+            Array.init (Cell.n_pins c) (fun p ->
+                Array.of_list (Cell.allowed_sites c ~variant:vi p)));
+      net_refs;
+      net_hw = Array.map (fun (net : Net.t) -> net.Net.hweight) nl.Netlist.nets;
+      net_vw = Array.map (fun (net : Net.t) -> net.Net.vweight) nl.Netlist.nets;
       net_c1 = Array.make n_nets 0.0;
       net_len = Array.make n_nets 0.0;
-      net_minx = Array.make n_nets 0;
-      net_maxx = Array.make n_nets 0;
-      net_miny = Array.make n_nets 0;
-      net_maxy = Array.make n_nets 0;
-      net_cminx = Array.make n_nets 0;
-      net_cmaxx = Array.make n_nets 0;
-      net_cminy = Array.make n_nets 0;
-      net_cmaxy = Array.make n_nets 0;
+      span = make_spans n_nets;
       cell_nets;
       cell_net_pins;
       cell_c3 = Array.make n 0.0;
       cons;
       cpen = Array.make (Array.length cons) 0.0;
       cons_of_cell;
-      c1v = 0.0;
-      c2v = 0.0;
-      c3v = 0.0;
-      c4v = 0.0;
-      teilv = 0.0;
+      tot = Array.make 5 0.0;
       p2v = 1.0;
       (* Placeholder one-bin index; [recompute_all] installs the real one. *)
       idx =
         Spatial.create ~world:core
           ~cell_size:(max 1 (max (Rect.width core) (Rect.height core)));
-      old_pp = Array.make max_pins (0, 0);
-      sim_net_c1 = Array.make n_nets 0.0;
+      version = 0;
+      evaluated = -1;
+      old_pp = Array.make (2 * max_pins) 0;
+      qbuf = Array.make (max 1 n) 0;
+      occ_buf = Array.make max_sites 0;
+      ebuf = Array.make 4 0;
+      bbuf = Array.make 8 0;
+      slots = [| slot (); slot () |];
+      sl_ci = Array.make 2 (-1);
+      sl_geom = Array.make 2 false;
+      sl_c3 = Array.make 2 0.0;
+      n_pending = 0;
+      acc = Array.make 5 0.0;
+      sim_span = make_spans n_nets;
+      sim_c1 = Array.make n_nets 0.0;
+      sim_len = Array.make n_nets 0.0;
       sim_net_stamp = Array.make n_nets 0;
       sim_cpen = Array.make (Array.length cons) 0.0;
       sim_cpen_stamp = Array.make (Array.length cons) 0;
       sim_stamp = 0;
-      tiles_cache =
-        Array.init n (fun ci ->
-            Array.init (Cell.n_variants nl.Netlist.cells.(ci)) (fun _ ->
-                Array.make 8 None));
-      sites_cache =
-        Array.init n (fun ci ->
-            Array.init (Cell.n_variants nl.Netlist.cells.(ci)) (fun _ ->
-                Array.make 8 None));
-      fixed_cache = Array.init n (fun _ -> Array.make 8 None) }
+      tiles_cache = unset_per_variant ();
+      sites_cache = unset_per_variant ();
+      fixed_cache = Array.init n (fun _ -> Array.make 8 unset) }
   in
+  set_center t;
   recompute_all t;
   t
 
@@ -554,6 +918,7 @@ let set_expander t e =
 let set_core t core =
   if Rect.is_empty core then invalid_arg "Placement.set_core: empty core";
   t.core <- core;
+  set_center t;
   recompute_all t
 
 (* ------------------------------------------------------------------ *)
@@ -563,91 +928,103 @@ let cell_pos t ci = (t.cells.(ci).x, t.cells.(ci).y)
 let cell_orient t ci = t.cells.(ci).orient
 let cell_variant t ci = t.cells.(ci).variant
 let site_of_pin t ~cell ~pin = t.cells.(cell).sites.(pin)
-let pin_position t ~cell ~pin = t.cells.(cell).pin_pos.(pin)
-let abs_tiles t ci = t.cells.(ci).abs_tiles
-let expanded_tiles t ci = t.cells.(ci).exp_tiles
+
+let pin_position t ~cell ~pin =
+  let pp = t.cells.(cell).pp in
+  (pp.(2 * pin), pp.((2 * pin) + 1))
+
+let expanded_tiles t ci =
+  let cs = t.cells.(ci) in
+  rects_of cs.exp cs.n_tiles
+
+let allowed_sites t ~cell ~variant ~pin = t.allowed.(cell).(variant).(pin)
 
 let expanded_area t =
   Array.fold_left
     (fun acc cs ->
-      List.fold_left (fun acc r -> acc + Rect.area r) acc cs.exp_tiles)
+      let a = ref acc in
+      for k = 0 to cs.n_tiles - 1 do
+        a := !a + area_at cs.exp (4 * k)
+      done;
+      !a)
     0 t.cells
 
-let c1 t = t.c1v
-let c2_raw t = t.c2v
-let c3 t = t.c3v
-let c4 t = t.c4v
+let c1 t = t.tot.(k_c1)
+let c2_raw t = t.tot.(k_c2)
+let c3 t = t.tot.(k_c3)
+let c4 t = t.tot.(k_c4)
 let p2 t = t.p2v
-let set_p2 t v = t.p2v <- v
-let teil t = t.teilv
+
+let set_p2 t v =
+  touch t;
+  t.p2v <- v
+
+let teil t = t.tot.(k_teil)
 let n_constraints t = Array.length t.cons
 let constraints t = t.cons
 let constraint_penalty t k = t.cpen.(k)
 
 (* The unconstrained expression is kept verbatim so netlists without
    constraints produce bit-identical costs (and trajectories) to the
-   pre-constraint engine. *)
-let total_cost t =
-  let base = t.c1v +. (t.p2v *. t.c2v) +. (t.prm.Params.p3 *. t.c3v) in
+   pre-constraint engine.  Inlined, so [delta_cost] boxes no float. *)
+let[@inline] cost_of t (a : float array) =
+  let base = a.(k_c1) +. (t.p2v *. a.(k_c2)) +. (t.prm.Params.p3 *. a.(k_c3)) in
   if Array.length t.cons = 0 then base
-  else base +. (t.prm.Params.p4 *. t.c4v)
+  else base +. (t.prm.Params.p4 *. a.(k_c4))
+
+let total_cost t = cost_of t t.tot
 
 let chip_bbox t =
   Array.fold_left
-    (fun acc cs -> List.fold_left Rect.hull acc cs.exp_tiles)
+    (fun acc cs -> List.fold_left Rect.hull acc (rects_of cs.exp cs.n_tiles))
     Rect.empty t.cells
 
 (* ------------------------------------------------------------------ *)
 (* Mutation                                                            *)
 
 let update_nets_of_cell t ci =
-  Array.iteri
-    (fun k n ->
-      update_net_span t ci k n;
-      let c1', len' = net_cost_of_span t n in
-      t.c1v <- t.c1v -. t.net_c1.(n) +. c1';
-      t.teilv <- t.teilv -. t.net_len.(n) +. len';
-      t.net_c1.(n) <- c1';
-      t.net_len.(n) <- len')
-    t.cell_nets.(ci)
+  let nets = t.cell_nets.(ci) and a = t.tot in
+  for k = 0 to Array.length nets - 1 do
+    let n = nets.(k) in
+    update_net_span t ci k n;
+    a.(k_c1) <- a.(k_c1) -. t.net_c1.(n);
+    a.(k_teil) <- a.(k_teil) -. t.net_len.(n);
+    span_cost t t.span n t.net_c1 t.net_len;
+    a.(k_c1) <- a.(k_c1) +. t.net_c1.(n);
+    a.(k_teil) <- a.(k_teil) +. t.net_len.(n)
+  done
+
+let set_sites t ci (dst : int array) (src : int array) =
+  let n = Array.length t.pin_committed.(ci) in
+  if Array.length src <> n then
+    invalid_arg "Placement: site assignment of the wrong length";
+  Array.blit src 0 dst 0 n
 
 let set_cell_sites t ci sites =
+  touch t;
   let cs = t.cells.(ci) in
-  let c = t.nl.Netlist.cells.(ci) in
-  Array.blit cs.pin_pos 0 t.old_pp 0 (Array.length cs.pin_pos);
-  cs.sites <- sites;
-  let site_pos = cached_sites t ci cs.variant cs.orient in
-  Array.iteri
-    (fun p (pin : Pin.t) ->
-      match pin.Pin.loc with
-      | Pin.Uncommitted _ ->
-          let lx, ly = site_pos.(cs.sites.(p)) in
-          cs.pin_pos.(p) <- (cs.x + lx, cs.y + ly)
-      | Pin.Fixed _ -> ())
-    c.Cell.pins;
+  Array.blit cs.pp 0 t.old_pp 0 (Array.length cs.pp);
+  set_sites t ci cs.sites sites;
+  refresh_pins t ci cs;
   update_nets_of_cell t ci;
-  refresh_occupancy t ci
+  refresh_c3 t ci
 
-(* Clamp a site assignment into [variant]'s site array, honouring edge
-   restrictions; mutates [sites] in place. *)
-let reclamp_sites c ~variant sites =
-  let n_sites = Array.length (Cell.variant c variant).Cell.sites in
-  Array.iteri
-    (fun p s ->
-      if s >= 0 then begin
-        let s = if s < n_sites then s else s mod max 1 n_sites in
-        let allowed = Cell.allowed_sites c ~variant p in
-        sites.(p) <-
-          (if List.mem s allowed then s
-           else
-             match allowed with
-             | [] ->
-                 invalid_arg
-                   "Placement.set_cell: pin has no allowed site in new \
-                    variant"
-             | a :: _ -> a)
-      end)
-    sites
+(* Clamp the first [n] entries of a site assignment into [variant]'s site
+   array, honouring edge restrictions; mutates [sites] in place. *)
+let reclamp_sites t ci ~variant sites n =
+  let n_sites = Array.length t.site_cap.(ci).(variant) in
+  let allowed = t.allowed.(ci).(variant) in
+  for p = 0 to n - 1 do
+    let s = sites.(p) in
+    if s >= 0 then begin
+      let s = if s < n_sites then s else s mod max 1 n_sites in
+      let a = allowed.(p) in
+      if Array.length a = 0 then
+        invalid_arg
+          "Placement.set_cell: pin has no allowed site in new variant";
+      sites.(p) <- (if Array.mem s a then s else a.(0))
+    end
+  done
 
 let set_cell t ci ?x ?y ?orient ?variant ?sites () =
   match (x, y, orient, variant, sites) with
@@ -657,9 +1034,10 @@ let set_cell t ci ?x ?y ?orient ?variant ?sites () =
          so the skipped [c2v -. ov +. ov] chain is exact. *)
       set_cell_sites t ci s
   | _ ->
+      touch t;
       let cs = t.cells.(ci) in
-      let ov_old = cell_overlap t ci in
-      Array.blit cs.pin_pos 0 t.old_pp 0 (Array.length cs.pin_pos);
+      let ov_old = float_of_int (overlap t ci cs ~pending:false) in
+      Array.blit cs.pp 0 t.old_pp 0 (Array.length cs.pp);
       let variant_changed =
         match variant with Some v -> v <> cs.variant | None -> false
       in
@@ -668,24 +1046,25 @@ let set_cell t ci ?x ?y ?orient ?variant ?sites () =
       (match orient with Some v -> cs.orient <- v | None -> ());
       (match variant with Some v -> cs.variant <- v | None -> ());
       (match sites with
-      | Some s -> cs.sites <- s
+      | Some s -> set_sites t ci cs.sites s
       | None ->
           if variant_changed then
-            reclamp_sites t.nl.Netlist.cells.(ci) ~variant:cs.variant cs.sites);
+            reclamp_sites t ci ~variant:cs.variant cs.sites
+              (Array.length cs.sites));
       refresh_cell t ci;
       update_nets_of_cell t ci;
-      let ov_new = cell_overlap t ci in
-      t.c2v <- t.c2v -. ov_old +. ov_new;
-      if variant_changed || sites <> None then refresh_occupancy t ci;
+      let ov_new = float_of_int (overlap t ci cs ~pending:false) in
+      t.tot.(k_c2) <- t.tot.(k_c2) -. ov_old +. ov_new;
+      if variant_changed || Option.is_some sites then refresh_c3 t ci;
       Array.iter
         (fun k ->
           let v = eval_constraint t k in
-          t.c4v <- t.c4v -. t.cpen.(k) +. v;
+          t.tot.(k_c4) <- t.tot.(k_c4) -. t.cpen.(k) +. v;
           t.cpen.(k) <- v)
         t.cons_of_cell.(ci)
 
 (* ------------------------------------------------------------------ *)
-(* Evaluate-without-apply                                              *)
+(* Evaluate once, commit what was evaluated                            *)
 
 type move =
   | Cell_move of {
@@ -698,233 +1077,167 @@ type move =
     }
   | Sites_move of { ci : int; sites : int array }
 
-(* Simulated state of a cell touched by pending moves. *)
-type sim_cell = {
-  m_ci : int;
-  m_x : int;
-  m_y : int;
-  m_orient : Orient.t;
-  m_variant : int;
-  m_sites : int array;
-  m_pp : (int * int) array;
-  m_abs : Rect.t list;
-  m_exp : Rect.t list;
-  m_bbox : Rect.t;
-  mutable m_c3 : float;
-}
+(* The pending slot of cell [ci], taking a fresh one (loaded with the
+   committed position, orientation, variant, sites and C3) on first
+   touch. *)
+let acquire t ci =
+  let s = slot_of t ci in
+  if s >= 0 then s
+  else begin
+    if t.n_pending = 2 then
+      invalid_arg "Placement.delta_cost: a move list touches at most two cells";
+    let s = t.n_pending in
+    t.n_pending <- s + 1;
+    t.sl_ci.(s) <- ci;
+    t.sl_geom.(s) <- false;
+    t.sl_c3.(s) <- t.cell_c3.(ci);
+    let g = t.slots.(s) and cs = t.cells.(ci) in
+    g.x <- cs.x;
+    g.y <- cs.y;
+    g.orient <- cs.orient;
+    g.variant <- cs.variant;
+    Array.blit cs.sites 0 g.sites 0 (Array.length cs.sites);
+    s
+  end
+
+(* Mirrors [update_nets_of_cell]: the C1 and TEIL chains, net by net in
+   [cell_nets] order. *)
+let sim_nets t ci =
+  let nets = t.cell_nets.(ci) and a = t.acc and stamp = t.sim_stamp in
+  for k = 0 to Array.length nets - 1 do
+    let n = nets.(k) in
+    let seen = t.sim_net_stamp.(n) = stamp in
+    a.(k_c1) <- a.(k_c1) -. (if seen then t.sim_c1.(n) else t.net_c1.(n));
+    a.(k_teil) <- a.(k_teil) -. (if seen then t.sim_len.(n) else t.net_len.(n));
+    rescan t n ~pending:true t.sim_span;
+    span_cost t t.sim_span n t.sim_c1 t.sim_len;
+    t.sim_net_stamp.(n) <- stamp;
+    a.(k_c1) <- a.(k_c1) +. t.sim_c1.(n);
+    a.(k_teil) <- a.(k_teil) +. t.sim_len.(n)
+  done
+
+(* Mirrors [refresh_c3]. *)
+let sim_c3 t s ci =
+  let a = t.acc in
+  let g = t.slots.(s) in
+  a.(k_c3) <- a.(k_c3) -. t.sl_c3.(s);
+  c3_into t ci ~variant:g.variant g.sites t.sl_c3 s;
+  a.(k_c3) <- a.(k_c3) +. t.sl_c3.(s)
+
+(* Mirrors [set_cell_sites]. *)
+let sim_sites_move t ci sites =
+  let s = acquire t ci in
+  let g = t.slots.(s) in
+  set_sites t ci g.sites sites;
+  refresh_pins t ci g;
+  sim_nets t ci;
+  sim_c3 t s ci
+
+(* Mirrors [set_cell], including its sites-only routing. *)
+let sim_cell_move t ci ~x ~y ~orient ~variant ~sites =
+  let a = t.acc in
+  let ov_old = overlap t ci (eval_state t ci) ~pending:true in
+  let s = acquire t ci in
+  let g = t.slots.(s) in
+  let variant_changed =
+    match variant with Some v -> v <> g.variant | None -> false
+  in
+  (match x with Some v -> g.x <- v | None -> ());
+  (match y with Some v -> g.y <- v | None -> ());
+  (match orient with Some v -> g.orient <- v | None -> ());
+  (match variant with Some v -> g.variant <- v | None -> ());
+  let sites_given =
+    match sites with
+    | Some v ->
+        set_sites t ci g.sites v;
+        true
+    | None ->
+        if variant_changed then
+          reclamp_sites t ci ~variant:g.variant g.sites
+            (Array.length t.pin_committed.(ci));
+        false
+  in
+  refresh_geometry t ci g;
+  t.sl_geom.(s) <- true;
+  sim_nets t ci;
+  let ov_new = overlap t ci g ~pending:true in
+  a.(k_c2) <- a.(k_c2) -. float_of_int ov_old +. float_of_int ov_new;
+  if variant_changed || sites_given then sim_c3 t s ci;
+  let ks = t.cons_of_cell.(ci) and stamp = t.sim_stamp in
+  for j = 0 to Array.length ks - 1 do
+    let k = ks.(j) in
+    let v = float_of_int (eval_constraint_pending t k) in
+    a.(k_c4) <-
+      a.(k_c4)
+      -. (if t.sim_cpen_stamp.(k) = stamp then t.sim_cpen.(k) else t.cpen.(k))
+      +. v;
+    t.sim_cpen.(k) <- v;
+    t.sim_cpen_stamp.(k) <- stamp
+  done
+
+let sim_move t = function
+  | Cell_move { ci; x = None; y = None; orient = None; variant = None; sites = Some s }
+  | Sites_move { ci; sites = s } ->
+      sim_sites_move t ci s
+  | Cell_move { ci; x; y; orient; variant; sites } ->
+      sim_cell_move t ci ~x ~y ~orient ~variant ~sites
+
+let rec sim_moves t = function
+  | [] -> ()
+  | m :: rest ->
+      sim_move t m;
+      sim_moves t rest
 
 (* Computes exactly the float that [apply_move]-ing every move and then
    subtracting the prior [total_cost] would produce — same accumulator
-   chains in the same order on the same operands — without mutating the
-   placement.  Keeping the delta bit-identical keeps the Metropolis RNG
-   consumption, and therefore whole trajectories, identical to the
-   mutate-and-restore path this replaces. *)
+   chains in the same order on the same operands — and keeps the evaluated
+   state in the scratch for [commit]. *)
 let delta_cost t moves =
+  t.evaluated <- -1;
+  t.n_pending <- 0;
   t.sim_stamp <- t.sim_stamp + 1;
+  Array.blit t.tot 0 t.acc 0 5;
+  sim_moves t moves;
+  t.evaluated <- t.version;
+  cost_of t t.acc -. cost_of t t.tot
+
+let commit t =
+  if t.evaluated <> t.version then
+    invalid_arg "Placement.commit: no evaluation of the current placement";
   let stamp = t.sim_stamp in
-  let pending = ref [] in
-  let find_pending ci = List.find_opt (fun pc -> pc.m_ci = ci) !pending in
-  let install pc =
-    pending := pc :: List.filter (fun q -> q.m_ci <> pc.m_ci) !pending
-  in
-  let eff_pp cell =
-    match find_pending cell with
-    | Some pc -> pc.m_pp
-    | None -> t.cells.(cell).pin_pos
-  in
-  let eff_net_c1 n =
-    if t.sim_net_stamp.(n) = stamp then t.sim_net_c1.(n) else t.net_c1.(n)
-  in
-  let tot0 = total_cost t in
-  let c1acc = ref t.c1v and c2acc = ref t.c2v and c3acc = ref t.c3v in
-  let c4acc = ref t.c4v in
-  (* Effective constraint evaluation over pending-aware views, mirroring
-     the per-constraint chain [set_cell] runs on its committed caches. *)
-  let eff_cpen k =
-    if t.sim_cpen_stamp.(k) = stamp then t.sim_cpen.(k) else t.cpen.(k)
-  in
-  let sim_eval_constraint k =
-    float_of_int
-      (Constr.eval ~n_cells:(Array.length t.cells)
-         ~tiles:(fun ci ->
-           match find_pending ci with
-           | Some pc -> pc.m_abs
-           | None -> t.cells.(ci).abs_tiles)
-         ~pos:(fun ci ->
-           match find_pending ci with
-           | Some pc -> (pc.m_x, pc.m_y)
-           | None -> (t.cells.(ci).x, t.cells.(ci).y))
-         ~core:t.core t.cons.(k))
-  in
-  (* Rescan of one net over effective pin positions.  Extremes are exact
-     ints, so a rescan and the incremental update of the apply path agree
-     bit-for-bit. *)
-  let sim_net_cost n =
-    let net = t.nl.Netlist.nets.(n) in
-    let minx = ref max_int and maxx = ref min_int in
-    let miny = ref max_int and maxy = ref min_int in
-    Array.iter
-      (fun (r : Net.pin_ref) ->
-        let x, y = (eff_pp r.Net.cell).(r.Net.pin) in
-        if x < !minx then minx := x;
-        if x > !maxx then maxx := x;
-        if y < !miny then miny := y;
-        if y > !maxy then maxy := y)
-      net.Net.pins;
-    let dx = float_of_int (!maxx - !minx) and dy = float_of_int (!maxy - !miny) in
-    (dx *. net.Net.hweight) +. (dy *. net.Net.vweight)
-  in
-  let sim_update_nets ci =
-    Array.iter
-      (fun n ->
-        let c1' = sim_net_cost n in
-        c1acc := !c1acc -. eff_net_c1 n +. c1';
-        t.sim_net_c1.(n) <- c1';
-        t.sim_net_stamp.(n) <- stamp)
-      t.cell_nets.(ci)
-  in
-  (* Overlap of an effective tile set: index candidates carry the committed
-     geometry, so pending cells are skipped there and added back with their
-     simulated geometry.  Integer sum — enumeration order is irrelevant. *)
-  let sim_overlap ci ~exp ~bbox =
-    let total = ref 0 in
-    List.iter
-      (fun r -> total := !total + (Rect.area r - Rect.inter_area r t.core))
-      exp;
-    Spatial.iter_query t.idx bbox (fun cj ->
-        if
-          cj <> ci
-          && (match find_pending cj with None -> true | Some _ -> false)
-        then begin
-          let other = t.cells.(cj) in
-          if Rect.overlaps bbox other.bbox then
-            tiles_overlap exp other.exp_tiles total
-        end);
-    List.iter
-      (fun pc ->
-        if pc.m_ci <> ci && Rect.overlaps bbox pc.m_bbox then
-          tiles_overlap exp pc.m_exp total)
-      !pending;
-    float_of_int !total
-  in
-  let eff_view ci =
-    match find_pending ci with
-    | Some pc ->
-        ( pc.m_x, pc.m_y, pc.m_orient, pc.m_variant, pc.m_sites, pc.m_abs,
-          pc.m_exp, pc.m_bbox, pc.m_c3 )
-    | None ->
-        let cs = t.cells.(ci) in
-        ( cs.x, cs.y, cs.orient, cs.variant, cs.sites, cs.abs_tiles,
-          cs.exp_tiles, cs.bbox, t.cell_c3.(ci) )
-  in
-  (* Mirrors [set_cell_sites]. *)
-  let sim_sites_move ci sites =
-    let ex, ey, eorient, evariant, _, eabs, eexp, ebbox, ec3 = eff_view ci in
-    let c = t.nl.Netlist.cells.(ci) in
-    let pp = Array.copy (eff_pp ci) in
-    let site_pos = cached_sites t ci evariant eorient in
-    Array.iteri
-      (fun p (pin : Pin.t) ->
-        match pin.Pin.loc with
-        | Pin.Uncommitted _ ->
-            let lx, ly = site_pos.(sites.(p)) in
-            pp.(p) <- (ex + lx, ey + ly)
-        | Pin.Fixed _ -> ())
-      c.Cell.pins;
-    let pc =
-      { m_ci = ci; m_x = ex; m_y = ey; m_orient = eorient;
-        m_variant = evariant; m_sites = sites; m_pp = pp; m_abs = eabs;
-        m_exp = eexp; m_bbox = ebbox; m_c3 = ec3 }
-    in
-    install pc;
-    sim_update_nets ci;
-    let occ = occupancy_of t ci ~variant:evariant ~sites in
-    let c3' = c3_of_occ t ci ~variant:evariant occ in
-    c3acc := !c3acc -. ec3 +. c3';
-    pc.m_c3 <- c3'
-  in
-  (* Mirrors [set_cell], including its sites-only routing. *)
-  let sim_cell_move ci ~x ~y ~orient ~variant ~sites =
-    match (x, y, orient, variant, sites) with
-    | None, None, None, None, Some s -> sim_sites_move ci s
-    | _ ->
-        let ex, ey, eorient, evariant, esites, _, eexp, ebbox, ec3 =
-          eff_view ci
-        in
-        let ov_old = sim_overlap ci ~exp:eexp ~bbox:ebbox in
-        let variant_changed =
-          match variant with Some v -> v <> evariant | None -> false
-        in
-        let nx = match x with Some v -> v | None -> ex in
-        let ny = match y with Some v -> v | None -> ey in
-        let norient = match orient with Some v -> v | None -> eorient in
-        let nvariant = match variant with Some v -> v | None -> evariant in
-        let nsites =
-          match sites with
-          | Some s -> s
-          | None ->
-              if variant_changed then begin
-                let s = Array.copy esites in
-                reclamp_sites t.nl.Netlist.cells.(ci) ~variant:nvariant s;
-                s
-              end
-              else esites
-        in
-        (* Candidate geometry — mirrors [refresh_cell]. *)
-        let c = t.nl.Netlist.cells.(ci) in
-        let tiles0 = cached_tiles t ci nvariant norient in
-        let abs = List.map (fun r -> Rect.translate r ~dx:nx ~dy:ny) tiles0 in
-        let exp = List.map (expand_tile t ci nvariant) abs in
-        let bbox =
-          match exp with
-          | [] -> Rect.empty
-          | r :: rest -> List.fold_left Rect.hull r rest
-        in
-        let fixed = cached_fixed t ci norient in
-        let site_pos = cached_sites t ci nvariant norient in
-        let pp = Array.make (Cell.n_pins c) (0, 0) in
-        Array.iteri
-          (fun p (pin : Pin.t) ->
-            let lx, ly =
-              match pin.Pin.loc with
-              | Pin.Fixed _ -> fixed.(p)
-              | Pin.Uncommitted _ -> site_pos.(nsites.(p))
-            in
-            pp.(p) <- (nx + lx, ny + ly))
-          c.Cell.pins;
-        let pc =
-          { m_ci = ci; m_x = nx; m_y = ny; m_orient = norient;
-            m_variant = nvariant; m_sites = nsites; m_pp = pp; m_abs = abs;
-            m_exp = exp; m_bbox = bbox; m_c3 = ec3 }
-        in
-        install pc;
-        sim_update_nets ci;
-        let ov_new = sim_overlap ci ~exp ~bbox in
-        c2acc := !c2acc -. ov_old +. ov_new;
-        if variant_changed || sites <> None then begin
-          let occ = occupancy_of t ci ~variant:nvariant ~sites:nsites in
-          let c3' = c3_of_occ t ci ~variant:nvariant occ in
-          c3acc := !c3acc -. ec3 +. c3';
-          pc.m_c3 <- c3'
-        end;
-        Array.iter
-          (fun k ->
-            let v = sim_eval_constraint k in
-            c4acc := !c4acc -. eff_cpen k +. v;
-            t.sim_cpen.(k) <- v;
-            t.sim_cpen_stamp.(k) <- stamp)
-          t.cons_of_cell.(ci)
-  in
-  List.iter
-    (function
-      | Cell_move { ci; x; y; orient; variant; sites } ->
-          sim_cell_move ci ~x ~y ~orient ~variant ~sites
-      | Sites_move { ci; sites } -> sim_sites_move ci sites)
-    moves;
-  let base = !c1acc +. (t.p2v *. !c2acc) +. (t.prm.Params.p3 *. !c3acc) in
-  (if Array.length t.cons = 0 then base
-   else base +. (t.prm.Params.p4 *. !c4acc))
-  -. tot0
+  for s = 0 to t.n_pending - 1 do
+    let ci = t.sl_ci.(s) in
+    let g = t.slots.(s) and cs = t.cells.(ci) in
+    cs.x <- g.x;
+    cs.y <- g.y;
+    cs.orient <- g.orient;
+    cs.variant <- g.variant;
+    Array.blit g.sites 0 cs.sites 0 (Array.length cs.sites);
+    Array.blit g.pp 0 cs.pp 0 (Array.length cs.pp);
+    if t.sl_geom.(s) then begin
+      cs.n_tiles <- g.n_tiles;
+      Array.blit g.abs 0 cs.abs 0 (4 * g.n_tiles);
+      Array.blit g.exp 0 cs.exp 0 (4 * g.n_tiles);
+      Array.blit g.bb 0 cs.bb 0 4;
+      index_update t ci cs
+    end;
+    t.cell_c3.(ci) <- t.sl_c3.(s);
+    let nets = t.cell_nets.(ci) in
+    for k = 0 to Array.length nets - 1 do
+      let n = nets.(k) in
+      copy_span t.sim_span t.span n;
+      t.net_c1.(n) <- t.sim_c1.(n);
+      t.net_len.(n) <- t.sim_len.(n)
+    done;
+    let ks = t.cons_of_cell.(ci) in
+    for j = 0 to Array.length ks - 1 do
+      let k = ks.(j) in
+      if t.sim_cpen_stamp.(k) = stamp then t.cpen.(k) <- t.sim_cpen.(k)
+    done
+  done;
+  Array.blit t.acc 0 t.tot 0 5;
+  t.n_pending <- 0;
+  touch t
 
 let apply_move t = function
   | Cell_move { ci; x; y; orient; variant; sites } ->
@@ -932,124 +1245,22 @@ let apply_move t = function
   | Sites_move { ci; sites } -> set_cell_sites t ci sites
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots                                                           *)
+(* Cost snapshots                                                      *)
 
-type net_state = {
-  ns_net : int;
-  ns_c1 : float;
-  ns_len : float;
-  ns_minx : int;
-  ns_maxx : int;
-  ns_miny : int;
-  ns_maxy : int;
-  ns_cminx : int;
-  ns_cmaxx : int;
-  ns_cminy : int;
-  ns_cmaxy : int;
-}
+type cost_snapshot = float array
 
-type cell_snapshot = {
-  s_idx : int;
-  s_x : int;
-  s_y : int;
-  s_orient : Orient.t;
-  s_variant : int;
-  s_sites : int array;
-  s_abs : Rect.t list;
-  s_exp : Rect.t list;
-  s_pp : (int * int) array;
-  s_bbox : Rect.t;
-  s_occ : int array;
-  s_c3 : float;
-  s_nets : net_state array;
-  s_cons : (int * float) array;
-}
-
-type cost_snapshot = {
-  g_c1 : float;
-  g_c2 : float;
-  g_c3 : float;
-  g_c4 : float;
-  g_teil : float;
-}
-
-let snapshot_cost t =
-  { g_c1 = t.c1v; g_c2 = t.c2v; g_c3 = t.c3v; g_c4 = t.c4v; g_teil = t.teilv }
+let snapshot_cost t = Array.copy t.tot
 
 let restore_cost t s =
-  t.c1v <- s.g_c1;
-  t.c2v <- s.g_c2;
-  t.c3v <- s.g_c3;
-  t.c4v <- s.g_c4;
-  t.teilv <- s.g_teil
-
-let snapshot_cell t ci =
-  let cs = t.cells.(ci) in
-  { s_idx = ci;
-    s_x = cs.x;
-    s_y = cs.y;
-    s_orient = cs.orient;
-    s_variant = cs.variant;
-    s_sites = Array.copy cs.sites;
-    s_abs = cs.abs_tiles;
-    s_exp = cs.exp_tiles;
-    s_pp = Array.copy cs.pin_pos;
-    s_bbox = cs.bbox;
-    s_occ = Array.copy cs.occ;
-    s_c3 = t.cell_c3.(ci);
-    s_nets =
-      Array.map
-        (fun n ->
-          { ns_net = n;
-            ns_c1 = t.net_c1.(n);
-            ns_len = t.net_len.(n);
-            ns_minx = t.net_minx.(n);
-            ns_maxx = t.net_maxx.(n);
-            ns_miny = t.net_miny.(n);
-            ns_maxy = t.net_maxy.(n);
-            ns_cminx = t.net_cminx.(n);
-            ns_cmaxx = t.net_cmaxx.(n);
-            ns_cminy = t.net_cminy.(n);
-            ns_cmaxy = t.net_cmaxy.(n) })
-        t.cell_nets.(ci);
-    s_cons = Array.map (fun k -> (k, t.cpen.(k))) t.cons_of_cell.(ci) }
-
-let restore_cell t s =
-  let cs = t.cells.(s.s_idx) in
-  cs.x <- s.s_x;
-  cs.y <- s.s_y;
-  cs.orient <- s.s_orient;
-  cs.variant <- s.s_variant;
-  cs.sites <- s.s_sites;
-  cs.abs_tiles <- s.s_abs;
-  cs.exp_tiles <- s.s_exp;
-  cs.pin_pos <- s.s_pp;
-  cs.bbox <- s.s_bbox;
-  cs.occ <- s.s_occ;
-  Spatial.update t.idx s.s_idx s.s_bbox;
-  t.cell_c3.(s.s_idx) <- s.s_c3;
-  Array.iter
-    (fun ns ->
-      let n = ns.ns_net in
-      t.net_c1.(n) <- ns.ns_c1;
-      t.net_len.(n) <- ns.ns_len;
-      t.net_minx.(n) <- ns.ns_minx;
-      t.net_maxx.(n) <- ns.ns_maxx;
-      t.net_miny.(n) <- ns.ns_miny;
-      t.net_maxy.(n) <- ns.ns_maxy;
-      t.net_cminx.(n) <- ns.ns_cminx;
-      t.net_cmaxx.(n) <- ns.ns_cmaxx;
-      t.net_cminy.(n) <- ns.ns_cminy;
-      t.net_cmaxy.(n) <- ns.ns_cmaxy)
-    s.s_nets;
-  Array.iter (fun (k, pen) -> t.cpen.(k) <- pen) s.s_cons
+  touch t;
+  Array.blit s 0 t.tot 0 5
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
 
 let drift_report t =
-  let c1 = t.c1v and c2 = t.c2v and c3 = t.c3v and c4 = t.c4v
-  and teil = t.teilv in
+  let c1 = c1 t and c2 = c2_raw t and c3 = c3 t and c4 = c4 t
+  and teil = teil t in
   recompute_all t;
   let close a b =
     Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
@@ -1057,8 +1268,9 @@ let drift_report t =
   List.filter_map
     (fun (term, cached, truth) ->
       if close cached truth then None else Some (term, cached, truth))
-    [ ("C1", c1, t.c1v); ("C2", c2, t.c2v); ("C3", c3, t.c3v);
-      ("C4", c4, t.c4v); ("TEIL", teil, t.teilv) ]
+    [ ("C1", c1, t.tot.(k_c1)); ("C2", c2, t.tot.(k_c2));
+      ("C3", c3, t.tot.(k_c3)); ("C4", c4, t.tot.(k_c4));
+      ("TEIL", teil, t.tot.(k_teil)) ]
 
 let verify_consistency t =
   match drift_report t with
@@ -1076,17 +1288,17 @@ let verify_index t =
     (fun ci cs ->
       if not (Spatial.mem t.idx ci) then
         failwith (Printf.sprintf "Placement.verify_index: cell %d missing" ci);
-      if not (Rect.equal (Spatial.rect_of t.idx ci) cs.bbox) then
+      if not (Rect.equal (Spatial.rect_of t.idx ci) (bbox_rect cs)) then
         failwith
           (Printf.sprintf "Placement.verify_index: cell %d bbox stale" ci))
     t.cells;
   (* Query equivalence against a from-scratch rebuild. *)
   let fresh = make_index t in
-  Array.iteri (fun ci cs -> Spatial.insert fresh ci cs.bbox) t.cells;
+  Array.iteri (fun ci cs -> Spatial.insert fresh ci (bbox_rect cs)) t.cells;
   Array.iteri
     (fun ci cs ->
-      let a = List.sort compare (Spatial.query t.idx cs.bbox)
-      and b = List.sort compare (Spatial.query fresh cs.bbox) in
+      let a = List.sort compare (Spatial.query t.idx (bbox_rect cs))
+      and b = List.sort compare (Spatial.query fresh (bbox_rect cs)) in
       if a <> b then
         failwith
           (Printf.sprintf "Placement.verify_index: query mismatch at cell %d"
@@ -1095,5 +1307,5 @@ let verify_index t =
 
 let pp_summary ppf t =
   Format.fprintf ppf "C1=%.0f C2=%.0f (p2=%.3g) C3=%.0f TEIL=%.0f cost=%.0f"
-    t.c1v t.c2v t.p2v t.c3v t.teilv (total_cost t);
-  if Array.length t.cons > 0 then Format.fprintf ppf " C4=%.0f" t.c4v
+    (c1 t) (c2_raw t) t.p2v (c3 t) (teil t) (total_cost t);
+  if Array.length t.cons > 0 then Format.fprintf ppf " C4=%.0f" (c4 t)

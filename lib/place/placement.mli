@@ -3,8 +3,10 @@
     Holds, per cell: position (of the variant bounding-box center),
     orientation, selected variant, and the pin-site assignment of
     uncommitted pins; plus the derived caches (absolute tiles, expanded
-    tiles, absolute pin positions, per-net TEIC contributions, per-cell
-    pin-site occupancy) that make move evaluation incremental.
+    tiles and their bounding box, absolute pin positions, per-net spans
+    and TEIC contributions, per-cell C3, per-constraint penalties) that
+    make move evaluation incremental.  The annealer evaluates a move once,
+    with {!delta_cost}, and installs it with {!commit}.
 
     Cost terms:
     - [C1] — the TEIC (Eqn 6): weighted net spans from exact pin locations;
@@ -61,6 +63,11 @@ val pin_position : t -> cell:int -> pin:int -> int * int
 val abs_tiles : t -> int -> Twmc_geometry.Rect.t list
 val expanded_tiles : t -> int -> Twmc_geometry.Rect.t list
 
+val allowed_sites : t -> cell:int -> variant:int -> pin:int -> int array
+(** [Cell.allowed_sites] as an array, precomputed at {!create}: the sites
+    an uncommitted pin may take in a variant, ascending; empty for a
+    committed pin.  Shared; do not mutate. *)
+
 val expanded_area : t -> int
 (** Total area of every cell's {!expanded_tiles}: the cells plus the
     interconnect area their expanders assign. *)
@@ -76,7 +83,9 @@ val set_cell :
   unit ->
   unit
 (** Mutates the cell and incrementally updates every cache and cost term.
-    A variant change re-clamps out-of-range site assignments. *)
+    A variant change re-clamps out-of-range site assignments.  A given
+    [sites] array is copied, and must have one entry per pin.  The general
+    mutation path, and the reference {!commit} is tested against. *)
 
 val set_cell_sites : t -> int -> int array -> unit
 (** Fast path for pin moves: replaces the site assignment only.  Skips the
@@ -120,11 +129,6 @@ val cell_overlap : t -> int -> float
 (** This cell's expanded-tile overlap against all others and the core
     boundary, enumerated through the spatial index (O(local density)). *)
 
-val cell_overlap_scan : t -> int -> float
-(** Same total as {!cell_overlap} via the pre-index full scan over all
-    cells; reference implementation for benchmarks and differential
-    tests. *)
-
 val chip_bbox : t -> Twmc_geometry.Rect.t
 (** Bounding box of all expanded tiles — the effective chip extent. *)
 
@@ -146,7 +150,22 @@ val verify_index : t -> unit
 (** Asserts the embedded spatial index matches the cell bboxes and answers
     queries identically to a from-scratch rebuild; raises [Failure]. *)
 
-(** {2 Evaluate-without-apply} *)
+(** {2 Evaluate once, commit what was evaluated}
+
+    A proposal is evaluated once, by {!delta_cost}, into scratch the
+    placement preallocates: two pending-cell slots (a move list touches at
+    most two cells), each holding the candidate position, orientation,
+    variant and sites and, in flat int arrays, its tiles, expanded tiles,
+    bounding box and pin positions; per-net simulated extremes with their
+    support counts, C1 and length, and per-constraint penalties, in
+    stamped arrays; and the five evaluated accumulators (C1-C4, TEIL) in
+    a float array.  On an unconstrained netlist the evaluation allocates
+    nothing but its boxed float result.  If the Metropolis test accepts,
+    {!commit} installs exactly that state: what {!apply_move}-ing the same
+    moves would leave, bit for bit.  Any mutation in between — {!set_cell},
+    {!set_cell_sites}, {!apply_move}, {!commit}, {!set_p2}, {!set_core},
+    {!set_expander}, {!recompute_all}, {!restore_cost} — invalidates the
+    evaluation. *)
 
 type move =
   | Cell_move of {
@@ -161,26 +180,32 @@ type move =
       (** Mirrors {!set_cell_sites}. *)
 
 val delta_cost : t -> move list -> float
-(** Cost change of applying the moves in order, without mutating anything.
-    Bit-identical to applying them and differencing {!total_cost} — the
-    same accumulator chains run in the same order on the same operands —
-    so Metropolis decisions (and RNG consumption) are unchanged versus the
-    mutate-and-restore trial this enables replacing. *)
+(** Cost change of applying the moves in order, without changing the
+    placement.  Bit-identical to applying them and differencing
+    {!total_cost} — the same accumulator chains run in the same order on
+    the same operands — so Metropolis decisions (and RNG consumption) are
+    those of a mutate-and-measure trial.  Raises [Invalid_argument] when
+    the moves touch more than two cells. *)
+
+val commit : t -> unit
+(** Installs the state the last {!delta_cost} evaluated: cell fields,
+    spatial index, net extremes with support counts, net C1 and length,
+    C3, constraint penalties and the accumulators.
+    Raises [Invalid_argument] when there was no evaluation or the
+    placement changed since. *)
 
 val apply_move : t -> move -> unit
-(** Commits one move through {!set_cell}/{!set_cell_sites}. *)
+(** Applies one move through {!set_cell}/{!set_cell_sites}, evaluating it
+    anew: the reference {!commit} is tested against. *)
 
-(** {2 Trial support} *)
+(** {2 Cost snapshots} *)
 
-type cell_snapshot
 type cost_snapshot
 
 val snapshot_cost : t -> cost_snapshot
 val restore_cost : t -> cost_snapshot -> unit
-val snapshot_cell : t -> int -> cell_snapshot
-val restore_cell : t -> cell_snapshot -> unit
-(** Restoring a cell puts back its state fields, caches, occupancy and the
-    cached contributions of its nets; globals are restored separately via
-    {!restore_cost}. *)
+(** Puts back the five cost accumulators only, leaving the cells alone;
+    the stale-cache mutation tests use it to corrupt a placement on
+    purpose. *)
 
 val pp_summary : Format.formatter -> t -> unit

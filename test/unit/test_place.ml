@@ -99,25 +99,6 @@ let test_placement_expander () =
   | _ -> Alcotest.fail "one tile expected");
   Placement.verify_consistency p
 
-let test_placement_snapshots () =
-  let nl = mixed_netlist () in
-  let p = make_placement nl in
-  let rng = Rng.create ~seed:4 in
-  let cost0 = Placement.total_cost p in
-  let snapc = Placement.snapshot_cost p in
-  let snap0 = Placement.snapshot_cell p 0 in
-  let snap1 = Placement.snapshot_cell p 1 in
-  (* Random mutations on cells 0 and 1. *)
-  Placement.set_cell p 0 ~x:(Rng.int_incl rng (-50) 50) ~y:7
-    ~orient:Orient.R90 ();
-  Placement.set_cell p 1 ~x:(-30) ~y:(Rng.int_incl rng (-50) 50) ();
-  checkb "cost changed" true (Placement.total_cost p <> cost0);
-  Placement.restore_cell p snap1;
-  Placement.restore_cell p snap0;
-  Placement.restore_cost p snapc;
-  checkf 1e-9 "cost restored" cost0 (Placement.total_cost p);
-  Placement.verify_consistency p
-
 let test_placement_sites_fastpath () =
   let nl = mixed_netlist () in
   let p = make_placement nl in
@@ -464,24 +445,23 @@ let test_fig2_aspect_rescue () =
   in
   let stats = Moves.make_stats () in
   let _ctx = Moves.make_ctx ~placement:p ~limiter:lim ~stats () in
-  (* Drive the ladder directly through set_cell trials mirroring
-     Moves.attempt_displacement/_inverted at T=0. *)
-  let cost0 = Placement.total_cost p in
-  let snapc = Placement.snapshot_cost p in
-  let snap = Placement.snapshot_cell p 2 in
-  Placement.set_cell p 2 ~x:0 ~y:0 ();
-  let upright_delta = Placement.total_cost p -. cost0 in
-  Placement.restore_cell p snap;
-  Placement.restore_cost p snapc;
+  (* Drive the ladder directly through the evaluations
+     Moves.attempt_displacement/_inverted run at T=0. *)
+  let displace ?orient () =
+    Placement.Cell_move
+      { ci = 2; x = Some 0; y = Some 0; orient; variant = None; sites = None }
+  in
+  let upright_delta = Placement.delta_cost p [ displace () ] in
   checkb "upright move rejected (overlaps walls)" true (upright_delta > 0.0);
-  let snap = Placement.snapshot_cell p 2 in
-  Placement.set_cell p 2 ~x:0 ~y:0
-    ~orient:(Orient.aspect_inversion_of (Placement.cell_orient p 2))
-    ();
-  let inverted_delta = Placement.total_cost p -. cost0 in
+  checkf 1e-9 "rejected evaluation leaves the placement" 0.0
+    (Placement.c2_raw p);
+  let inverted_delta =
+    Placement.delta_cost p
+      [ displace ~orient:(Orient.aspect_inversion_of (Placement.cell_orient p 2)) () ]
+  in
   checkb "inverted move accepted" true (inverted_delta < 0.0);
+  Placement.commit p;
   checkf 1e-9 "no overlap after rescue" 0.0 (Placement.c2_raw p);
-  ignore snap;
   Placement.verify_consistency p
 
 (* --------------------------------------------------------- Anneal_loop *)
@@ -564,7 +544,6 @@ let () =
           Alcotest.test_case "overlap" `Quick test_placement_overlap;
           Alcotest.test_case "orientation" `Quick test_placement_orientation;
           Alcotest.test_case "expander" `Quick test_placement_expander;
-          Alcotest.test_case "snapshots" `Quick test_placement_snapshots;
           Alcotest.test_case "site fast path" `Quick test_placement_sites_fastpath ] );
       ("placement-props", qt [ prop_incremental_consistency ]);
       ( "range limiter",
