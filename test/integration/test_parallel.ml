@@ -289,6 +289,33 @@ let test_constrained_flow_jobs_invariant () =
     (Twmc_qa.Fingerprint.flow seq)
     (Twmc_qa.Fingerprint.flow par)
 
+(* [Flow.run] is the guarded driver with its defaults: on a netlist that
+   lints clean and never trips a guard it must produce exactly the flow
+   [run_resilient] produces, at any [jobs]. *)
+let test_run_is_resilient_flow () =
+  let nl =
+    Twmc_netlist.Parser.parse_file
+      (List.find Sys.file_exists
+         [ "../../examples/netlists/small.twn"; "examples/netlists/small.twn" ])
+  in
+  List.iter
+    (fun jobs ->
+      let plain =
+        Twmc.Flow.run ~params:quick_params ~seed:3 ~jobs ~replicas:2 nl
+      in
+      let rr =
+        Twmc.Flow.run_resilient ~params:quick_params ~seed:3 ~jobs ~replicas:2
+          nl
+      in
+      match rr.Twmc.Flow.flow with
+      | None -> Alcotest.fail "run_resilient produced no flow"
+      | Some guarded ->
+          Alcotest.(check string)
+            (Printf.sprintf "flow digest, jobs=%d" jobs)
+            (Twmc_qa.Fingerprint.flow plain)
+            (Twmc_qa.Fingerprint.flow guarded))
+    [ 1; test_jobs ]
+
 let () =
   Alcotest.run "parallel"
     [ ( "pool",
@@ -313,4 +340,6 @@ let () =
           Alcotest.test_case "flow jobs=1 vs jobs=N" `Quick
             test_flow_jobs_invariant;
           Alcotest.test_case "constrained flow jobs=1 vs jobs=N" `Quick
-            test_constrained_flow_jobs_invariant ] ) ]
+            test_constrained_flow_jobs_invariant;
+          Alcotest.test_case "run = run_resilient flow" `Quick
+            test_run_is_resilient_flow ] ) ]
