@@ -438,34 +438,10 @@ let obs_overhead_kernels () =
 
 (* ------------------------------------------------------- JSON emission *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path kernels =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"name\": \"%s\", \"ns_per_op\": %.1f}%s\n"
-           (json_escape name) ns
-           (if i = List.length kernels - 1 then "" else ",")))
-    kernels;
-  Buffer.add_string b "  ]\n}\n";
-  (match Filename.dirname path with
-  | "" | "." -> ()
-  | d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755);
-  Twmc_util.Atomic_io.write_string path (Buffer.contents b);
+  Twmc_util.Atomic_io.mkdir_p (Filename.dirname path);
+  Twmc_util.Atomic_io.write_string path
+    (Twmc_obs.Report.bench_to_string kernels);
   Format.printf "@.wrote %s (%d kernels)@." path (List.length kernels)
 
 let run_micro ?json () =

@@ -13,6 +13,18 @@ let exit_of_status = function
   | Twmc.Flow.Invalid_input -> exit_invalid
   | Twmc.Flow.Timed_out -> 5
 
+(* The flow of a guarded run; when there is none (a lint-fatal netlist, or
+   stage 1 failing every retry) the diagnostics go to stderr and the
+   process exits as [twmc flow] would. *)
+let flow_or_exit (rr : Twmc.Flow.resilient_result) =
+  match rr.Twmc.Flow.flow with
+  | Some r -> r
+  | None ->
+      List.iter
+        (fun d -> Format.eprintf "%a@." Twmc.Robust.Diagnostic.pp d)
+        rr.Twmc.Flow.diagnostics;
+      exit (exit_of_status rr.Twmc.Flow.status)
+
 let read_netlist path =
   match Twmc_netlist.Parser.parse_file path with
   | nl -> nl
@@ -247,29 +259,22 @@ let place_cmd =
     let nl = read_netlist file in
     let rng = Twmc_sa.Rng.create ~seed in
     let obs, obs_finish = make_obs obs_spec in
-    let r =
-      if replicas <= 1 then Twmc_place.Stage1.run ~params ~obs ~rng nl
-      else
-        let run_k pool =
-          Twmc_place.Stage1.run_best_of_k ~params ?pool ~obs ~rng ~k:replicas
-            nl
-        in
-        let mr =
-          if jobs <= 1 then run_k None
-          else
-            Twmc_util.Domain_pool.with_pool ~jobs (fun p ->
-                if Twmc_obs.Ctx.metrics_on obs then
-                  Twmc_util.Domain_pool.set_metrics p obs.Twmc_obs.Ctx.metrics;
-                run_k (Some p))
-        in
+    let r, multi =
+      (* Replicas are the only parallel work here: no more domains than
+         replicas. *)
+      Twmc_util.Domain_pool.with_optional_pool ~jobs:(min jobs replicas)
+        ~metrics:obs.Twmc_obs.Ctx.metrics (fun pool ->
+          Twmc_place.Stage1.run_replicas ~params ?pool ~obs ~rng ~replicas nl)
+    in
+    Option.iter
+      (fun mr ->
         Format.printf "best-of-%d: replica %d won (costs %s)@." replicas
           mr.Twmc_place.Stage1.best_index
           (String.concat ", "
              (Array.to_list
                 (Array.map (Printf.sprintf "%.0f")
-                   mr.Twmc_place.Stage1.replica_costs)));
-        mr.Twmc_place.Stage1.best
-    in
+                   mr.Twmc_place.Stage1.replica_costs))))
+      multi;
     obs_finish ();
     Format.printf
       "stage 1: TEIL=%.0f C1=%.0f residual overlap=%.0f chip=%dx%d (%d \
@@ -428,9 +433,9 @@ let route_cmd =
   let run (params, seed) (jobs, replicas) obs_spec file =
     let nl = read_netlist file in
     let obs, obs_finish = make_obs obs_spec in
-    let r = Twmc.Flow.run ~params ~seed ~jobs ~replicas ~obs nl in
+    let rr = Twmc.Flow.run_resilient ~params ~seed ~jobs ~replicas ~obs nl in
     obs_finish ();
-    match r.Twmc.Flow.stage2.Twmc.Stage2.final_route with
+    match (flow_or_exit rr).Twmc.Flow.stage2.Twmc.Stage2.final_route with
     | None -> Format.printf "no routing produced@."
     | Some route ->
         Format.printf "global routing of %s: L=%d, X=%d, %d/%d nets routed@."
@@ -475,7 +480,7 @@ let draw_cmd =
   in
   let run (params, seed) file out what =
     let nl = read_netlist file in
-    let r = Twmc.Flow.run ~params ~seed nl in
+    let r = flow_or_exit (Twmc.Flow.run_resilient ~params ~seed nl) in
     let p = r.Twmc.Flow.stage2.Twmc.Stage2.placement in
     let svg =
       match (what, r.Twmc.Flow.stage2.Twmc.Stage2.final_route) with

@@ -36,18 +36,6 @@ let assemble ~t0 nl (s1 : Stage1.result) (s2 : Stage2.result) =
     chip = s2.Stage2.chip;
     elapsed_s = Twmc_obs.Clock.s_of_ns (Twmc_obs.Clock.now_ns () - t0) }
 
-(* A pool is only worth its domains when asked for: [jobs = 1] keeps every
-   call on the caller's domain with zero synchronization.  When metrics are
-   enabled the pool reports its task counts and per-domain busy time into
-   the registry at shutdown. *)
-let with_optional_pool ~jobs ?(obs = Obs.disabled) f =
-  if jobs <= 1 then f None
-  else
-    Twmc_util.Domain_pool.with_pool ~jobs (fun p ->
-        if Obs.metrics_on obs then
-          Twmc_util.Domain_pool.set_metrics p obs.Obs.metrics;
-        f (Some p))
-
 (* Trajectory series, sampled sequentially from the traces the stages
    return — never from worker domains — so the series contents depend only
    on the result, not on scheduling. *)
@@ -98,45 +86,6 @@ let record_series obs (r : result) =
     end
   end
 
-(* Stage 1, possibly as a best-of-K multi-start (Sechen's independent-runs
-   parallelism: replicas differ only in their split RNG streams).  The
-   winner is chosen by cost with a lowest-index tie-break, so the outcome
-   depends on [replicas] but never on [jobs]. *)
-let stage1_best ~params ?core ?should_stop ?pool ?(obs = Obs.disabled) ~rng
-    ~replicas nl =
-  if replicas <= 1 then
-    (Stage1.run ~params ?core ?should_stop ~obs ~rng nl, None)
-  else
-    let mr =
-      Stage1.run_best_of_k ~params ?core ?should_stop ?pool ~obs ~rng
-        ~k:replicas nl
-    in
-    (mr.Stage1.best, Some mr)
-
-let run ?(params = Params.default) ?seed ?core ?(jobs = 1) ?(replicas = 1)
-    ?(obs = Obs.disabled) nl =
-  let seed = match seed with Some s -> s | None -> params.Params.seed in
-  let rng = Twmc_sa.Rng.create ~seed in
-  let t0 = Twmc_obs.Clock.now_ns () in
-  Obs.span obs ~name:"flow"
-    ~attrs:
-      (if Obs.tracing obs then
-         [ ("netlist", Attr.Str nl.Twmc_netlist.Netlist.name);
-           ("cells", Attr.Int (Twmc_netlist.Netlist.n_cells nl));
-           ("seed", Attr.Int seed); ("jobs", Attr.Int jobs);
-           ("replicas", Attr.Int replicas) ]
-       else [])
-    (fun () ->
-      with_optional_pool ~jobs ~obs (fun pool ->
-          let s1, _ =
-            Obs.span obs ~name:"stage1" (fun () ->
-                stage1_best ~params ?core ?pool ~obs ~rng ~replicas nl)
-          in
-          let s2 = Stage2.run ~rng ?pool ~obs s1 in
-          let r = assemble ~t0 nl s1 s2 in
-          record_series obs r;
-          r))
-
 type status = Clean | Degraded | Invalid_input | Timed_out
 
 let status_to_string = function
@@ -154,10 +103,17 @@ type resilient_result = {
 
 type checkpoint_cfg = { dir : string; every : int }
 
+(* The circuit name is whatever token the input file gives; with its path
+   separators mapped to '_' it cannot name a file outside [dir]. *)
 let checkpoint_path cfg nl =
-  Filename.concat cfg.dir (nl.Twmc_netlist.Netlist.name ^ ".ckpt")
+  let name =
+    String.map
+      (function '/' | '\\' -> '_' | c -> c)
+      nl.Twmc_netlist.Netlist.name
+  in
+  Filename.concat cfg.dir (name ^ ".ckpt")
 
-(* Terminal-status policy, shared by [run_resilient] and [resume] so a
+(* Terminal-status policy, one for fresh and resumed sessions alike, so a
    resumed flow classifies identically to an uninterrupted one. *)
 let flow_status ~strict ~guard ~diags (s1 : Stage1.result) (s2 : Stage2.result)
     =
@@ -220,18 +176,68 @@ let durable_writer ~add ~params ~nl ~checkpoint ~seed_used ~rng ~s1 stage =
                (Printf.sprintf "checkpoint write failed (flow continues): %s"
                   (Printexc.to_string e))))
 
-let iteration_writer ~checkpoint ~write =
-  match checkpoint with
-  | None -> None
-  | Some cfg ->
-      let every = max 1 cfg.every in
-      Some
-        (fun i ->
-          if i mod every = 0 then write (Checkpoint.Stage2_iteration i))
+type anneal = {
+  seed : int;
+  core : Rect.t option;
+  replicas : int;
+  max_retries : int;
+  retry_backoff_s : float;
+}
 
-let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
-    ?time_budget_s ?(max_retries = 2) ?(retry_backoff_s = 0.05) ?(jobs = 1)
-    ?(replicas = 1) ?checkpoint ?flight ?(obs = Obs.disabled) nl =
+(* Where a session's stage-1 placement comes from: annealed afresh, with
+   seed-perturbed retries, or restored from a durable checkpoint file. *)
+type head = Anneal of anneal | Resume of string
+
+(* A checkpoint file validated against the netlist and params, with its RNG
+   cursor decoded; [Error] carries the reason for the G412 refusal. *)
+let load_checkpoint ~params ~path nl =
+  match Checkpoint.load ~path ~netlist:nl ~params with
+  | Error m -> Error m
+  | Ok d -> (
+      match Rng.of_binary_string d.Checkpoint.rng_cursor with
+      | None -> Error "RNG cursor does not deserialize"
+      | Some rng -> Ok (d, rng))
+
+(* The stage-1 result a checkpoint describes.  The derivable parts the
+   payload stores only as markers are reattached first: a stage-1 [Dynamic]
+   expander is rebuilt from (params, netlist, stage-1 core) — the same
+   inputs the original run used — before the snapshot is restored. *)
+let restore_stage1 ~params nl (d : Checkpoint.durable) =
+  let d =
+    if d.Checkpoint.dynamic_expander then
+      let s1_core = d.Checkpoint.s1.Checkpoint.s1_core in
+      Checkpoint.with_expander d
+        (Placement.Dynamic
+           (Twmc_estimator.Dynamic_area.create ~beta:params.Params.beta
+              ~core_w:(Rect.width s1_core) ~core_h:(Rect.height s1_core) nl))
+    else d
+  in
+  let p =
+    Placement.create ~params
+      ~core:(Checkpoint.core_of d.Checkpoint.snapshot)
+      ~expander:Placement.No_expansion
+      ~rng:(Rng.create ~seed:d.Checkpoint.seed_used)
+      nl
+  in
+  Checkpoint.restore p d.Checkpoint.snapshot;
+  let s = d.Checkpoint.s1 in
+  { Stage1.placement = p;
+    t_inf = s.Checkpoint.s1_t_inf;
+    s_t = s.Checkpoint.s1_s_t;
+    core = s.Checkpoint.s1_core;
+    teil = s.Checkpoint.s1_teil;
+    c1 = s.Checkpoint.s1_c1;
+    residual_overlap = s.Checkpoint.s1_residual_overlap;
+    chip = s.Checkpoint.s1_chip;
+    move_stats = Moves.make_stats ();
+    trace = [];
+    temperatures_visited = s.Checkpoint.s1_temperatures;
+    interrupted = false }
+
+(* The one flow driver behind [run_resilient], [resume] and [run]. *)
+let session ~params ~strict ~time_budget_s ~jobs ~checkpoint ~flight ~obs
+    ~head nl =
+  let resumed = match head with Resume _ -> true | Anneal _ -> false in
   let diags = ref [] in
   let add d =
     (* Every diagnostic leaves a breadcrumb in the black box, so a
@@ -241,11 +247,7 @@ let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
   in
   let addl l = List.iter add l in
   let retries = ref 0 in
-  let dump_flight () =
-    match flight with
-    | None -> ()
-    | Some path -> Twmc_obs.Flight_recorder.dump path
-  in
+  let dump_flight () = Option.iter Twmc_obs.Flight_recorder.dump flight in
   let finish flow status =
     (* Invariant relied on by the chaos harness: a non-Clean terminal status
        is always explained by at least one diagnostic. *)
@@ -264,53 +266,33 @@ let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
       Obs.point obs ~name:"flow.status"
         ~attrs:
           [ ("status", Attr.Str (status_to_string status));
-            ("retries", Attr.Int !retries) ]
+            ("retries", Attr.Int !retries); ("resumed", Attr.Bool resumed) ]
         ();
     Twmc_obs.Flight_recorder.note ~detail:(status_to_string status)
       ~i:!retries "flow.status";
     (* The black box is dumped on every non-Clean terminus; crashes and
-       injected aborts are covered by the exception wrapper below. *)
+       injected aborts are covered by the exception wrapper in [drive]. *)
     if status <> Clean then dump_flight ();
     { flow; status; diagnostics = List.rev !diags; retries_used = !retries }
   in
-  Twmc_obs.Flight_recorder.note ~detail:nl.Twmc_netlist.Netlist.name
-    ~i:(Twmc_netlist.Netlist.n_cells nl) "flow.start";
-  let lint = Lint.netlist nl in
-  addl lint;
-  if Diagnostic.fatal ~strict lint <> [] then finish None Invalid_input
-  else
-    match
-    Obs.span obs ~name:"flow"
-      ~attrs:
-        (if Obs.tracing obs then
-           [ ("netlist", Attr.Str nl.Twmc_netlist.Netlist.name);
-             ("cells", Attr.Int (Twmc_netlist.Netlist.n_cells nl));
-             ("jobs", Attr.Int jobs); ("replicas", Attr.Int replicas);
-             ("resilient", Attr.Bool true) ]
-         else [])
-    @@ fun () ->
-    with_optional_pool ~jobs ~obs (fun pool ->
-    let guard = Guard.create ?time_budget_s () in
+  (* Stage 1 with retry-on-failure: a throwing or invariant-violating
+     anneal is retried from a perturbed seed — SA failures are usually
+     trajectory-specific, so a different random walk sidesteps them. *)
+  let anneal_stage1 a ~guard ~pool =
     let should_stop = Guard.should_stop guard in
-    let base_seed = match seed with Some s -> s | None -> params.Params.seed in
-    let t0 = Twmc_obs.Clock.now_ns () in
-    (* Stage 1 with retry-on-failure: a throwing or invariant-violating
-       anneal is retried from a perturbed seed — SA failures are usually
-       trajectory-specific, so a different random walk sidesteps them. *)
     let rec stage1_attempt attempt =
-      let seed = base_seed + (attempt * 7919) in
-      let rng = Twmc_sa.Rng.create ~seed in
+      let seed = a.seed + (attempt * 7919) in
+      let rng = Rng.create ~seed in
       let outcome =
-        Guard.stage guard ~name:"stage1"
-          (fun () ->
+        Guard.stage guard ~name:"stage1" (fun () ->
             Obs.span obs ~name:"stage1"
               ~attrs:
                 (if Obs.tracing obs then [ ("attempt", Attr.Int attempt) ]
                  else [])
             @@ fun () ->
             let s1, multi =
-              stage1_best ~params ?core ~should_stop ?pool ~obs ~rng ~replicas
-                nl
+              Stage1.run_replicas ~params ?core:a.core ~should_stop ?pool ~obs
+                ~rng ~replicas:a.replicas nl
             in
             (match multi with
             | Some mr ->
@@ -319,7 +301,7 @@ let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
                      ~code:"G404"
                      (Printf.sprintf
                         "best-of-%d: replica %d won (cost %.0f of %s)"
-                        replicas mr.Stage1.best_index
+                        a.replicas mr.Stage1.best_index
                         mr.Stage1.replica_costs.(mr.Stage1.best_index)
                         (String.concat ","
                            (Array.to_list
@@ -333,12 +315,12 @@ let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
             s1)
       in
       match outcome with
-      | Guard.Ok s1 -> Ok (seed, rng, s1)
+      | Guard.Ok s1 -> Some (seed, rng, s1, 1)
       | Guard.Failed d ->
           add d;
-          if attempt < max_retries && not (Guard.expired guard) then begin
+          if attempt < a.max_retries && not (Guard.expired guard) then begin
             incr retries;
-            let next_seed = base_seed + ((attempt + 1) * 7919) in
+            let next_seed = a.seed + ((attempt + 1) * 7919) in
             (* Exponential backoff with deterministic jitter.  The jitter is
                drawn from a throwaway generator split off the next attempt's
                seed, so the retry's own stream is exactly what a fresh run
@@ -346,7 +328,8 @@ let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
                guard's remaining budget. *)
             let jitter = Rng.unit_float (Rng.split (Rng.create ~seed:next_seed)) in
             let delay =
-              retry_backoff_s *. (2.0 ** float_of_int attempt) *. (0.5 +. jitter)
+              a.retry_backoff_s *. (2.0 ** float_of_int attempt)
+              *. (0.5 +. jitter)
             in
             let delay =
               match Guard.remaining_s guard with
@@ -362,185 +345,134 @@ let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
             Guard.sleep_s delay;
             stage1_attempt (attempt + 1)
           end
-          else Error d
+          else begin
+            (* Surface the root cause: the summary diagnostic carries the
+               last attempt's failing code so callers (and the CLI) see
+               *why* stage 1 never succeeded. *)
+            add
+              (Diagnostic.make ~severity:Diagnostic.Error ~entity:"stage1"
+                 ~code:"G405"
+                 (Printf.sprintf
+                    "stage 1 failed on all %d attempt(s); last failure: [%s] %s"
+                    (!retries + 1) d.Diagnostic.code d.Diagnostic.message));
+            None
+          end
     in
-    match stage1_attempt 0 with
-    | Error last ->
-        (* Surface the root cause: the summary diagnostic carries the last
-           attempt's failing code so callers (and the CLI) see *why* stage 1
-           never succeeded, and a budget-driven exhaustion reports
-           [Timed_out] rather than a generic degradation. *)
-        add
-          (Diagnostic.make ~severity:Diagnostic.Error ~entity:"stage1"
-             ~code:"G405"
-             (Printf.sprintf
-                "stage 1 failed on all %d attempt(s); last failure: [%s] %s"
-                (!retries + 1) last.Diagnostic.code last.Diagnostic.message));
-        finish None (if Guard.expired guard then Timed_out else Degraded)
-    | Ok (seed_used, rng, s1) ->
-        let write_ckpt =
-          durable_writer ~add ~params ~nl ~checkpoint ~seed_used ~rng ~s1
-        in
-        write_ckpt Checkpoint.Stage1_done;
-        let on_iteration = iteration_writer ~checkpoint ~write:write_ckpt in
-        let s2 =
-          Stage2.run ~rng ~should_stop ~resilient:true ?pool ~obs ?on_iteration
-            s1
-        in
-        addl s2.Stage2.diagnostics;
-        let r = assemble ~t0 nl s1 s2 in
-        record_series obs r;
-        finish (Some r) (flow_status ~strict ~guard ~diags:!diags s1 s2))
+    stage1_attempt 0
+  in
+  (* Everything from the flow span on.  [stage1] yields the stage-1 result
+     with the seed it used, the generator stage 2 continues on and the
+     first refinement to run, or [None] when stage 1 never succeeded — a
+     budget-driven exhaustion then reports [Timed_out] rather than a
+     generic degradation. *)
+  let drive ~seed ~replicas stage1 =
+    match
+      Obs.span obs ~name:"flow"
+        ~attrs:
+          (if Obs.tracing obs then
+             [ ("netlist", Attr.Str nl.Twmc_netlist.Netlist.name);
+               ("cells", Attr.Int (Twmc_netlist.Netlist.n_cells nl));
+               ("seed", Attr.Int seed); ("jobs", Attr.Int jobs);
+               ("replicas", Attr.Int replicas);
+               ("resumed", Attr.Bool resumed) ]
+           else [])
+      @@ fun () ->
+      Twmc_util.Domain_pool.with_optional_pool ~jobs ~metrics:obs.Obs.metrics
+        (fun pool ->
+          let guard = Guard.create ?time_budget_s () in
+          let t0 = Twmc_obs.Clock.now_ns () in
+          match stage1 ~guard ~pool with
+          | None ->
+              finish None (if Guard.expired guard then Timed_out else Degraded)
+          | Some (seed_used, rng, s1, start_iteration) ->
+              let write_ckpt =
+                durable_writer ~add ~params ~nl ~checkpoint ~seed_used ~rng ~s1
+              in
+              if not resumed then write_ckpt Checkpoint.Stage1_done;
+              let on_iteration =
+                Option.map
+                  (fun cfg i ->
+                    if i mod max 1 cfg.every = 0 then
+                      write_ckpt (Checkpoint.Stage2_iteration i))
+                  checkpoint
+              in
+              let s2 =
+                Stage2.run ~rng ~should_stop:(Guard.should_stop guard) ?pool
+                  ~obs ~start_iteration ?on_iteration s1
+              in
+              addl s2.Stage2.diagnostics;
+              let r = assemble ~t0 nl s1 s2 in
+              record_series obs r;
+              finish (Some r) (flow_status ~strict ~guard ~diags:!diags s1 s2))
     with
     | r -> r
     | exception e ->
         (* A crash (resource exhaustion, or the fault injector's simulated
-           process death) escapes [run_resilient]'s guards by design; the
-           flight recorder is dumped on the way out so the last entries
-           name the site that was executing. *)
+           process death) escapes the guards by design; the flight recorder
+           is dumped on the way out so the last entries name the site that
+           was executing. *)
         dump_flight ();
         raise e
-
-let resume ?(params = Params.default) ?(strict = false) ?time_budget_s
-    ?(jobs = 1) ?checkpoint ?flight ?(obs = Obs.disabled) ~path nl =
-  let diags = ref [] in
-  let add d =
-    Twmc_obs.Flight_recorder.note ~detail:d.Diagnostic.code "flow.diag";
-    diags := d :: !diags
-  in
-  let addl l = List.iter add l in
-  let dump_flight () =
-    match flight with
-    | None -> ()
-    | Some p -> Twmc_obs.Flight_recorder.dump p
-  in
-  let finish flow status =
-    if
-      status = Timed_out
-      && not (List.exists (fun d -> d.Diagnostic.code = "G401") !diags)
-    then add (Guard.timeout_diag ~name:"flow");
-    if Obs.metrics_on obs then
-      Metrics.set
-        (Metrics.gauge obs.Obs.metrics "flow.diagnostics")
-        (float_of_int (List.length !diags));
-    if Obs.tracing obs then
-      Obs.point obs ~name:"flow.status"
-        ~attrs:
-          [ ("status", Attr.Str (status_to_string status));
-            ("resumed", Attr.Bool true) ]
-        ();
-    Twmc_obs.Flight_recorder.note ~detail:(status_to_string status)
-      "flow.status";
-    if status <> Clean then dump_flight ();
-    { flow; status; diagnostics = List.rev !diags; retries_used = 0 }
-  in
-  let invalid fmt =
-    Printf.ksprintf
-      (fun m ->
-        add
-          (Diagnostic.make ~severity:Diagnostic.Error ~entity:"checkpoint"
-             ~code:"G412" m);
-        finish None Invalid_input)
-      fmt
   in
   Twmc_obs.Flight_recorder.note ~detail:nl.Twmc_netlist.Netlist.name
-    "flow.resume";
+    ~i:(Twmc_netlist.Netlist.n_cells nl)
+    (if resumed then "flow.resume" else "flow.start");
   let lint = Lint.netlist nl in
   addl lint;
   if Diagnostic.fatal ~strict lint <> [] then finish None Invalid_input
   else
-    match Checkpoint.load ~path ~netlist:nl ~params with
-    | Error m -> invalid "cannot resume from %s: %s" path m
-    | Ok d -> (
-        match Rng.of_binary_string d.Checkpoint.rng_cursor with
-        | None -> invalid "cannot resume from %s: RNG cursor does not deserialize" path
-        | Some rng ->
-            match
-            Obs.span obs ~name:"flow"
-              ~attrs:
-                (if Obs.tracing obs then
-                   [ ("netlist", Attr.Str nl.Twmc_netlist.Netlist.name);
-                     ("cells", Attr.Int (Twmc_netlist.Netlist.n_cells nl));
-                     ("jobs", Attr.Int jobs); ("resumed", Attr.Bool true) ]
-                 else [])
-            @@ fun () ->
-            with_optional_pool ~jobs ~obs (fun pool ->
-                let guard = Guard.create ?time_budget_s () in
-                let should_stop = Guard.should_stop guard in
-                let t0 = Twmc_obs.Clock.now_ns () in
-                (* Reattach the derivable parts the payload stores only as
-                   markers: a stage-1 [Dynamic] expander is rebuilt from
-                   (params, netlist, stage-1 core) — the same inputs the
-                   original run used — before restoring the snapshot. *)
-                let d =
-                  if d.Checkpoint.dynamic_expander then
-                    let s1_core = d.Checkpoint.s1.Checkpoint.s1_core in
-                    Checkpoint.with_expander d
-                      (Placement.Dynamic
-                         (Twmc_estimator.Dynamic_area.create
-                            ~beta:params.Params.beta
-                            ~core_w:(Rect.width s1_core)
-                            ~core_h:(Rect.height s1_core) nl))
-                  else d
-                in
-                let p =
-                  Placement.create ~params
-                    ~core:(Checkpoint.core_of d.Checkpoint.snapshot)
-                    ~expander:Placement.No_expansion
-                    ~rng:(Rng.create ~seed:d.Checkpoint.seed_used)
-                    nl
-                in
-                Checkpoint.restore p d.Checkpoint.snapshot;
-                let s = d.Checkpoint.s1 in
-                let s1 =
-                  { Stage1.placement = p;
-                    t_inf = s.Checkpoint.s1_t_inf;
-                    s_t = s.Checkpoint.s1_s_t;
-                    core = s.Checkpoint.s1_core;
-                    teil = s.Checkpoint.s1_teil;
-                    c1 = s.Checkpoint.s1_c1;
-                    residual_overlap = s.Checkpoint.s1_residual_overlap;
-                    chip = s.Checkpoint.s1_chip;
-                    move_stats = Moves.make_stats ();
-                    trace = [];
-                    temperatures_visited = s.Checkpoint.s1_temperatures;
-                    interrupted = false }
-                in
-                let start_iteration =
+    match head with
+    | Anneal a -> drive ~seed:a.seed ~replicas:a.replicas (anneal_stage1 a)
+    | Resume path -> (
+        (* The checkpoint is validated before anything runs: corrupt input
+           never half-restores, and its refusal opens no flow span. *)
+        match load_checkpoint ~params ~path nl with
+        | Error m ->
+            add
+              (Diagnostic.make ~severity:Diagnostic.Error ~entity:"checkpoint"
+                 ~code:"G412"
+                 (Printf.sprintf "cannot resume from %s: %s" path m));
+            finish None Invalid_input
+        | Ok (d, rng) ->
+            drive ~seed:d.Checkpoint.seed_used ~replicas:1
+              (fun ~guard:_ ~pool:_ ->
+                let start_iteration, at =
                   match d.Checkpoint.stage with
-                  | Checkpoint.Stage1_done -> 1
-                  | Checkpoint.Stage2_iteration k -> k + 1
+                  | Checkpoint.Stage1_done -> (1, "after stage 1")
+                  | Checkpoint.Stage2_iteration k ->
+                      (k + 1, Printf.sprintf "after refinement %d" k)
                 in
+                let s1 = restore_stage1 ~params nl d in
                 add
                   (Diagnostic.make ~severity:Diagnostic.Info
                      ~entity:"checkpoint" ~code:"G413"
                      (Printf.sprintf
                         "resumed from %s at stage-2 iteration %d (checkpoint: %s)"
-                        path start_iteration
-                        (match d.Checkpoint.stage with
-                        | Checkpoint.Stage1_done -> "after stage 1"
-                        | Checkpoint.Stage2_iteration k ->
-                            Printf.sprintf "after refinement %d" k)));
-                let write_ckpt =
-                  durable_writer ~add ~params ~nl ~checkpoint
-                    ~seed_used:d.Checkpoint.seed_used ~rng ~s1
-                in
-                let on_iteration =
-                  iteration_writer ~checkpoint ~write:write_ckpt
-                in
-                let s2 =
-                  Stage2.run ~rng ~should_stop ~resilient:true ?pool ~obs
-                    ~start_iteration ?on_iteration s1
-                in
-                addl s2.Stage2.diagnostics;
-                let r = assemble ~t0 nl s1 s2 in
-                record_series obs r;
-                finish (Some r) (flow_status ~strict ~guard ~diags:!diags s1 s2))
-            with
-            | r -> r
-            | exception e ->
-                dump_flight ();
-                raise e)
+                        path start_iteration at));
+                Some (d.Checkpoint.seed_used, rng, s1, start_iteration)))
+
+let run_resilient ?(params = Params.default) ?seed ?core ?(strict = false)
+    ?time_budget_s ?(max_retries = 2) ?(retry_backoff_s = 0.05) ?(jobs = 1)
+    ?(replicas = 1) ?checkpoint ?flight ?(obs = Obs.disabled) nl =
+  let seed = Option.value seed ~default:params.Params.seed in
+  session ~params ~strict ~time_budget_s ~jobs ~checkpoint ~flight ~obs
+    ~head:(Anneal { seed; core; replicas; max_retries; retry_backoff_s })
+    nl
+
+let resume ?(params = Params.default) ?(strict = false) ?time_budget_s
+    ?(jobs = 1) ?checkpoint ?flight ?(obs = Obs.disabled) ~path nl =
+  session ~params ~strict ~time_budget_s ~jobs ~checkpoint ~flight ~obs
+    ~head:(Resume path) nl
+
+let run ?params ?seed ?core ?jobs ?replicas ?obs nl =
+  let rr = run_resilient ?params ?seed ?core ?jobs ?replicas ?obs nl in
+  match rr.flow with
+  | Some r -> r
+  | None ->
+      failwith
+        (Printf.sprintf "Flow.run: %s: %s"
+           (status_to_string rr.status)
+           (String.concat "; " (List.map Diagnostic.to_string rr.diagnostics)))
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -14,10 +14,11 @@ type result = {
   area_final : int;
   chip : Twmc_geometry.Rect.t;
   elapsed_s : float;
-      (** Wall-clock seconds spent producing this result (for the guarded
-          drivers, after the netlist lint and checkpoint loading), read
-          from {!Twmc_obs.Clock}.  Wall time, not process CPU time, so work
-          spread over several domains does not inflate it. *)
+      (** Wall-clock seconds from the start of stage 1 (or of the restore
+          from a checkpoint) to the result, read from {!Twmc_obs.Clock}: the
+          lint gate, the checkpoint load and the worker pool's start-up are
+          not counted.  Wall time, not process CPU time, so work spread
+          over several domains does not inflate it. *)
 }
 
 val run :
@@ -29,7 +30,15 @@ val run :
   ?obs:Twmc_obs.Ctx.t ->
   Twmc_netlist.Netlist.t ->
   result
-(** [seed] (default the params' seed) drives every stochastic choice; runs
+(** The flow of {!run_resilient} with its defaults — lenient lint, up to
+    two seed-perturbed stage-1 retries, stage-2 rollback, no budget, no
+    checkpoints — returning the flow itself.  A netlist that lints clean and
+    trips no guard gives exactly the uninterrupted flow.  Raises [Failure]
+    naming the status and every diagnostic when there is no result: the
+    netlist is lint-fatal ([Invalid_input]) or stage 1 failed on every
+    attempt.
+
+    [seed] (default the params' seed) drives every stochastic choice; runs
     are reproducible.
 
     [core] overrides the stage-1 core region (default: sized by
@@ -46,13 +55,17 @@ val run :
     only [replicas] changes the answer.
 
     [obs] (default {!Twmc_obs.Ctx.disabled}, zero overhead) threads tracing
-    and metrics through every stage: a ["flow"] span containing ["stage1"]
-    / ["stage2"] / routing child spans and per-temperature points, plus
-    counters, histograms and the trajectory series
-    ([stage1.acceptance], [stage1.c1]/[c2]/[c3], [stage2.acceptance],
-    [route.overflow], [pool.utilization], ...).  Instrumentation only reads
-    algorithm state — for a fixed [(seed, replicas)] the result is
-    bit-identical with observability on or off, at any [jobs]. *)
+    and metrics through every stage: a ["flow"] span (attrs [netlist],
+    [cells], [seed], [jobs], [replicas], [resumed]) containing one
+    ["stage1"] span per attempt, ["stage2"] and routing child spans and
+    per-temperature points, closed by a ["flow.status"] point ([status],
+    [retries], [resumed]); plus the [flow.retries] counter, the
+    [flow.diagnostics] gauge, other counters, histograms and the trajectory
+    series ([stage1.acceptance], [stage1.c1]/[c2]/[c3],
+    [stage2.acceptance], [route.overflow], [pool.utilization], ...).
+    Instrumentation only reads algorithm state — for a fixed
+    [(seed, replicas)] the result is bit-identical with observability on or
+    off, at any [jobs]. *)
 
 type status =
   | Clean  (** Completed with nothing fatal (exit code 0). *)
@@ -87,8 +100,9 @@ type checkpoint_cfg = {
 }
 
 val checkpoint_path : checkpoint_cfg -> Twmc_netlist.Netlist.t -> string
-(** [dir/<netlist name>.ckpt] — where {!run_resilient} writes and where
-    {!resume} expects to read. *)
+(** [dir/<netlist name>.ckpt], with ['/'] and ['\\'] in the name mapped to
+    ['_'] so the file stays inside [dir] — where {!run_resilient} writes and
+    where {!resume} expects to read. *)
 
 val run_resilient :
   ?params:Twmc_place.Params.t ->
@@ -139,8 +153,7 @@ val run_resilient :
     {b reproduces the uninterrupted run's final placement and routing
     byte-for-byte}.
 
-    [obs] behaves as in {!run}, with additionally a [flow.retries] counter,
-    a per-attempt ["stage1"] span and a final ["flow.status"] point.
+    [obs] behaves as in {!run}.
 
     [flight] names a JSONL file for the {!Twmc_obs.Flight_recorder} black
     box: the ring of recent events is dumped there on any non-Clean
@@ -161,15 +174,17 @@ val resume :
   Twmc_netlist.Netlist.t ->
   resilient_result
 (** Re-enter a flow from a durable checkpoint file.  [flight] behaves as
-    in {!run_resilient}.
+    in {!run_resilient}, [obs] as in {!run} with [resumed] set, [replicas]
+    recorded as 1 and [seed] as the checkpoint's.
 
-    The checkpoint is validated first — format version, payload
-    length/MD5, netlist fingerprint against [nl], parameter fingerprint
-    against [params] — and any mismatch (including a torn or truncated
-    file) yields [Invalid_input] with a [G412] error diagnostic; corrupt
-    input never raises and never half-restores.  On success the placement,
-    the stage-1 metadata and the RNG stream are restored exactly as the
-    writing flow left them at the boundary, a [G413] Info diagnostic
+    The netlist is linted first, then the checkpoint is validated — format
+    version, payload length/MD5, netlist fingerprint against [nl],
+    parameter fingerprint against [params] — and any mismatch (including a
+    torn or truncated file) yields [Invalid_input] with a [G412] error
+    diagnostic before the ["flow"] span opens; corrupt input never raises
+    and never half-restores.  On success the placement, the stage-1
+    metadata and the RNG stream are restored exactly as the writing flow
+    left them at the boundary, a [G413] Info diagnostic
     records the re-entry point, and stage 2 continues from the following
     iteration (a [Stage1_done] checkpoint re-enters at iteration 1).
 

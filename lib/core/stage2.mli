@@ -38,11 +38,11 @@ type result = {
   final_route : Twmc_route.Global_router.result option;
       (** The routing re-run after the last refinement so it reflects the
           final placement; [None] when it failed or the budget expired
-          first (resilient mode only — the default mode always routes). *)
+          first. *)
   teil : float;
   chip : Twmc_geometry.Rect.t;
   interrupted : bool;  (** A [should_stop] budget fired during the stage. *)
-  rollbacks : int;  (** Refinements undone in resilient mode. *)
+  rollbacks : int;  (** Refinements undone and restored from their snapshot. *)
   diagnostics : Twmc_robust.Diagnostic.t list;
       (** Invariant findings (I3xx) and guard events (G4xx), in order. *)
   trace : Twmc_place.Stage1.temp_record list;
@@ -91,7 +91,6 @@ val refine_once :
 val run :
   rng:Twmc_sa.Rng.t ->
   ?should_stop:(unit -> bool) ->
-  ?resilient:bool ->
   ?pool:Twmc_util.Domain_pool.t ->
   ?obs:Twmc_obs.Ctx.t ->
   ?start_iteration:int ->
@@ -110,13 +109,14 @@ val run :
     do not invoke it.  The callback must not mutate the placement or draw
     from [rng].
 
-    With [resilient] (default false — the defaults reproduce the historic
-    behavior exactly), each refinement runs against a
-    {!Twmc_robust.Checkpoint}: if it raises, violates placement invariants,
-    or more than doubles the TEIL, the placement is rolled back to the
-    checkpoint and the event recorded as a [G4xx]/[I3xx] diagnostic instead
-    of propagating.  A failing or budget-cut final route degrades to
-    [final_route = None] rather than raising.
+    Each refinement runs against a {!Twmc_robust.Checkpoint} snapshot: if
+    it raises, violates placement invariants, or more than doubles the
+    TEIL, the placement is rolled back to the snapshot and the event
+    recorded as a [G4xx]/[I3xx] diagnostic instead of propagating
+    ([Out_of_memory], [Stack_overflow], [Sys.Break] and the fault
+    injector's [Abort] still propagate).  The final route is checked
+    against the channel-graph and route invariants; a failing or
+    budget-cut one degrades to [final_route = None] rather than raising.
 
     [obs] wraps the stage in a ["stage2"] span (one ["stage2.refine"] child
     per execution plus a ["stage2.final_route"] child), emits one

@@ -339,6 +339,10 @@ let load_bench path =
         ks
   | _ -> failwith (Printf.sprintf "%s: no \"kernels\" array" path)
 
+let bench_to_string kernels =
+  let kernel (name, ns) = Obj [ ("name", Str name); ("ns_per_op", Num ns) ] in
+  json_to_string (Obj [ ("kernels", List (List.map kernel kernels)) ]) ^ "\n"
+
 type bench_row = {
   kernel : string;
   old_ns : float;

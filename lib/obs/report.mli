@@ -64,6 +64,10 @@ val load_bench : string -> (string * float) list
 (** Kernel name → ns/op, in file order; raises [Failure] with the path and
     reason on malformed input. *)
 
+val bench_to_string : (string * float) list -> string
+(** The snapshot {!load_bench} reads, as one JSON line: loading the written
+    text returns the same kernels in the same order. *)
+
 type bench_row = {
   kernel : string;
   old_ns : float;

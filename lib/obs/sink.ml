@@ -104,7 +104,10 @@ let to_file path =
   output_char oc '\n';
   t
 
-let emit t ev =
+(* The timestamp is read inside the critical section: a stamp taken before
+   the lock lets another domain write a later-stamped event first, and the
+   file's timestamps then decrease. *)
+let emit_stamped t make =
   match t.target with
   | Null -> ()
   | Memory m ->
@@ -113,15 +116,17 @@ let emit t ev =
         ignore (Queue.pop m.q);
         m.dropped <- m.dropped + 1
       end;
-      Queue.add ev m.q;
+      Queue.add (make (Clock.now_ns ())) m.q;
       Mutex.unlock t.mutex
   | Channel c ->
       Mutex.lock t.mutex;
       if not c.closed then begin
-        output_string c.oc (jsonl_of_event ev);
+        output_string c.oc (jsonl_of_event (make (Clock.now_ns ())));
         output_char c.oc '\n'
       end;
       Mutex.unlock t.mutex
+
+let emit t ev = emit_stamped t (fun _ -> ev)
 
 let close t =
   match t.target with

@@ -53,6 +53,13 @@ val to_file : string -> t
 (** Opens [path] for writing and emits JSONL; call {!close} when done. *)
 
 val emit : t -> event -> unit
+
+val emit_stamped : t -> (int -> event) -> unit
+(** [emit_stamped t make] emits [make t_ns], where [t_ns] is read from
+    {!Clock.now_ns} while the sink's lock is held.  Events from concurrent
+    domains therefore reach the sink in timestamp order, which
+    [Report.validate] requires; the tracer emits through this. *)
+
 val close : t -> unit
 (** Flushes, and closes the underlying channel for {!to_file} sinks. *)
 

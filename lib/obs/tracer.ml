@@ -16,7 +16,7 @@ let stack_key : int list ref Domain.DLS.key =
 
 let point t ~name ?(attrs = []) () =
   if Sink.enabled t.sink then
-    Sink.emit t.sink (Sink.Point { name; t_ns = Clock.now_ns (); attrs })
+    Sink.emit_stamped t.sink (fun t_ns -> Sink.Point { name; t_ns; attrs })
 
 let span t ~name ?(attrs = []) f =
   if not (Sink.enabled t.sink) then f ()
@@ -24,13 +24,13 @@ let span t ~name ?(attrs = []) f =
     let stack = Domain.DLS.get stack_key in
     let parent = match !stack with [] -> 0 | p :: _ -> p in
     let id = fresh_id () in
-    Sink.emit t.sink
-      (Sink.Span_begin { id; parent; name; t_ns = Clock.now_ns (); attrs });
+    Sink.emit_stamped t.sink (fun t_ns ->
+        Sink.Span_begin { id; parent; name; t_ns; attrs });
     stack := id :: !stack;
     let finish attrs =
       (match !stack with s :: rest when s = id -> stack := rest | _ -> ());
-      Sink.emit t.sink
-        (Sink.Span_end { id; name; t_ns = Clock.now_ns (); attrs })
+      Sink.emit_stamped t.sink (fun t_ns ->
+          Sink.Span_end { id; name; t_ns; attrs })
     in
     match f () with
     | v ->

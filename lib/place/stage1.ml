@@ -184,3 +184,11 @@ let run_best_of_k ?params ?core ?should_stop ?pool ?(obs = Obs.disabled) ~rng
   { best = results.(!best_index);
     best_index = !best_index;
     replica_costs }
+
+let run_replicas ~params ?core ?should_stop ?pool ?obs ~rng ~replicas nl =
+  if replicas <= 1 then (run ~params ?core ?should_stop ?obs ~rng nl, None)
+  else
+    let mr =
+      run_best_of_k ~params ?core ?should_stop ?pool ?obs ~rng ~k:replicas nl
+    in
+    (mr.best, Some mr)

@@ -102,3 +102,19 @@ val run_best_of_k :
     [stage1.replica_cost] metric series (sampled in index order after the
     join, so deterministic at any pool size).
     Raises [Invalid_argument] when [k <= 0]. *)
+
+val run_replicas :
+  params:Params.t ->
+  ?core:Twmc_geometry.Rect.t ->
+  ?should_stop:(unit -> bool) ->
+  ?pool:Twmc_util.Domain_pool.t ->
+  ?obs:Twmc_obs.Ctx.t ->
+  rng:Twmc_sa.Rng.t ->
+  replicas:int ->
+  Twmc_netlist.Netlist.t ->
+  result * multi_result option
+(** Stage 1 as [replicas] independent anneals: {!run} when [replicas <= 1]
+    (no multi-start outcome), {!run_best_of_k} with [k = replicas]
+    otherwise, returning its winner and the whole outcome.  The flow driver
+    and [twmc place] both start here, so the result depends on [replicas]
+    and never on the pool. *)

@@ -215,3 +215,10 @@ let shutdown t =
 let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+
+let with_optional_pool ~jobs ~metrics f =
+  if jobs <= 1 then f None
+  else
+    with_pool ~jobs (fun t ->
+        set_metrics t metrics;
+        f (Some t))

@@ -57,3 +57,10 @@ val shutdown : t -> unit
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] creates a pool, applies [f], and shuts the pool
     down even when [f] raises. *)
+
+val with_optional_pool :
+  jobs:int -> metrics:Twmc_obs.Metrics.t -> (t option -> 'a) -> 'a
+(** [with_optional_pool ~jobs ~metrics f] is [f None] when [jobs <= 1], so
+    every call stays on the caller's domain with no synchronization;
+    otherwise it is {!with_pool} applied to [f (Some pool)], with [metrics]
+    attached through {!set_metrics}. *)

@@ -207,6 +207,36 @@ let test_uncreatable_checkpoint_dir () =
   checkb "G410 warning" true (has_code "G410" rr.Flow.diagnostics);
   rm_rf root
 
+(* The circuit name is a token of the input file: one that climbs out of
+   the checkpoint directory is still written, and resumed from, inside it. *)
+let test_checkpoint_name_confined () =
+  let base = netlist () in
+  let nl =
+    Twmc_netlist.Netlist.make ~name:"../escaped"
+      ~track_spacing:base.Twmc_netlist.Netlist.track_spacing
+      ~constraints:(Array.to_list base.Twmc_netlist.Netlist.constraints)
+      ~cells:(Array.to_list base.Twmc_netlist.Netlist.cells)
+      ~nets:(Array.to_list base.Twmc_netlist.Netlist.nets)
+      ()
+  in
+  let root = fresh_dir "confined" in
+  let dir = Filename.concat root "ckpt" in
+  let cfg = { Flow.dir; every = 1 } in
+  let rr = Flow.run_resilient ~params ~seed:9 ~checkpoint:cfg nl in
+  checkb "flow completed" true (rr.Flow.flow <> None);
+  let path = Flow.checkpoint_path cfg nl in
+  checks "checkpoint directory" dir (Filename.dirname path);
+  Alcotest.(check (list string))
+    "dir holds the checkpoint" [ Filename.basename path ]
+    (Array.to_list (Sys.readdir dir));
+  Alcotest.(check (list string))
+    "nothing written beside dir" [ "ckpt" ]
+    (Array.to_list (Sys.readdir root));
+  let rr' = Flow.resume ~params ~path nl in
+  checkb "resumed" true (has_code "G413" rr'.Flow.diagnostics);
+  rm_rf dir;
+  rm_rf root
+
 let durable_fixture nl =
   let rng = Rng.create ~seed:5 in
   let s1 = Twmc_place.Stage1.run ~params ~rng nl in
@@ -343,6 +373,15 @@ let test_pool_fault_no_hang () =
       checkb "flow survived" true (rr.Flow.flow <> None);
       checkb "failure recorded" true (has_code "G400" rr.Flow.diagnostics))
 
+(* [Flow.run] is the guarded driver too: a refinement that raises is
+   rolled back, not propagated. *)
+let test_run_rolls_back_refine_fault () =
+  let nl = netlist () in
+  with_plan [ { Fault.site = "stage2.refine"; nth = 1; kind = Fault.Exn } ]
+    (fun () ->
+      let r = Flow.run ~params ~seed:3 nl in
+      check "one rollback" 1 r.Flow.stage2.Twmc.Stage2.rollbacks)
+
 (* ----------------------------------------------------- guard satellites *)
 
 let test_guard_expired_short_circuit () =
@@ -475,6 +514,8 @@ let () =
       ( "checkpoint",
         [ Alcotest.test_case "rng cursor round-trip" `Quick test_rng_cursor_roundtrip;
           Alcotest.test_case "durable round-trip" `Quick test_checkpoint_roundtrip;
+          Alcotest.test_case "name stays inside dir" `Quick
+            test_checkpoint_name_confined;
           Alcotest.test_case "uncreatable dir warns" `Quick
             test_uncreatable_checkpoint_dir;
           Alcotest.test_case "validation rejects corruption" `Quick
@@ -487,7 +528,10 @@ let () =
             test_deadline_fault_times_out;
           Alcotest.test_case "router fault contained" `Quick
             test_router_fault_contained;
-          Alcotest.test_case "pool fault no hang" `Quick test_pool_fault_no_hang ] );
+          Alcotest.test_case "pool fault no hang" `Quick
+            test_pool_fault_no_hang;
+          Alcotest.test_case "Flow.run rolls back refine fault" `Quick
+            test_run_rolls_back_refine_fault ] );
       ( "guard",
         [ Alcotest.test_case "expired guard short-circuits" `Quick
             test_guard_expired_short_circuit;

@@ -349,6 +349,13 @@ let test_load_bench () =
           Alcotest.(check (float 0.0)) "a ns" 12.5 a;
           Alcotest.(check (float 0.0)) "b ns" 7.0 b
       | _ -> Alcotest.fail "two kernels expected");
+      (* What the bench harness writes reads back to the same rows. *)
+      let rows =
+        [ ("x \"quoted\\ name\"", 1234.5678); ("y", 7.0); ("z", 0.1) ]
+      in
+      write_file path (Report.bench_to_string rows);
+      Alcotest.(check (list (pair string (float 0.0))))
+        "written form round-trips" rows (Report.load_bench path);
       write_file path "{\"nope\": 1}";
       checkb "malformed raises with path" true
         (match Report.load_bench path with

@@ -324,6 +324,30 @@ let test_trace_file_valid () =
         events;
       checkb "summary non-empty" true (Buffer.length b > 0))
 
+(* Domains stamping into one file sink: the timestamp is read under the
+   sink's lock, so the file never goes back in time. *)
+let test_concurrent_points_ordered () =
+  with_temp_trace (fun path ->
+      let sink = Sink.to_file path in
+      let tracer = Tracer.create sink in
+      let domains =
+        List.init 4 (fun d ->
+            Domain.spawn (fun () ->
+                for i = 1 to 5_000 do
+                  Tracer.point tracer ~name:"p"
+                    ~attrs:[ ("domain", Attr.Int d); ("i", Attr.Int i) ]
+                    ()
+                done))
+      in
+      List.iter Domain.join domains;
+      Sink.close sink;
+      let events = Report.load path in
+      check "meta line and every point" 20_001 (List.length events);
+      match Report.validate events with
+      | [] -> ()
+      | first :: _ as problems ->
+          Alcotest.failf "%d problems, first: %s" (List.length problems) first)
+
 let test_validate_rejects () =
   let meta =
     { Report.v = Sink.schema_version; ev = "meta"; id = 0; parent = 0;
@@ -387,6 +411,8 @@ let () =
       ( "trace",
         [ Alcotest.test_case "traced flow validates" `Quick
             test_trace_file_valid;
+          Alcotest.test_case "concurrent points stay ordered" `Quick
+            test_concurrent_points_ordered;
           Alcotest.test_case "validate rejects malformed" `Quick
             test_validate_rejects;
           Alcotest.test_case "stage-2 trace exposed" `Quick test_stage2_trace ]

@@ -250,6 +250,33 @@ let test_resilient_flow_rejects_invalid () =
       checkb "no flow result" true (rr.Twmc.Flow.flow = None)
   | None -> () (* not even buildable: equally acceptable *)
 
+(* The dangling-net entry above never builds, so [rejects invalid] cannot
+   reach the flow; this corpus entry builds and only the lint rejects it.
+   [Flow.run] is the guarded driver: with no result it raises [Failure]
+   naming the status and the lint finding. *)
+let test_run_rejects_invalid () =
+  let _, src, _ =
+    List.find (fun (name, _, _) -> name = "region smaller than its cell") corpus
+  in
+  match (Check.string src).Check.netlist with
+  | None -> Alcotest.fail "the fixture must build"
+  | Some nl -> (
+      let rr = Twmc.Flow.run_resilient ~params:quick_params nl in
+      checkb "invalid input" true
+        (rr.Twmc.Flow.status = Twmc.Flow.Invalid_input);
+      match Twmc.Flow.run ~params:quick_params nl with
+      | _ -> Alcotest.fail "Flow.run ran a lint-fatal netlist"
+      | exception Failure m ->
+          let contains sub =
+            let n = String.length sub in
+            let rec go i =
+              i + n <= String.length m && (String.sub m i n = sub || go (i + 1))
+            in
+            go 0
+          in
+          checkb ("names the status: " ^ m) true (contains "invalid input");
+          checkb ("names the finding: " ^ m) true (contains "E111"))
+
 let test_time_budget_cuts_flow () =
   (* A zero budget must still return a valid best-so-far configuration
      quickly instead of running the full anneal. *)
@@ -319,5 +346,7 @@ let () =
         [ Alcotest.test_case "resilient clean" `Quick test_resilient_flow_clean;
           Alcotest.test_case "rejects invalid" `Quick
             test_resilient_flow_rejects_invalid;
+          Alcotest.test_case "Flow.run rejects invalid" `Quick
+            test_run_rejects_invalid;
           Alcotest.test_case "time budget" `Quick test_time_budget_cuts_flow
         ] ) ]
