@@ -372,21 +372,21 @@ let route_multicore_kernels () =
           wall_time (fun () -> run (Some pl)))
   in
   Format.printf "@.Parallel per-net route enumeration:@.";
-  let base = ref nan and base_len = ref 0 and rows = ref [] in
+  let base = ref nan and base_fp = ref "" and rows = ref [] in
   List.iter
     (fun jobs ->
       let r, dt = run_at jobs in
+      let fp = Twmc_qa.Fingerprint.route r in
       if jobs = 1 then begin
         base := dt;
-        base_len := r.Twmc_route.Global_router.total_length
+        base_fp := fp
       end;
       let name = Printf.sprintf "router phase-1 (jobs=%d)" jobs in
       rows := (name, dt *. 1e9) :: !rows;
       Format.printf "  %-48s %8.1f ms  speedup %.2fx  L=%d %s@." name
         (dt *. 1000.0) (!base /. dt) r.Twmc_route.Global_router.total_length
-        (if r.Twmc_route.Global_router.total_length = !base_len then
-           "[identical]"
-         else "[MISMATCH]"))
+        (if fp = !base_fp then "[identical]" else "[MISMATCH]");
+      if fp <> !base_fp then failwith "routing differs across jobs")
     [ 1; 2; 4 ];
   List.rev !rows
 

@@ -22,18 +22,32 @@ type edge = {
 
 type t = {
   regions : Region.t array;
-  edges : edge array;
-  adj : (int * int) list array;
-      (** Per node: [(edge id, neighbour node)] pairs. *)
+  edges : edge array;  (** Indexed by edge id. *)
+  offsets : int array;
+      (** Compressed sparse rows: node [v]'s neighbour slots are
+          [offsets.(v)] to [offsets.(v + 1) - 1].  [n_nodes + 1] entries,
+          starting at 0 and ending at [2 * n_edges]. *)
+  nbr : int array;  (** Per slot: the neighbour node. *)
+  nbr_edge : int array;  (** Per slot: the id of the edge to it. *)
+  nbr_len : int array;  (** Per slot: that edge's [length]. *)
 }
+(** Each edge fills one slot at each of its two endpoints, and a node's
+    slots list its edges in decreasing edge id.  Edges join distinct
+    regions and no pair twice, so an unordered node pair names at most one
+    edge. *)
 
 val build : track_spacing:int -> Region.t list -> t
+(** Edge ids follow the pair order [(i, j)], [i < j], row by row. *)
 
 val n_nodes : t -> int
 val n_edges : t -> int
-val other_end : edge -> int -> int
-val neighbours : t -> int -> (int * int) list
+
+val iter_neighbours : t -> int -> (int -> int -> unit) -> unit
+(** [iter_neighbours g v f] calls [f edge_id neighbour] for each of [v]'s
+    slots, in slot order. *)
+
 val edge_between : t -> int -> int -> edge option
+(** The edge joining two nodes, if any. *)
 
 val nearest_node : t -> int * int -> int
 (** Node whose region center is Manhattan-closest to the point; requires a

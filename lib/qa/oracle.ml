@@ -405,12 +405,10 @@ let dijkstra (g : Graph.t) sources =
     done;
     if !u >= 0 then begin
       visited.(!u) <- true;
-      List.iter
-        (fun (eid, v) ->
+      Graph.iter_neighbours g !u (fun eid v ->
           let e = g.Graph.edges.(eid) in
           if dist.(!u) + e.Graph.length < dist.(v) then
-            dist.(v) <- dist.(!u) + e.Graph.length)
-        (Graph.neighbours g !u);
+            dist.(v) <- dist.(!u) + e.Graph.length);
       loop ()
     end
   in
@@ -464,9 +462,8 @@ let route_structure (g : Graph.t) (task : Pin_map.net_task)
           let rec dfs v =
             if not (Hashtbl.mem seen v) then begin
               Hashtbl.replace seen v ();
-              List.iter
-                (fun (eid, w) -> if Hashtbl.mem in_route eid then dfs w)
-                (Graph.neighbours g v)
+              Graph.iter_neighbours g v (fun eid w ->
+                  if Hashtbl.mem in_route eid then dfs w)
             end
           in
           dfs start;

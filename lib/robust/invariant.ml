@@ -60,25 +60,41 @@ let channel_graph (g : Graph.t) =
       if e.Graph.length < 0 then
         add "edge %d has negative length %d" e.Graph.id e.Graph.length)
     g.Graph.edges;
-  if Array.length g.Graph.adj <> n then
-    add "adjacency size %d does not match %d nodes" (Array.length g.Graph.adj) n
-  else
+  let slots = 2 * Graph.n_edges g and off = g.Graph.offsets in
+  let rec monotone v = v >= n || (off.(v) <= off.(v + 1) && monotone (v + 1)) in
+  if
+    Array.length off <> n + 1 || off.(0) <> 0 || off.(n) <> slots
+    || not (monotone 0)
+  then add "neighbour offsets do not run from 0 up to %d over %d nodes" slots n
+  else if
+    List.exists
+      (fun a -> Array.length a <> slots)
+      [ g.Graph.nbr; g.Graph.nbr_edge; g.Graph.nbr_len ]
+  then add "neighbour slot arrays do not have %d entries" slots
+  else begin
+    for node = 0 to n - 1 do
+      Graph.iter_neighbours g node (fun eid other ->
+          if eid < 0 || eid >= Graph.n_edges g then
+            add "node %d lists unknown edge %d" node eid
+          else
+            let e = g.Graph.edges.(eid) in
+            if
+              not
+                ((e.Graph.a = node && e.Graph.b = other)
+                || (e.Graph.b = node && e.Graph.a = other))
+            then
+              add "node %d adjacency disagrees with edge %d (%d-%d)" node eid
+                e.Graph.a e.Graph.b)
+    done;
     Array.iteri
-      (fun node neighbours ->
-        List.iter
-          (fun (eid, other) ->
-            if eid < 0 || eid >= Array.length g.Graph.edges then
-              add "node %d lists unknown edge %d" node eid
-            else
-              let e = g.Graph.edges.(eid) in
-              if not
-                   ((e.Graph.a = node && e.Graph.b = other)
-                   || (e.Graph.b = node && e.Graph.a = other))
-              then
-                add "node %d adjacency disagrees with edge %d (%d-%d)" node eid
-                  e.Graph.a e.Graph.b)
-          neighbours)
-      g.Graph.adj;
+      (fun slot eid ->
+        if eid >= 0 && eid < Graph.n_edges g then
+          let len = g.Graph.edges.(eid).Graph.length in
+          if g.Graph.nbr_len.(slot) <> len then
+            add "slot %d stores length %d for edge %d of length %d" slot
+              g.Graph.nbr_len.(slot) eid len)
+      g.Graph.nbr_edge
+  end;
   List.rev !ds
 
 let route (r : Router.result) =

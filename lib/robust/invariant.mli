@@ -17,7 +17,10 @@ val placement : Twmc_place.Placement.t -> Diagnostic.t list
 
 val channel_graph : Twmc_channel.Graph.t -> Diagnostic.t list
 (** Structural consistency (I303, error): edge endpoints in range, positive
-    capacities, adjacency symmetric with the edge list. *)
+    capacities, and neighbour slots that agree with the edge list — offsets
+    from 0 to [2 * n_edges] that never decrease, slot edge ids in range,
+    each slot's edge joining the slot's node to its neighbour, and each
+    slot's length equal to its edge's. *)
 
 val route : Twmc_route.Global_router.result -> Diagnostic.t list
 (** Accounting sanity (I304, error): non-negative lengths/overflow/densities

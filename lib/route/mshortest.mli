@@ -4,7 +4,11 @@
     (Sec 4.2.1); this implements the equivalent deviation algorithm (Yen's),
     generalized to source {e sets} and target {e sets} via zero-length
     virtual terminals — which is also what makes electrically-equivalent
-    pins free to the router. *)
+    pins free to the router.
+
+    Both searches run on the graph's compressed neighbour slots with a
+    binary heap and allocate their scratch once per call, so concurrent
+    calls on one graph share nothing mutable. *)
 
 type path = {
   nodes : int list;  (** Visited graph nodes, source end first. *)
@@ -17,29 +21,26 @@ val distances : Twmc_channel.Graph.t -> sources:int list -> int array
     set to every node ([max_int] where unreachable).  Used to build Prim
     orders without a quadratic number of point queries. *)
 
-val shortest :
-  Twmc_channel.Graph.t ->
-  sources:int list ->
-  targets:int list ->
-  path option
-(** Multi-source multi-target Dijkstra.  [None] when disconnected.
-    A source that is also a target yields the empty path of length 0. *)
-
 val k_shortest :
   Twmc_channel.Graph.t ->
   k:int ->
   sources:int list ->
   targets:int list ->
   path list
-(** At most [k] distinct loopless paths in nondecreasing length order. *)
+(** At most [k] distinct loopless paths in nondecreasing length order; []
+    when [k <= 0], either set is empty or the sets are disconnected.  A
+    source that is also a target yields the empty path of length 0.
 
-val k_shortest_batch :
-  ?pool:Twmc_util.Domain_pool.t ->
-  Twmc_channel.Graph.t ->
-  k:int ->
-  (int list * int list) array ->
-  path list array
-(** [k_shortest_batch ?pool g ~k queries] answers every [(sources,
-    targets)] query, in query order.  The graph is only read, so queries
-    run concurrently on [pool] when given; the output is identical with or
-    without a pool. *)
+    The result is a function of the graph and the arguments, fixed by these
+    orders:
+    - each Dijkstra run pops the least (distance, node), so equal distances
+      go to the lower node, and improves a distance only when strictly
+      shorter.  A node's predecessor is therefore the first popped node
+      that reaches it at its final distance, whatever order a node relaxes
+      its neighbours in (a target's virtual-target hop first, then its
+      {!Twmc_channel.Graph} slots; the virtual source takes the sources in
+      list order);
+    - candidate paths are deduplicated by their node sequence, and among
+      equal-length candidates the newest is accepted first;
+    - the accepted paths are returned stable-sorted by length, so paths of
+      equal length keep their acceptance order. *)

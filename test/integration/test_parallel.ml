@@ -219,30 +219,6 @@ let test_router_jobs_invariant () =
     (route_bytes (route ~jobs:1 scene))
     (route_bytes (route ~jobs:test_jobs scene))
 
-let test_mshortest_batch_invariant () =
-  let g, tasks = Lazy.force routing_scene in
-  let queries =
-    tasks
-    |> List.filter_map (fun (t : Twmc_channel.Pin_map.net_task) ->
-           match t.Twmc_channel.Pin_map.terminals with
-           | a :: b :: _ ->
-               Some
-                 ( a.Twmc_channel.Pin_map.candidates,
-                   b.Twmc_channel.Pin_map.candidates )
-           | _ -> None)
-    |> Array.of_list
-  in
-  let lengths paths =
-    Array.map
-      (List.map (fun (p : Twmc_route.Mshortest.path) -> p.Twmc_route.Mshortest.length))
-      paths
-  in
-  let seq = Twmc_route.Mshortest.k_shortest_batch g ~k:4 queries in
-  Pool.with_pool ~jobs:test_jobs (fun pool ->
-      let par = Twmc_route.Mshortest.k_shortest_batch ~pool g ~k:4 queries in
-      Alcotest.(check (array (list int)))
-        "batch query order and lengths" (lengths seq) (lengths par))
-
 (* ------------------------------------------------ full-flow invariance *)
 
 let flow_bytes (r : Twmc.Flow.result) =
@@ -335,8 +311,6 @@ let () =
             test_best_of_k_tie_break;
           Alcotest.test_case "router jobs=1 vs jobs=N" `Quick
             test_router_jobs_invariant;
-          Alcotest.test_case "mshortest batch order" `Quick
-            test_mshortest_batch_invariant;
           Alcotest.test_case "flow jobs=1 vs jobs=N" `Quick
             test_flow_jobs_invariant;
           Alcotest.test_case "constrained flow jobs=1 vs jobs=N" `Quick

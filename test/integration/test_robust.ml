@@ -5,6 +5,8 @@ module Check = Twmc.Robust.Check
 module Diagnostic = Twmc.Robust.Diagnostic
 module Guard = Twmc.Robust.Guard
 module Checkpoint = Twmc.Robust.Checkpoint
+module Invariant = Twmc.Robust.Invariant
+module Graph = Twmc.Channel.Graph
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -324,6 +326,30 @@ let test_checkpoint_roundtrip () =
   Alcotest.(check (float 1e-6)) "teil restored" teil0
     (Twmc_place.Placement.teil p)
 
+(* I303 guards the channel graph's neighbour slots: a built graph reports
+   nothing, and a copy with one slot pointing at the wrong node is
+   reported. *)
+let test_channel_graph_invariant () =
+  let nl = small_nl () in
+  let s1 =
+    Twmc_place.Stage1.run ~params:quick_params
+      ~rng:(Twmc_sa.Rng.create ~seed:9) nl
+  in
+  let g =
+    Graph.build ~track_spacing:nl.Twmc_netlist.Netlist.track_spacing
+      (Twmc.Channel.Extract.of_placement s1.Twmc_place.Stage1.placement)
+  in
+  checkb "graph has edges" true (Graph.n_edges g > 0);
+  Alcotest.(check (list string))
+    "built graph is consistent" []
+    (List.map Diagnostic.to_string (Invariant.channel_graph g));
+  let nbr = Array.copy g.Graph.nbr in
+  nbr.(0) <- (nbr.(0) + 1) mod Graph.n_nodes g;
+  let broken = Invariant.channel_graph { g with Graph.nbr } in
+  Alcotest.(check (list string))
+    "wrong neighbour reported" [ "I303" ]
+    (List.map (fun d -> d.Diagnostic.code) broken)
+
 let () =
   Alcotest.run "robust"
     [ ( "lint",
@@ -342,6 +368,9 @@ let () =
           Alcotest.test_case "deadline" `Quick test_guard_deadline ] );
       ( "checkpoint",
         [ Alcotest.test_case "roundtrip" `Quick test_checkpoint_roundtrip ] );
+      ( "invariant",
+        [ Alcotest.test_case "channel graph slots" `Quick
+            test_channel_graph_invariant ] );
       ( "flow",
         [ Alcotest.test_case "resilient clean" `Quick test_resilient_flow_clean;
           Alcotest.test_case "rejects invalid" `Quick

@@ -155,7 +155,21 @@ let test_graph_build () =
       match Graph.edge_between g e.Graph.a e.Graph.b with
       | Some e' -> check "edge_between id" e.Graph.id e'.Graph.id
       | None -> Alcotest.fail "edge_between missed an edge")
-    g.Graph.edges
+    g.Graph.edges;
+  (* Neighbour slots: each node lists its edges in decreasing id, and every
+     edge fills one slot at each endpoint. *)
+  let slots = Array.make (Graph.n_edges g) 0 in
+  for v = 0 to Graph.n_nodes g - 1 do
+    let last = ref max_int in
+    Graph.iter_neighbours g v (fun eid o ->
+        checkb "decreasing edge ids" true (eid < !last);
+        last := eid;
+        let e = g.Graph.edges.(eid) in
+        checkb "slot joins its node" true
+          ((e.Graph.a = v && e.Graph.b = o) || (e.Graph.b = v && e.Graph.a = o));
+        slots.(eid) <- slots.(eid) + 1)
+  done;
+  Array.iter (check "one slot per endpoint" 2) slots
 
 let test_graph_components () =
   (* Two far-apart isolated region rectangles -> 2 components. *)

@@ -39,9 +39,15 @@ let line n ~cell =
 
 (* ----------------------------------------------------------- Mshortest *)
 
+(* The single shortest path is the first of the k-shortest list. *)
+let shortest g ~sources ~targets =
+  match Mshortest.k_shortest g ~k:1 ~sources ~targets with
+  | p :: _ -> Some p
+  | [] -> None
+
 let test_shortest_line () =
   let g = line 5 ~cell:10 in
-  match Mshortest.shortest g ~sources:[ 0 ] ~targets:[ 4 ] with
+  match shortest g ~sources:[ 0 ] ~targets:[ 4 ] with
   | Some p ->
       check "length" 40 p.Mshortest.length;
       Alcotest.(check (list int)) "nodes" [ 0; 1; 2; 3; 4 ] p.Mshortest.nodes;
@@ -50,13 +56,13 @@ let test_shortest_line () =
 
 let test_shortest_trivial_and_disconnected () =
   let g = line 3 ~cell:10 in
-  (match Mshortest.shortest g ~sources:[ 1 ] ~targets:[ 1 ] with
+  (match shortest g ~sources:[ 1 ] ~targets:[ 1 ] with
   | Some p ->
       check "zero length" 0 p.Mshortest.length;
       Alcotest.(check (list int)) "single node" [ 1 ] p.Mshortest.nodes
   | None -> Alcotest.fail "trivial path expected");
   checkb "empty sources" true
-    (Mshortest.shortest g ~sources:[] ~targets:[ 1 ] = None);
+    (shortest g ~sources:[] ~targets:[ 1 ] = None);
   (* Two disconnected single-region graphs. *)
   let dummy_edge pos =
     Twmc_geometry.Edge.make Twmc_geometry.Edge.V ~pos
@@ -77,12 +83,12 @@ let test_shortest_trivial_and_disconnected () =
         region (Rect.make ~x0:50 ~y0:50 ~x1:55 ~y1:55) ]
   in
   checkb "disconnected" true
-    (Mshortest.shortest g2 ~sources:[ 0 ] ~targets:[ 1 ] = None)
+    (shortest g2 ~sources:[ 0 ] ~targets:[ 1 ] = None)
 
 let test_multi_source_target () =
   let g = line 7 ~cell:10 in
   (* Sources {0, 5}, target {3}: nearer source (5) wins. *)
-  match Mshortest.shortest g ~sources:[ 0; 5 ] ~targets:[ 3 ] with
+  match shortest g ~sources:[ 0; 5 ] ~targets:[ 3 ] with
   | Some p ->
       check "length from nearer source" 20 p.Mshortest.length;
       checkb "starts at 5" true (List.hd p.Mshortest.nodes = 5)
@@ -122,6 +128,266 @@ let test_k_shortest_exhausts () =
   (* Only one loopless path exists along a line. *)
   let paths = Mshortest.k_shortest g ~k:10 ~sources:[ 0 ] ~targets:[ 3 ] in
   check "single path" 1 (List.length paths)
+
+(* ------------------------------------------ reference M-shortest search *)
+
+(* The list-and-[Set] search that [Mshortest] replaced, kept as its oracle:
+   a [Set]-ordered Dijkstra, [Hashtbl] bans per spur and a stable sort of
+   every candidate each round.  It reads the graph only through [edges]
+   and builds its own neighbour lists the way [Graph.build] once did, by
+   prepending in edge-id order, so it also pins the slot order. *)
+module Reference = struct
+  module G = Graph
+
+  type aug = {
+    n : int;
+    vsrc : int;
+    vtgt : int;
+    sources : int list;
+    target_set : (int, unit) Hashtbl.t;
+    adj : (int * int) list array;
+    edges : G.edge array;
+  }
+
+  let adjacency (g : G.t) =
+    let adj = Array.make (G.n_nodes g) [] in
+    Array.iter
+      (fun (e : G.edge) ->
+        adj.(e.G.a) <- (e.G.id, e.G.b) :: adj.(e.G.a);
+        adj.(e.G.b) <- (e.G.id, e.G.a) :: adj.(e.G.b))
+      g.G.edges;
+    adj
+
+  let make_aug g ~sources ~targets =
+    let n = G.n_nodes g in
+    let target_set = Hashtbl.create 8 in
+    List.iter (fun t -> Hashtbl.replace target_set t ()) targets;
+    { n; vsrc = n; vtgt = n + 1; sources; target_set; adj = adjacency g;
+      edges = g.G.edges }
+
+  let edge_between aug u v =
+    List.find_opt (fun (_, o) -> o = v) aug.adj.(u)
+    |> Option.map (fun (eid, _) -> aug.edges.(eid))
+
+  let succ aug v =
+    if v = aug.vsrc then List.map (fun s -> (s, 0)) aug.sources
+    else if v = aug.vtgt then []
+    else
+      let real =
+        List.map (fun (eid, o) -> (o, aug.edges.(eid).G.length)) aug.adj.(v)
+      in
+      if Hashtbl.mem aug.target_set v then (aug.vtgt, 0) :: real else real
+
+  module Pq = Set.Make (struct
+    type t = int * int
+
+    let compare = Stdlib.compare
+  end)
+
+  let norm_pair u v = if u <= v then (u, v) else (v, u)
+
+  let dijkstra aug ~start ~banned_pairs ~banned_nodes =
+    let size = aug.n + 2 in
+    let dist = Array.make size max_int in
+    let prev = Array.make size (-1) in
+    dist.(start) <- 0;
+    let q = ref (Pq.singleton (0, start)) in
+    let finished = ref false in
+    while (not !finished) && not (Pq.is_empty !q) do
+      let ((d, v) as min) = Pq.min_elt !q in
+      q := Pq.remove min !q;
+      if v = aug.vtgt then finished := true
+      else if d <= dist.(v) then
+        List.iter
+          (fun (o, len) ->
+            if
+              (not (Hashtbl.mem banned_nodes o))
+              && not (Hashtbl.mem banned_pairs (norm_pair v o))
+            then
+              let nd = d + len in
+              if nd < dist.(o) then begin
+                dist.(o) <- nd;
+                prev.(o) <- v;
+                q := Pq.add (nd, o) !q
+              end)
+          (succ aug v)
+    done;
+    if dist.(aug.vtgt) = max_int then None
+    else
+      let rec walk v acc = if v = -1 then acc else walk prev.(v) (v :: acc) in
+      Some (walk aug.vtgt [], dist.(aug.vtgt))
+
+  let hop_length aug u v =
+    if u = aug.vsrc || v = aug.vsrc || u = aug.vtgt || v = aug.vtgt then 0
+    else
+      match edge_between aug u v with
+      | Some e -> e.G.length
+      | None -> invalid_arg "Reference: nodes not adjacent"
+
+  let to_path aug nodes length =
+    let real = List.filter (fun v -> v < aug.n) nodes in
+    let rec edges = function
+      | u :: (v :: _ as rest) -> (
+          match edge_between aug u v with
+          | Some e -> e.G.id :: edges rest
+          | None -> edges rest)
+      | _ -> []
+    in
+    { Mshortest.nodes = real; edges = edges real; length }
+
+  let distances g ~sources =
+    let adj = adjacency g in
+    let n = G.n_nodes g in
+    let dist = Array.make n max_int in
+    let q = ref Pq.empty in
+    List.iter
+      (fun s ->
+        if dist.(s) <> 0 then begin
+          dist.(s) <- 0;
+          q := Pq.add (0, s) !q
+        end)
+      sources;
+    while not (Pq.is_empty !q) do
+      let ((d, v) as min) = Pq.min_elt !q in
+      q := Pq.remove min !q;
+      if d <= dist.(v) then
+        List.iter
+          (fun (eid, o) ->
+            let nd = d + g.G.edges.(eid).G.length in
+            if nd < dist.(o) then begin
+              dist.(o) <- nd;
+              q := Pq.add (nd, o) !q
+            end)
+          adj.(v)
+    done;
+    dist
+
+  let k_shortest g ~k ~sources ~targets =
+    if k <= 0 || sources = [] || targets = [] then []
+    else begin
+      let aug = make_aug g ~sources ~targets in
+      let empty_tbl () = Hashtbl.create 8 in
+      match
+        dijkstra aug ~start:aug.vsrc ~banned_pairs:(empty_tbl ())
+          ~banned_nodes:(empty_tbl ())
+      with
+      | None -> []
+      | Some first ->
+          let a = ref [ first ] in
+          let b = ref [] in
+          let seen = Hashtbl.create 16 in
+          Hashtbl.replace seen (fst first) ();
+          let add_candidate c =
+            if not (Hashtbl.mem seen (fst c)) then begin
+              Hashtbl.replace seen (fst c) ();
+              b := c :: !b
+            end
+          in
+          let continue = ref true in
+          while List.length !a < k && !continue do
+            let prev_nodes, _ = List.hd !a in
+            let prev_arr = Array.of_list prev_nodes in
+            for i = 0 to Array.length prev_arr - 2 do
+              let root = Array.sub prev_arr 0 (i + 1) in
+              let banned_pairs = empty_tbl () in
+              List.iter
+                (fun (pn, _) ->
+                  let pa = Array.of_list pn in
+                  if Array.length pa > i + 1 && Array.sub pa 0 (i + 1) = root
+                  then
+                    Hashtbl.replace banned_pairs
+                      (norm_pair pa.(i) pa.(i + 1))
+                      ())
+                !a;
+              let banned_nodes = empty_tbl () in
+              Array.iteri
+                (fun j v -> if j < i then Hashtbl.replace banned_nodes v ())
+                root;
+              match
+                dijkstra aug ~start:prev_arr.(i) ~banned_pairs ~banned_nodes
+              with
+              | None -> ()
+              | Some (spur_nodes, spur_len) ->
+                  let root_len = ref 0 in
+                  for j = 0 to i - 1 do
+                    root_len :=
+                      !root_len + hop_length aug prev_arr.(j) prev_arr.(j + 1)
+                  done;
+                  let full =
+                    Array.to_list (Array.sub prev_arr 0 i) @ spur_nodes
+                  in
+                  add_candidate (full, !root_len + spur_len)
+            done;
+            match
+              List.sort (fun (_, l1) (_, l2) -> Stdlib.compare l1 l2) !b
+            with
+            | [] -> continue := false
+            | best :: rest ->
+                a := best :: !a;
+                b := rest
+          done;
+          List.rev_map (fun (nodes, len) -> to_path aug nodes len) !a
+          |> List.sort (fun (p1 : Mshortest.path) p2 ->
+                 Stdlib.compare p1.Mshortest.length p2.Mshortest.length)
+    end
+end
+
+(* Random channel graphs: 2-31 rectangles with even corners on a lattice
+   whose size varies per case, so that regions touch and overlap, centres
+   coincide (zero-length edges) and equal path lengths abound.  Each graph
+   gets four queries of 1-3 sources and 1-3 targets (repeats and overlaps
+   allowed) at k from 1 to 12. *)
+let lattice_case =
+  QCheck.Gen.(
+    int_range 2 31 >>= fun n ->
+    int_range 1 8 >>= fun span ->
+    let rect =
+      map4
+        (fun x y w h -> (2 * x, 2 * y, 2 * (x + w), 2 * (y + h)))
+        (int_range 0 span) (int_range 0 span) (int_range 1 3) (int_range 1 3)
+    in
+    let nodes = list_size (int_range 1 3) (int_range 0 (n - 1)) in
+    pair (list_repeat n rect) (list_repeat 4 (triple nodes nodes (int_range 1 12))))
+
+let print_lattice_case (rects, queries) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  String.concat " "
+    (List.map (fun (x0, y0, x1, y1) -> Printf.sprintf "(%d,%d,%d,%d)" x0 y0 x1 y1) rects)
+  ^ " | "
+  ^ String.concat " "
+      (List.map
+         (fun (s, t, k) -> Printf.sprintf "[%s]->[%s] k=%d" (ints s) (ints t) k)
+         queries)
+
+let lattice_graph rects =
+  let dummy_edge pos =
+    Twmc_geometry.Edge.make Twmc_geometry.Edge.V ~pos
+      ~span:(Twmc_geometry.Interval.make 0 1)
+      ~side:Twmc_geometry.Edge.High
+  in
+  Graph.build ~track_spacing:2
+    (List.map
+       (fun (x0, y0, x1, y1) ->
+         { Region.rect = Rect.make ~x0 ~y0 ~x1 ~y1;
+           dir = Region.V;
+           lo_owner = Region.Boundary;
+           hi_owner = Region.Boundary;
+           lo_edge = dummy_edge x0;
+           hi_edge = dummy_edge x1 })
+       rects)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"k_shortest and distances match the reference"
+    ~count:2000
+    (QCheck.make ~print:print_lattice_case lattice_case)
+    (fun (rects, queries) ->
+      let g = lattice_graph rects in
+      List.for_all
+        (fun (sources, targets, k) ->
+          Mshortest.k_shortest g ~k ~sources ~targets
+          = Reference.k_shortest g ~k ~sources ~targets
+          && Mshortest.distances g ~sources = Reference.distances g ~sources)
+        queries)
 
 (* ------------------------------------------------------------- Steiner *)
 
@@ -409,7 +675,10 @@ let () =
             test_shortest_trivial_and_disconnected;
           Alcotest.test_case "multi source/target" `Quick test_multi_source_target;
           Alcotest.test_case "k shortest grid" `Quick test_k_shortest_grid;
-          Alcotest.test_case "k exhausts" `Quick test_k_shortest_exhausts ] );
+          Alcotest.test_case "k exhausts" `Quick test_k_shortest_exhausts;
+          QCheck_alcotest.to_alcotest ~long:false
+            ~rand:(Random.State.make [| 16 |])
+            prop_matches_reference ] );
       ( "steiner",
         [ Alcotest.test_case "two pin" `Quick test_steiner_two_pin;
           Alcotest.test_case "multi pin" `Quick test_steiner_multi_pin;
