@@ -126,6 +126,13 @@ let resize_core p =
   in
   Placement.set_core p core
 
+(* One channel-define / route / refine execution, mutating the placement:
+   the refinement anneal, then [final]'s frozen-cost stop or the minimum
+   window span, then the quench.  [should_stop] cuts it short with caches
+   repaired; [pool] parallelizes the per-net route enumeration without
+   changing the result; [obs] wraps it in a "stage2.refine" span and never
+   draws from [rng].  Returns the iteration, the routing and the anneal's
+   per-temperature trace. *)
 let refine_once ~rng ?(final = false) ?should_stop ?pool ?(obs = Obs.disabled)
     ?iteration p =
   Obs.span obs ~name:"stage2.refine"

@@ -60,34 +60,6 @@ val required_expansions :
     [w = (d+2)·t_s] for the densest channel bordering each side, with a
     one-track floor. *)
 
-val refine_once :
-  rng:Twmc_sa.Rng.t ->
-  ?final:bool ->
-  ?should_stop:(unit -> bool) ->
-  ?pool:Twmc_util.Domain_pool.t ->
-  ?obs:Twmc_obs.Ctx.t ->
-  ?iteration:int ->
-  Twmc_place.Placement.t ->
-  iteration * Twmc_route.Global_router.result * Twmc_place.Stage1.temp_record list
-(** One channel-define / route / refine execution, mutating the placement.
-    [final] selects the frozen-cost stopping criterion.  [should_stop] is
-    polled every 128 annealing moves and between routed nets; when it fires
-    the refinement returns early with caches repaired.  [pool] parallelizes
-    the per-net route enumeration without changing the result.  The third
-    component is the refinement anneal's per-temperature trace.
-
-    The refinement anneal is one {!Twmc_place.Anneal_loop.run}:
-    displacements and pin moves only, from the μ-window temperature down
-    the Table 2 schedule to a floor of [10⁻⁶·T∞], stopping at the minimum
-    window span — or, when [final], once the cost is unchanged for 3 inner
-    loops — then quenching.
-
-    [obs] (default disabled, zero overhead) wraps the execution in a
-    ["stage2.refine"] span, emits per-temperature ["stage2.temp"] points
-    and per-class ["stage2.classes"] points (tagged with [iteration] when
-    given) and adds the anneal's [stage2.moves.*] / [stage2.class.*]
-    counters; it never draws from [rng]. *)
-
 val run :
   rng:Twmc_sa.Rng.t ->
   ?should_stop:(unit -> bool) ->
@@ -120,6 +92,9 @@ val run :
 
     [obs] wraps the stage in a ["stage2"] span (one ["stage2.refine"] child
     per execution plus a ["stage2.final_route"] child), emits one
-    ["route.iteration"] point per completed refinement and samples the
+    ["route.iteration"] point per completed refinement, the refinement
+    anneals' per-temperature ["stage2.temp"] and per-class
+    ["stage2.classes"] points and [stage2.moves.*] / [stage2.class.*]
+    counters, and samples the
     ["route.overflow"] / ["stage2.teil"] series — all from returned data on
     the caller's domain, so results are byte-identical with it on or off. *)

@@ -1,8 +1,10 @@
 (* Uniform-grid spatial index, int-keyed.
 
-   The hot consumer is the placement overlap term: one entry per cell
-   (keyed by cell index), moved millions of times over an anneal.  The
-   structure is tuned for that traffic pattern:
+   The hot consumer is the placement overlap term on circuits of at least
+   [Placement.grid_min_cells] (48) cells: one entry per cell (keyed by cell
+   index), moved millions of times over an anneal.  Below that count a
+   scan of one packed array of bboxes answers faster, and the placement
+   builds no grid.  The structure is tuned for that traffic pattern:
 
    - keys are small non-negative ints, so per-key state (current
      rectangle as four ints, presence, query stamp) lives in flat arrays

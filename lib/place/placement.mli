@@ -127,7 +127,14 @@ val teil : t -> float
 
 val cell_overlap : t -> int -> float
 (** This cell's expanded-tile overlap against all others and the core
-    boundary, enumerated through the spatial index (O(local density)). *)
+    boundary.  The candidates come from a scan of every cell's packed
+    bbox, or, from {!grid_min_cells} cells on, from a spatial grid
+    (O(local density)). *)
+
+val grid_min_cells : int
+(** The cell count from which a placement keeps a spatial grid of its
+    cells' bboxes for the overlap term; below it, a scan of one packed
+    array is faster, and no grid is built. *)
 
 val chip_bbox : t -> Twmc_geometry.Rect.t
 (** Bounding box of all expanded tiles — the effective chip extent. *)
@@ -147,7 +154,8 @@ val verify_consistency : t -> unit
     drifting term; test hook. *)
 
 val verify_index : t -> unit
-(** Asserts the embedded spatial index matches the cell bboxes and answers
+(** Asserts the packed bboxes match the cells' bboxes and, when the
+    placement has a grid, that it holds the same boxes and answers
     queries identically to a from-scratch rebuild; raises [Failure]. *)
 
 (** {2 Evaluate once, commit what was evaluated}
@@ -189,9 +197,8 @@ val delta_cost : t -> move list -> float
 
 val commit : t -> unit
 (** Installs the state the last {!delta_cost} evaluated: cell fields,
-    spatial index, net extremes with support counts, net C1 and length,
-    C3, constraint penalties and the accumulators.
-    Raises [Invalid_argument] when there was no evaluation or the
+    packed bbox and grid entry, net extremes with support counts, net C1
+    and length, C3, constraint penalties and the accumulators.  Raises [Invalid_argument] when there was no evaluation or the
     placement changed since. *)
 
 val apply_move : t -> move -> unit

@@ -4,6 +4,11 @@ type t = {
   wx_inf : float;
   wy_inf : float;
   min_window : int;
+  (* [window] at one temperature: T, W_x, W_y.  The selectors read it, so
+     they evaluate the window once per temperature, not once per move.  A
+     float array, so that refreshing it boxes nothing; each limiter owns
+     its own. *)
+  memo : float array;
 }
 
 let create ~rho ~t_inf ~wx_inf ~wy_inf ~min_window =
@@ -14,7 +19,8 @@ let create ~rho ~t_inf ~wx_inf ~wy_inf ~min_window =
     lambda = rho ** log10 t_inf;
     wx_inf;
     wy_inf;
-    min_window }
+    min_window;
+    memo = [| nan; 0.0; 0.0 |] }
 
 let of_core ~rho ~t_inf ~core ~min_window =
   let open Twmc_geometry in
@@ -46,33 +52,42 @@ let t_for_window_fraction t ~mu =
 
 (* Round a float step to an integer, keeping at least magnitude 1 for
    nonzero factors so the minimum window still proposes unit moves. *)
-let round_step f =
+let[@inline] round_step f =
   if f = 0.0 then 0
   else
     let r = int_of_float (Float.round f) in
     if r = 0 then if f > 0.0 then 1 else -1 else r
 
+(* Brings [t.memo] to [temp]; a NaN temperature never matches. *)
+let memo_window t temp =
+  let m = t.memo in
+  if m.(0) <> temp then begin
+    let wx, wy = window t ~temp in
+    m.(0) <- temp;
+    m.(1) <- wx;
+    m.(2) <- wy
+  end
+
 let select_ds rng t ~temp =
-  let wx, wy = window t ~temp in
-  let sx = wx /. 6.0 and sy = wy /. 6.0 in
-  let rec pick () =
-    let ix = Twmc_sa.Rng.int_incl rng (-3) 3
-    and iy = Twmc_sa.Rng.int_incl rng (-3) 3 in
-    if ix = 0 && iy = 0 then pick ()
-    else (round_step (float_of_int ix *. sx), round_step (float_of_int iy *. sy))
-  in
-  pick ()
+  memo_window t temp;
+  let sx = t.memo.(1) /. 6.0 and sy = t.memo.(2) /. 6.0 in
+  let ix = ref 0 and iy = ref 0 in
+  while !ix = 0 && !iy = 0 do
+    ix := Twmc_sa.Rng.int_incl rng (-3) 3;
+    iy := Twmc_sa.Rng.int_incl rng (-3) 3
+  done;
+  (round_step (float_of_int !ix *. sx), round_step (float_of_int !iy *. sy))
 
 let select_dr rng t ~temp =
-  let wx, wy = window t ~temp in
-  let hx = max 1 (int_of_float (wx /. 2.0))
-  and hy = max 1 (int_of_float (wy /. 2.0)) in
-  let rec pick () =
-    let dx = Twmc_sa.Rng.int_incl rng (-hx) hx
-    and dy = Twmc_sa.Rng.int_incl rng (-hy) hy in
-    if dx = 0 && dy = 0 then pick () else (dx, dy)
-  in
-  pick ()
+  memo_window t temp;
+  let hx = max 1 (int_of_float (t.memo.(1) /. 2.0))
+  and hy = max 1 (int_of_float (t.memo.(2) /. 2.0)) in
+  let dx = ref 0 and dy = ref 0 in
+  while !dx = 0 && !dy = 0 do
+    dx := Twmc_sa.Rng.int_incl rng (-hx) hx;
+    dy := Twmc_sa.Rng.int_incl rng (-hy) hy
+  done;
+  (!dx, !dy)
 
 let select sel rng t ~temp =
   match sel with

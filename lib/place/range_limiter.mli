@@ -17,6 +17,9 @@
     and is kept for the Sec 3.2.3 ablation (22 % more residual overlap). *)
 
 type t
+(** A limiter remembers the window of the last temperature it served, so
+    the selectors compute it once per temperature.  Use one limiter per
+    domain. *)
 
 val create :
   rho:float -> t_inf:float -> wx_inf:float -> wy_inf:float -> min_window:int -> t

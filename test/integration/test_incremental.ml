@@ -266,13 +266,14 @@ let cell_overlap_scan p ci =
   done;
   float_of_int !total
 
-(* Satellite: the spatially-indexed overlap enumeration vs the full scan.
-   Both sum exact integer areas, so agreement must be exact equality, not
-   within-tolerance; and the embedded index must answer queries identically
-   to a from-scratch rebuild ([Placement.verify_index]). *)
-let index_vs_scan_run seed =
+(* The placement's overlap enumeration vs the full scan.  Both sum exact
+   integer areas, so agreement must be exact equality, not
+   within-tolerance; and the packed bboxes must match the cells, and a
+   grid, where there is one, must answer queries identically to a
+   from-scratch rebuild ([Placement.verify_index]). *)
+let index_vs_scan_run spec_of seed =
   let rng = Rng.create ~seed in
-  let spec = random_spec rng in
+  let spec = spec_of rng in
   let nl = Synth.generate ~seed:(Rng.int_incl rng 0 9999) spec in
   let sizing =
     Twmc_estimator.Core_area.determine ~beta:Params.default.Params.beta
@@ -324,7 +325,22 @@ let index_vs_scan_run seed =
   done;
   check_point (Printf.sprintf "seed %d final" seed)
 
-let test_index_vs_scan () = List.iter index_vs_scan_run [ 11; 22; 33 ]
+(* The random specs stay below [Placement.grid_min_cells], where the
+   candidates come from the packed bboxes; one circuit above it takes them
+   from the grid. *)
+let test_index_vs_scan () =
+  List.iter (index_vs_scan_run random_spec) [ 11; 22; 33 ];
+  let n_cells = Placement.grid_min_cells + 12 in
+  index_vs_scan_run
+    (fun _ ->
+      { Synth.default_spec with
+        Synth.name = "diff-grid";
+        n_cells;
+        n_nets = 2 * n_cells;
+        n_pins = 5 * n_cells;
+        frac_custom = 0.4;
+        frac_rectilinear = 0.4 })
+    44
 
 (* The twin of a delta-vs-apply run evaluates every move with
    [delta_cost] and installs it with [commit]; it must stay identical to
@@ -366,6 +382,24 @@ let assert_same_placement ~what a b =
         pa pb
   done
 
+(* One move list checked on a placement [p] and its [twin]: [delta_cost]
+   on [p] must equal applying the moves and differencing [total_cost]
+   bit for bit, the twin must evaluate the same delta, and after its
+   [commit] the two placements must be identical. *)
+let check_twin_move ~what p twin moves =
+  let d = Placement.delta_cost p moves in
+  let t0 = Placement.total_cost p in
+  List.iter (Placement.apply_move p) moves;
+  let t1 = Placement.total_cost p in
+  let measured = t1 -. t0 in
+  if Int64.bits_of_float d <> Int64.bits_of_float measured then
+    Alcotest.failf "%s: delta_cost %.17g <> measured %.17g" what d measured;
+  let d' = Placement.delta_cost twin moves in
+  Placement.commit twin;
+  if Int64.bits_of_float d' <> Int64.bits_of_float d then
+    Alcotest.failf "%s: twin delta_cost %.17g <> %.17g" what d' d;
+  assert_same_placement ~what p twin
+
 (* Satellite: [Placement.delta_cost] must equal apply-and-difference
    bit-for-bit (same accumulator chains on the same operands), over every
    move kind — displace, displace+orient, in-place orient, interchange,
@@ -404,18 +438,7 @@ let test_delta_vs_apply () =
   in
   let checked = ref 0 in
   let check_move what moves =
-    let d = Placement.delta_cost p moves in
-    let t0 = Placement.total_cost p in
-    List.iter (Placement.apply_move p) moves;
-    let t1 = Placement.total_cost p in
-    let measured = t1 -. t0 in
-    if Int64.bits_of_float d <> Int64.bits_of_float measured then
-      Alcotest.failf "%s: delta_cost %.17g <> measured %.17g" what d measured;
-    let d' = Placement.delta_cost twin moves in
-    Placement.commit twin;
-    if Int64.bits_of_float d' <> Int64.bits_of_float d then
-      Alcotest.failf "%s: twin delta_cost %.17g <> %.17g" what d' d;
-    assert_same_placement ~what p twin;
+    check_twin_move ~what p twin moves;
     incr checked
   in
   let rand_pos () =
@@ -542,18 +565,7 @@ let test_delta_vs_apply_constrained () =
   in
   let checked = ref 0 in
   let check_move what moves =
-    let d = Placement.delta_cost p moves in
-    let t0 = Placement.total_cost p in
-    List.iter (Placement.apply_move p) moves;
-    let t1 = Placement.total_cost p in
-    let measured = t1 -. t0 in
-    if Int64.bits_of_float d <> Int64.bits_of_float measured then
-      Alcotest.failf "%s: delta_cost %.17g <> measured %.17g" what d measured;
-    let d' = Placement.delta_cost twin moves in
-    Placement.commit twin;
-    if Int64.bits_of_float d' <> Int64.bits_of_float d then
-      Alcotest.failf "%s: twin delta_cost %.17g <> %.17g" what d' d;
-    assert_same_placement ~what p twin;
+    check_twin_move ~what p twin moves;
     incr checked
   in
   (* Positions on, one inside and one outside each blockage edge, plus
@@ -640,6 +652,162 @@ let test_delta_vs_apply_constrained () =
   Placement.verify_consistency twin;
   assert_no_drift ~what:"constrained delta-vs-apply end" p
 
+(* The per-cell C4 shares.  [delta_cost] updates a blockage
+   penalty, and a keepout penalty when the owner is not the mover, by the
+   moved cell's share alone: its share before the move, read before its
+   pending slot is rewritten, against the owner's halo in the state the
+   evaluation holds it in.  Bit for bit against apply, with every cached
+   penalty checked against a fresh evaluation after each move:
+   interchanges with a keepout owner moving first and second (also two
+   owners swapping), a list that touches one cell twice, and
+   displacements that carry a cell's edge across a blockage edge or a
+   keepout's halo edge. *)
+let test_delta_vs_apply_shares () =
+  let module Constr = Twmc_netlist.Constr in
+  let module Orient = Twmc_geometry.Orient in
+  let seed = 913 in
+  let rng = Rng.create ~seed in
+  let nl =
+    Mutate.apply_all
+      ~rng:(Rng.create ~seed:(seed lxor 0x5a5a))
+      [ Mutate.Add_blockages 2; Mutate.Add_keepouts 2 ]
+      (Synth.generate ~seed:29
+         { Synth.default_spec with
+           Synth.n_cells = 9;
+           n_nets = 24;
+           n_pins = 64;
+           frac_custom = 0.5;
+           frac_rectilinear = 0.5 })
+  in
+  let cons = nl.Twmc_netlist.Netlist.constraints in
+  let keepouts =
+    Array.to_list cons
+    |> List.filter_map (function
+         | Constr.Keepout { cell; margin } -> Some (cell, margin)
+         | _ -> None)
+  and blockages =
+    Array.to_list cons
+    |> List.filter_map (function Constr.Blockage r -> Some r | _ -> None)
+  in
+  checkb "two keepouts on two cells" true
+    (match keepouts with [ (a, _); (b, _) ] -> a <> b | _ -> false);
+  checkb "two blockages" true (List.length blockages = 2);
+  let owners = List.map fst keepouts in
+  let core = centered_core ~w:300 ~h:300 in
+  let est =
+    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
+      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+  in
+  let p =
+    Placement.create ~params:Params.default ~core
+      ~expander:(Placement.Dynamic est) ~rng nl
+  in
+  let twin =
+    Placement.create ~params:Params.default ~core
+      ~expander:(Placement.Dynamic est) ~rng:(Rng.create ~seed) nl
+  in
+  Placement.set_p2 p 0.7;
+  Placement.set_p2 twin 0.7;
+  let n = Twmc_netlist.Netlist.n_cells nl in
+  let cm ?x ?y ?orient ci =
+    Placement.Cell_move { ci; x; y; orient; variant = None; sites = None }
+  in
+  let checked = ref 0 and keepout_changes = ref 0 in
+  let check what moves =
+    let before =
+      Array.init (Array.length cons) (Placement.constraint_penalty twin)
+    in
+    check_twin_move ~what p twin moves;
+    assert_constraint_accounting ~what p;
+    assert_constraint_accounting ~what:(what ^ " (committed)") twin;
+    Array.iteri
+      (fun k c ->
+        match c with
+        | Constr.Keepout _
+          when Placement.constraint_penalty twin k <> before.(k) ->
+            incr keepout_changes
+        | _ -> ())
+      cons;
+    incr checked
+  in
+  let hull = function
+    | [] -> Rect.empty
+    | r :: rest -> List.fold_left Rect.hull r rest
+  in
+  (* The owner's halo as one rectangle: each of its edges is an edge of
+     one halo tile. *)
+  let halo (owner, margin) =
+    Rect.expand_uniform (hull (Placement.abs_tiles p owner)) margin
+  in
+  (* Displacements of [ci] that put its left, right, bottom or top edge one
+     unit before, on and one unit past each edge of [r], centred on [r]
+     along the other axis. *)
+  let cross_edges what ci r =
+    let x, y = Placement.cell_pos p ci in
+    let bb = hull (Placement.abs_tiles p ci) in
+    let left = x - bb.Rect.x0 and right = bb.Rect.x1 - x
+    and below = y - bb.Rect.y0 and above = bb.Rect.y1 - y in
+    let cx, cy = Rect.center r in
+    List.iter
+      (fun d ->
+        List.iter
+          (fun e ->
+            check (what ^ " x") [ cm ~x:(e + d - right) ~y:cy ci ];
+            check (what ^ " x") [ cm ~x:(e + d + left) ~y:cy ci ])
+          [ r.Rect.x0; r.Rect.x1 ];
+        List.iter
+          (fun e ->
+            check (what ^ " y") [ cm ~x:cx ~y:(e + d - above) ci ];
+            check (what ^ " y") [ cm ~x:cx ~y:(e + d + below) ci ])
+          [ r.Rect.y0; r.Rect.y1 ])
+      [ -1; 0; 1 ]
+  in
+  let interchange what i j =
+    let xi, yi = Placement.cell_pos p i and xj, yj = Placement.cell_pos p j in
+    check what [ cm ~x:xj ~y:yj i; cm ~x:xi ~y:yi j ];
+    let xi, yi = Placement.cell_pos p i and xj, yj = Placement.cell_pos p j in
+    let oi = Orient.aspect_inversion_of (Placement.cell_orient p i)
+    and oj = Orient.aspect_inversion_of (Placement.cell_orient p j) in
+    check (what ^ " inverted")
+      [ cm ~x:xj ~y:yj ~orient:oi i; cm ~x:xi ~y:yi ~orient:oj j ]
+  in
+  for round = 1 to 3 do
+    for ci = 0 to n - 1 do
+      List.iter (fun r -> cross_edges "across a blockage edge" ci r) blockages;
+      List.iter
+        (fun ((owner, _) as k) ->
+          if owner <> ci then cross_edges "across a halo edge" ci (halo k))
+        keepouts;
+      List.iter
+        (fun o ->
+          if o <> ci then begin
+            interchange "owner moves first" o ci;
+            interchange "owner moves second" ci o
+          end)
+        owners;
+      (* One cell touched twice: the second move starts from the first
+         one's pending state. *)
+      let x = Rng.int_incl rng core.Rect.x0 core.Rect.x1
+      and y = Rng.int_incl rng core.Rect.y0 core.Rect.y1 in
+      check "displace then orient"
+        [ cm ~x ~y ci; cm ~orient:(Rng.pick_list rng Orient.all) ci ];
+      (* Park the cell on an owner's halo for the next round. *)
+      let owner = List.nth owners (round mod 2) in
+      if owner <> ci then begin
+        let ox, oy = Placement.cell_pos p owner in
+        check "onto a halo" [ cm ~x:(ox + round) ~y:(oy - round) ci ]
+      end
+    done;
+    (match owners with
+    | [ a; b ] -> interchange "two owners swap" a b
+    | _ -> ())
+  done;
+  checkb "coverage: enough share moves exercised" true (!checked > 500);
+  checkb "coverage: moves changed a keepout penalty" true
+    (!keepout_changes > 50);
+  Placement.verify_consistency twin;
+  assert_no_drift ~what:"shares end" p
+
 (* [commit] installs only an evaluation of the current placement: any
    mutation after [delta_cost] — here a [set_cell] — makes it raise, and
    so does a second commit of the same evaluation. *)
@@ -675,18 +843,19 @@ let test_commit_stale_raises () =
 (* The evaluation allocates nothing but its boxed float result: 10,000
    rejected single-cell displacements (pre-built, never committed) on an
    unconstrained netlist, after a warm-up that fills the geometry caches,
-   under the stage-1 dynamic and the stage-2 static expander. *)
-let test_delta_cost_no_alloc () =
+   under the stage-1 dynamic and the stage-2 static expander; on a circuit
+   below [Placement.grid_min_cells] and one above it. *)
+let delta_cost_no_alloc_run ~n_cells ~side =
   let nl =
     Synth.generate ~seed:31
       { Synth.default_spec with
-        Synth.n_cells = 12;
-        n_nets = 30;
-        n_pins = 90;
+        Synth.n_cells;
+        n_nets = 30 * n_cells / 12;
+        n_pins = 90 * n_cells / 12;
         frac_custom = 0.5;
         frac_rectilinear = 0.4 }
   in
-  let core = centered_core ~w:400 ~h:400 in
+  let core = centered_core ~w:side ~h:side in
   let est =
     Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
       ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
@@ -718,12 +887,17 @@ let test_delta_cost_no_alloc () =
     let w1 = Gc.minor_words () in
     let per_call = (w1 -. w0) /. float_of_int iters in
     checkb
-      (Printf.sprintf "%s: %.2f minor words per delta_cost" what per_call)
+      (Printf.sprintf "%d cells, %s: %.2f minor words per delta_cost" n what
+         per_call)
       true (per_call <= 2.0)
   in
   measure "dynamic expander";
   Placement.set_expander p (Placement.Static (Array.make n (4, 3, 2, 5)));
   measure "static expander"
+
+let test_delta_cost_no_alloc () =
+  delta_cost_no_alloc_run ~n_cells:12 ~side:400;
+  delta_cost_no_alloc_run ~n_cells:(Placement.grid_min_cells + 12) ~side:900
 
 let () =
   Alcotest.run "incremental"
@@ -742,6 +916,8 @@ let () =
             test_differential_constrained;
           Alcotest.test_case "constrained delta_cost vs apply" `Quick
             test_delta_vs_apply_constrained;
+          Alcotest.test_case "per-cell C4 shares vs apply" `Quick
+            test_delta_vs_apply_shares;
           Alcotest.test_case "commit of a stale evaluation raises" `Quick
             test_commit_stale_raises;
           Alcotest.test_case "delta_cost allocates only its result" `Quick

@@ -230,6 +230,27 @@ let test_selectors () =
     checkb "min window nonzero" true (dx <> 0 || dy <> 0)
   done
 
+(* A limiter keeps the window of the last temperature it was asked for:
+   a shared one must draw exactly the steps a fresh limiter draws, as the
+   temperature changes, repeats and returns. *)
+let test_selectors_memo () =
+  let make () =
+    Range_limiter.create ~rho:4.0 ~t_inf:1e5 ~wx_inf:900.0 ~wy_inf:500.0
+      ~min_window:6
+  in
+  let shared = make () in
+  let a = Rng.create ~seed:9 and b = Rng.create ~seed:9 in
+  List.iter
+    (fun temp ->
+      for _ = 1 to 20 do
+        let sel = if Rng.bool_with_prob a 0.5 then Params.Ds else Params.Dr in
+        ignore (Rng.bool_with_prob b 0.5);
+        let got = Range_limiter.select sel a shared ~temp
+        and want = Range_limiter.select sel b (make ()) ~temp in
+        checkb (Printf.sprintf "same step at T=%g" temp) true (got = want)
+      done)
+    [ 1e5; 1e5; 314.0; 1e5; 0.1; 0.1; 2.5e3 ]
+
 (* --------------------------------------------------------------- Moves *)
 
 let test_moves_consistency () =
@@ -549,7 +570,9 @@ let () =
       ( "range limiter",
         [ Alcotest.test_case "window" `Quick test_range_limiter;
           Alcotest.test_case "mu start" `Quick test_range_limiter_mu;
-          Alcotest.test_case "selectors" `Quick test_selectors ] );
+          Alcotest.test_case "selectors" `Quick test_selectors;
+          Alcotest.test_case "selectors keep one window per temperature"
+            `Quick test_selectors_memo ] );
       ( "moves",
         [ Alcotest.test_case "consistency" `Quick test_moves_consistency;
           Alcotest.test_case "stage2 restrictions" `Quick test_moves_stage2_restrictions ] );
