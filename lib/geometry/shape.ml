@@ -127,10 +127,6 @@ let overlap_area a b =
         List.fold_left (fun acc tb -> acc + Rect.inter_area ta tb) acc b.tiles)
       0 a.tiles
 
-let normalize s =
-  let b = s.bbox in
-  translate s ~dx:(-b.Rect.x0) ~dy:(-b.Rect.y0)
-
 let equal a b =
   List.sort Rect.compare a.tiles = List.sort Rect.compare b.tiles
 

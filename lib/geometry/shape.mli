@@ -54,8 +54,5 @@ val contains_point : t -> int * int -> bool
 val overlap_area : t -> t -> int
 (** The paper's [O(i, j)] (Eqn 8), without edge expansion. *)
 
-val normalize : t -> t
-(** Translate so the bounding box's lower-left corner is the origin. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -41,10 +41,6 @@ let kind_name = function
   | Abut _ -> "abut"
   | Density _ -> "density"
 
-let all_kind_names =
-  [ "blockage"; "keepout"; "fixed"; "region"; "boundary"; "align"; "abut";
-    "density" ]
-
 let spec_cells = function
   | Blockage_spec _ | Density_spec _ -> []
   | Keepout_spec { cell; _ } | Fixed_spec { cell; _ } | Region_spec { cell; _ }

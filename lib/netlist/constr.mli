@@ -55,7 +55,6 @@ type spec =
     }
 
 val kind_name : t -> string
-val all_kind_names : string list
 
 val spec_cells : spec -> string list
 (** Cell names a spec references (for lint). *)

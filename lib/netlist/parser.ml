@@ -280,5 +280,4 @@ let read_file path =
       let n = in_channel_length ic in
       really_input_string ic n)
 
-let builder_of_file path = builder_of_string ~file:path (read_file path)
 let parse_file path = parse_string ~file:path (read_file path)

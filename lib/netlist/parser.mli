@@ -56,7 +56,6 @@ val builder_of_string : ?file:string -> string -> Builder.t
     tripping the constructor validation that {!Netlist.make} applies.
     Raises {!Parse_error} on syntax errors only. *)
 
-val builder_of_file : string -> Builder.t
 
 val read_file : string -> string
 (** Raw binary read (CRLF handling happens in the tokenizer).  Raises

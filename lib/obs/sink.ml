@@ -14,7 +14,7 @@ type event =
   | Span_end of { id : int; name : string; t_ns : int; attrs : Attr.t }
   | Point of { name : string; t_ns : int; attrs : Attr.t }
 
-type chan = { oc : out_channel; owned : bool; mutable closed : bool }
+type chan = { oc : out_channel; mutable closed : bool }
 
 type mem = {
   q : event Queue.t;
@@ -85,19 +85,10 @@ let meta_line () =
     "{\"v\":%d,\"ev\":\"meta\",\"name\":\"twmc-trace\",\"t_ns\":%d}"
     schema_version (Clock.now_ns ())
 
-let of_channel oc =
-  let t =
-    { target = Channel { oc; owned = false; closed = false };
-      mutex = Mutex.create () }
-  in
-  output_string oc (meta_line ());
-  output_char oc '\n';
-  t
-
 let to_file path =
   let oc = open_out path in
   let t =
-    { target = Channel { oc; owned = true; closed = false };
+    { target = Channel { oc; closed = false };
       mutex = Mutex.create () }
   in
   output_string oc (meta_line ());
@@ -135,6 +126,6 @@ let close t =
       Mutex.lock t.mutex;
       if not c.closed then begin
         c.closed <- true;
-        if c.owned then close_out c.oc else flush c.oc
+        close_out c.oc
       end;
       Mutex.unlock t.mutex

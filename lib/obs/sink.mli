@@ -45,10 +45,6 @@ val memory_events : t -> event list
 val dropped : t -> int
 (** Events evicted by a bounded memory sink; [0] for other sinks. *)
 
-val of_channel : out_channel -> t
-(** JSONL onto an existing channel (one meta line is written first).  The
-    caller owns the channel. *)
-
 val to_file : string -> t
 (** Opens [path] for writing and emits JSONL; call {!close} when done. *)
 

@@ -23,34 +23,6 @@ type cell_state = {
   pp : int array;
 }
 
-(* Exact per-net span extremes with support counts: how many pin refs sit
-   on each extreme. *)
-type spans = {
-  minx : int array;
-  maxx : int array;
-  miny : int array;
-  maxy : int array;
-  cminx : int array;
-  cmaxx : int array;
-  cminy : int array;
-  cmaxy : int array;
-}
-
-let make_spans n =
-  let a () = Array.make n 0 in
-  { minx = a (); maxx = a (); miny = a (); maxy = a ();
-    cminx = a (); cmaxx = a (); cminy = a (); cmaxy = a () }
-
-let copy_span src dst n =
-  dst.minx.(n) <- src.minx.(n);
-  dst.maxx.(n) <- src.maxx.(n);
-  dst.miny.(n) <- src.miny.(n);
-  dst.maxy.(n) <- src.maxy.(n);
-  dst.cminx.(n) <- src.cminx.(n);
-  dst.cmaxx.(n) <- src.cmaxx.(n);
-  dst.cminy.(n) <- src.cminy.(n);
-  dst.cmaxy.(n) <- src.cmaxy.(n)
-
 (* Indices into [tot] (the committed cost accumulators) and [acc] (the
    accumulators of the last evaluation).  Float arrays, not mutable float
    fields, so that updating them boxes nothing. *)
@@ -75,20 +47,16 @@ type t = {
   uncommitted : int array array;
   site_cap : int array array array;
   allowed : int array array array array;
-  (* Net pin refs flattened to (cell, pin) pairs, and the net weights. *)
+  (* Net pin refs flattened to (cell, pin) pairs, the net weights, and each
+     net's committed C1 and length. *)
   net_refs : int array array;
   net_hw : float array;
   net_vw : float array;
   net_c1 : float array;
   net_len : float array;
-  (* A moved pin only forces a net rescan when it was the sole support of
-     a boundary it left. *)
-  span : spans;
-  (* nets_of_cell as arrays (same order as the list — the C1/TEIL float
-     accumulator chains depend on it), plus the pin refs of each cell on
-     each of its nets (with multiplicity, matching the rescan counting). *)
+  (* nets_of_cell as arrays, in the list's order: the C1/TEIL float
+     accumulator chains depend on it. *)
   cell_nets : int array array;
-  cell_net_pins : int array array array;
   cell_c3 : float array;
   (* Placement constraints (netlist order) and their cached integer-valued
      penalties; [cons_of_cell.(ci)] lists the constraint slots that must
@@ -111,7 +79,6 @@ type t = {
   mutable version : int;
   mutable evaluated : int;
   (* Scratch, preallocated at [create]. *)
-  old_pp : int array;  (* pre-move pin positions of the cell being set *)
   qbuf : int array;  (* grid query hits *)
   share_old : int array;  (* per [cons_of_cell] entry: the pre-move share *)
   occ_buf : int array;  (* per-site pin counts, all zero between uses *)
@@ -119,8 +86,8 @@ type t = {
   bbuf : int array;  (* two bounding boxes for the constraint evaluator *)
   (* Scratch of [delta_cost]: the pending slots (a move touches at most
      two cells), whether a slot's geometry differs from the committed
-     cell's, its C3; and the simulated per-net extremes, counts, C1 and
-     length, and per-constraint penalties, valid where their stamp equals
+     cell's, its C3; and the simulated per-net C1 and length, and
+     per-constraint penalties, valid where their stamp equals
      [sim_stamp]. *)
   slots : cell_state array;
   sl_ci : int array;
@@ -128,7 +95,6 @@ type t = {
   sl_c3 : float array;
   mutable n_pending : int;
   acc : float array;
-  sim_span : spans;
   sim_c1 : float array;
   sim_len : float array;
   sim_net_stamp : int array;
@@ -378,104 +344,28 @@ let slot_of t ci =
   else if t.n_pending > 1 && t.sl_ci.(1) = ci then 1
   else -1
 
-(* Full rescan of net [n] into [dst]: extremes and their support counts in
-   one pass over the pin refs, at the pending slots' pin positions when
-   [pending].  The apply path falls back on it when an incremental update
-   cannot prove the surviving support of a boundary; the evaluation always
-   rescans.  Extremes and counts are exact ints, so both paths agree. *)
-let rescan t n ~pending dst =
+(* C1 and TEIL contribution of net [n], written to [c1.(n)] and
+   [len.(n)]: its span in one pass over the pin refs, at the pending
+   slots' pin positions when [pending].  Extremes are exact ints and the
+   two floats come from one expression on every path, so evaluated and
+   recomputed values agree bit for bit. *)
+let net_cost t n ~pending c1 len =
   let refs = t.net_refs.(n) in
   let minx = ref max_int and maxx = ref min_int in
   let miny = ref max_int and maxy = ref min_int in
-  let cminx = ref 0 and cmaxx = ref 0 and cminy = ref 0 and cmaxy = ref 0 in
   for k = 0 to (Array.length refs / 2) - 1 do
     let c = refs.(2 * k) and p = refs.((2 * k) + 1) in
     let s = if pending then slot_of t c else -1 in
     let pp = if s >= 0 then t.slots.(s).pp else t.cells.(c).pp in
     let x = pp.(2 * p) and y = pp.((2 * p) + 1) in
-    if x < !minx then begin minx := x; cminx := 1 end
-    else if x = !minx then incr cminx;
-    if x > !maxx then begin maxx := x; cmaxx := 1 end
-    else if x = !maxx then incr cmaxx;
-    if y < !miny then begin miny := y; cminy := 1 end
-    else if y = !miny then incr cminy;
-    if y > !maxy then begin maxy := y; cmaxy := 1 end
-    else if y = !maxy then incr cmaxy
+    minx := imin !minx x;
+    maxx := imax !maxx x;
+    miny := imin !miny y;
+    maxy := imax !maxy y
   done;
-  dst.minx.(n) <- !minx;
-  dst.maxx.(n) <- !maxx;
-  dst.miny.(n) <- !miny;
-  dst.maxy.(n) <- !maxy;
-  dst.cminx.(n) <- !cminx;
-  dst.cmaxx.(n) <- !cmaxx;
-  dst.cminy.(n) <- !cminy;
-  dst.cmaxy.(n) <- !cmaxy
-
-(* C1 and TEIL contribution of net [n] from its span in [sp], written to
-   [c1.(n)] and [len.(n)]: one expression for every path, so cached,
-   evaluated and recomputed values agree bit for bit. *)
-let span_cost t sp n c1 len =
-  let dx = float_of_int (sp.maxx.(n) - sp.minx.(n))
-  and dy = float_of_int (sp.maxy.(n) - sp.miny.(n)) in
+  let dx = float_of_int (!maxx - !minx) and dy = float_of_int (!maxy - !miny) in
   c1.(n) <- (dx *. t.net_hw.(n)) +. (dy *. t.net_vw.(n));
   len.(n) <- dx +. dy
-
-(* Incremental update of one min-extreme axis ([off] 0 for x, 1 for y)
-   after the pins [pins] of one cell moved from [old_pp] to [new_pp].
-   Returns [false] when the old extreme lost all its support and no moved
-   pin re-establishes it — the caller must rescan the net. *)
-let update_min_axis ext cnt n pins old_pp new_pp off =
-  let e = ext.(n) in
-  let removed = ref 0 and bestnew = ref max_int and bestcnt = ref 0 in
-  for k = 0 to Array.length pins - 1 do
-    let p = pins.(k) in
-    if old_pp.((2 * p) + off) = e then incr removed;
-    let v = new_pp.((2 * p) + off) in
-    if v < !bestnew then begin bestnew := v; bestcnt := 1 end
-    else if v = !bestnew then incr bestcnt
-  done;
-  let rem = cnt.(n) - !removed in
-  if !bestnew < e then begin
-    ext.(n) <- !bestnew;
-    cnt.(n) <- !bestcnt;
-    true
-  end
-  else if !bestnew = e then begin cnt.(n) <- rem + !bestcnt; true end
-  else if rem > 0 then begin cnt.(n) <- rem; true end
-  else false
-
-let update_max_axis ext cnt n pins old_pp new_pp off =
-  let e = ext.(n) in
-  let removed = ref 0 and bestnew = ref min_int and bestcnt = ref 0 in
-  for k = 0 to Array.length pins - 1 do
-    let p = pins.(k) in
-    if old_pp.((2 * p) + off) = e then incr removed;
-    let v = new_pp.((2 * p) + off) in
-    if v > !bestnew then begin bestnew := v; bestcnt := 1 end
-    else if v = !bestnew then incr bestcnt
-  done;
-  let rem = cnt.(n) - !removed in
-  if !bestnew > e then begin
-    ext.(n) <- !bestnew;
-    cnt.(n) <- !bestcnt;
-    true
-  end
-  else if !bestnew = e then begin cnt.(n) <- rem + !bestcnt; true end
-  else if rem > 0 then begin cnt.(n) <- rem; true end
-  else false
-
-(* Update the cached span of net [n] (the [k]-th net of cell [ci]) after
-   [ci]'s pins moved from [t.old_pp] to their current positions. *)
-let update_net_span t ci k n =
-  let pins = t.cell_net_pins.(ci).(k) in
-  let np = t.cells.(ci).pp and op = t.old_pp and sp = t.span in
-  let ok =
-    update_min_axis sp.minx sp.cminx n pins op np 0
-    && update_max_axis sp.maxx sp.cmaxx n pins op np 0
-    && update_min_axis sp.miny sp.cminy n pins op np 1
-    && update_max_axis sp.maxy sp.cmaxy n pins op np 1
-  in
-  if not ok then rescan t n ~pending:false sp
 
 (* ------------------------------------------------------------------ *)
 (* Cost terms                                                          *)
@@ -577,11 +467,6 @@ let cell_overlap t ci =
    site order. *)
 let c3_into t ci ~variant sites out k =
   let caps = t.site_cap.(ci).(variant) and unc = t.uncommitted.(ci) in
-  for j = 0 to Array.length unc - 1 do
-    let s = sites.(unc.(j)) in
-    if s < 0 || s >= Array.length caps then
-      invalid_arg "Placement: pin site out of range for the variant"
-  done;
   let occ = t.occ_buf in
   for j = 0 to Array.length unc - 1 do
     let s = sites.(unc.(j)) in
@@ -600,12 +485,6 @@ let c3_into t ci ~variant sites out k =
     occ.(sites.(unc.(j))) <- 0
   done
 
-let refresh_c3 t ci =
-  let cs = t.cells.(ci) in
-  let old = t.cell_c3.(ci) in
-  c3_into t ci ~variant:cs.variant cs.sites t.cell_c3 ci;
-  t.tot.(k_c3) <- t.tot.(k_c3) -. old +. t.cell_c3.(ci)
-
 (* ------------------------------------------------------------------ *)
 (* Constraint penalties (C4)                                           *)
 
@@ -613,9 +492,10 @@ let abs_tiles t ci =
   let cs = t.cells.(ci) in
   rects_of cs.abs cs.n_tiles
 
-(* Whole-constraint evaluation against the committed state.  [Constr.eval]
-   returns an exact integer, so the float accumulator chains built on it
-   cancel exactly across the apply, delta and recompute paths. *)
+(* Whole-constraint evaluation against the committed state, by
+   [Constr.eval] itself: the from-scratch side of [recompute_all].  It
+   returns an exact integer, so it agrees exactly with what the
+   evaluation computes on flat geometry. *)
 let eval_constraint t k =
   float_of_int
     (Constr.eval ~n_cells:(Array.length t.cells) ~tiles:(abs_tiles t)
@@ -672,8 +552,7 @@ let tiles_in_rect t r =
   !total
 
 (* [Constr.eval] over the evaluated state, case for case, on flat
-   geometry.  Both return exact integers, so they agree exactly; the
-   committed caches keep using [Constr.eval] itself. *)
+   geometry.  Both return exact integers, so they agree exactly. *)
 let eval_constraint_pending t k =
   match t.cons.(k) with
   | Constr.Blockage r -> tiles_in_rect t r
@@ -748,8 +627,7 @@ let recompute_all t =
   t.tot.(k_c1) <- 0.0;
   t.tot.(k_teil) <- 0.0;
   for n = 0 to Array.length t.net_refs - 1 do
-    rescan t n ~pending:false t.span;
-    span_cost t t.span n t.net_c1 t.net_len;
+    net_cost t n ~pending:false t.net_c1 t.net_len;
     t.tot.(k_c1) <- t.tot.(k_c1) +. t.net_c1.(n);
     t.tot.(k_teil) <- t.tot.(k_teil) +. t.net_len.(n)
   done;
@@ -851,19 +729,6 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
   in
   let n_nets = Netlist.n_nets nl in
   let cell_nets = Array.map Array.of_list nl.Netlist.nets_of_cell in
-  let cell_net_pins =
-    Array.init n (fun ci ->
-        Array.map
-          (fun nidx ->
-            let net = nl.Netlist.nets.(nidx) in
-            let acc = ref [] in
-            Array.iter
-              (fun (r : Net.pin_ref) ->
-                if r.Net.cell = ci then acc := r.Net.pin :: !acc)
-              net.Net.pins;
-            Array.of_list (List.rev !acc))
-          cell_nets.(ci))
-  in
   let net_refs =
     Array.map
       (fun (net : Net.t) ->
@@ -931,9 +796,7 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
       net_vw = Array.map (fun (net : Net.t) -> net.Net.vweight) nl.Netlist.nets;
       net_c1 = Array.make n_nets 0.0;
       net_len = Array.make n_nets 0.0;
-      span = make_spans n_nets;
       cell_nets;
-      cell_net_pins;
       cell_c3 = Array.make n 0.0;
       cons;
       cpen = Array.make (Array.length cons) 0.0;
@@ -944,7 +807,6 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
       idx = (if n >= grid_min_cells then Some (make_grid core n) else None);
       version = 0;
       evaluated = -1;
-      old_pp = Array.make (2 * max_pins) 0;
       qbuf = Array.make (max 1 n) 0;
       share_old = Array.make (Array.length cons) 0;
       occ_buf = Array.make max_sites 0;
@@ -956,7 +818,6 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
       sl_c3 = Array.make 2 0.0;
       n_pending = 0;
       acc = Array.make 5 0.0;
-      sim_span = make_spans n_nets;
       sim_c1 = Array.make n_nets 0.0;
       sim_len = Array.make n_nets 0.0;
       sim_net_stamp = Array.make n_nets 0;
@@ -1042,34 +903,34 @@ let chip_bbox t =
     Rect.empty t.cells
 
 (* ------------------------------------------------------------------ *)
-(* Mutation                                                            *)
+(* Evaluate once, commit what was evaluated                            *)
 
-let update_nets_of_cell t ci =
-  let nets = t.cell_nets.(ci) and a = t.tot in
-  for k = 0 to Array.length nets - 1 do
-    let n = nets.(k) in
-    update_net_span t ci k n;
-    a.(k_c1) <- a.(k_c1) -. t.net_c1.(n);
-    a.(k_teil) <- a.(k_teil) -. t.net_len.(n);
-    span_cost t t.span n t.net_c1 t.net_len;
-    a.(k_c1) <- a.(k_c1) +. t.net_c1.(n);
-    a.(k_teil) <- a.(k_teil) +. t.net_len.(n)
-  done
+type move =
+  | Cell_move of {
+      ci : int;
+      x : int option;
+      y : int option;
+      orient : Orient.t option;
+      variant : int option;
+      sites : int array option;
+    }
+  | Sites_move of { ci : int; sites : int array }
 
-let set_sites t ci (dst : int array) (src : int array) =
+(* Copies the site assignment [src] of cell [ci] into [dst], rejecting
+   one of the wrong length, or one that puts an uncommitted pin off
+   [variant]'s site table, before anything reads it. *)
+let set_sites t ci ~variant (dst : int array) (src : int array) =
   let n = Array.length t.pin_committed.(ci) in
   if Array.length src <> n then
     invalid_arg "Placement: site assignment of the wrong length";
+  let n_sites = Array.length t.site_cap.(ci).(variant)
+  and unc = t.uncommitted.(ci) in
+  for j = 0 to Array.length unc - 1 do
+    let s = src.(unc.(j)) in
+    if s < 0 || s >= n_sites then
+      invalid_arg "Placement: pin site out of range for the variant"
+  done;
   Array.blit src 0 dst 0 n
-
-let set_cell_sites t ci sites =
-  touch t;
-  let cs = t.cells.(ci) in
-  Array.blit cs.pp 0 t.old_pp 0 (Array.length cs.pp);
-  set_sites t ci cs.sites sites;
-  refresh_pins t ci cs;
-  update_nets_of_cell t ci;
-  refresh_c3 t ci
 
 (* Clamp the first [n] entries of a site assignment into [variant]'s site
    array, honouring edge restrictions; mutates [sites] in place. *)
@@ -1087,57 +948,6 @@ let reclamp_sites t ci ~variant sites n =
       sites.(p) <- (if Array.mem s a then s else a.(0))
     end
   done
-
-let set_cell t ci ?x ?y ?orient ?variant ?sites () =
-  match (x, y, orient, variant, sites) with
-  | None, None, None, None, Some s ->
-      (* Pin sites only, geometry untouched: C2 cannot change.  Safe for
-         bit-identity because the overlap totals are integer-valued floats,
-         so the skipped [c2v -. ov +. ov] chain is exact. *)
-      set_cell_sites t ci s
-  | _ ->
-      touch t;
-      let cs = t.cells.(ci) in
-      let ov_old = float_of_int (overlap t ci cs ~pending:false) in
-      Array.blit cs.pp 0 t.old_pp 0 (Array.length cs.pp);
-      let variant_changed =
-        match variant with Some v -> v <> cs.variant | None -> false
-      in
-      (match x with Some v -> cs.x <- v | None -> ());
-      (match y with Some v -> cs.y <- v | None -> ());
-      (match orient with Some v -> cs.orient <- v | None -> ());
-      (match variant with Some v -> cs.variant <- v | None -> ());
-      (match sites with
-      | Some s -> set_sites t ci cs.sites s
-      | None ->
-          if variant_changed then
-            reclamp_sites t ci ~variant:cs.variant cs.sites
-              (Array.length cs.sites));
-      refresh_cell t ci;
-      update_nets_of_cell t ci;
-      let ov_new = float_of_int (overlap t ci cs ~pending:false) in
-      t.tot.(k_c2) <- t.tot.(k_c2) -. ov_old +. ov_new;
-      if variant_changed || Option.is_some sites then refresh_c3 t ci;
-      Array.iter
-        (fun k ->
-          let v = eval_constraint t k in
-          t.tot.(k_c4) <- t.tot.(k_c4) -. t.cpen.(k) +. v;
-          t.cpen.(k) <- v)
-        t.cons_of_cell.(ci)
-
-(* ------------------------------------------------------------------ *)
-(* Evaluate once, commit what was evaluated                            *)
-
-type move =
-  | Cell_move of {
-      ci : int;
-      x : int option;
-      y : int option;
-      orient : Orient.t option;
-      variant : int option;
-      sites : int array option;
-    }
-  | Sites_move of { ci : int; sites : int array }
 
 (* The pending slot of cell [ci], taking a fresh one (loaded with the
    committed position, orientation, variant, sites and C3) on first
@@ -1162,8 +972,9 @@ let acquire t ci =
     s
   end
 
-(* Mirrors [update_nets_of_cell]: the C1 and TEIL chains, net by net in
-   [cell_nets] order. *)
+(* The C1 and TEIL chains of a move of cell [ci]: net by net in
+   [cell_nets] order, the net's last value out (evaluated earlier in this
+   list, else committed) and its rescan at the pending pin positions in. *)
 let sim_nets t ci =
   let nets = t.cell_nets.(ci) and a = t.acc and stamp = t.sim_stamp in
   for k = 0 to Array.length nets - 1 do
@@ -1171,14 +982,13 @@ let sim_nets t ci =
     let seen = t.sim_net_stamp.(n) = stamp in
     a.(k_c1) <- a.(k_c1) -. (if seen then t.sim_c1.(n) else t.net_c1.(n));
     a.(k_teil) <- a.(k_teil) -. (if seen then t.sim_len.(n) else t.net_len.(n));
-    rescan t n ~pending:true t.sim_span;
-    span_cost t t.sim_span n t.sim_c1 t.sim_len;
+    net_cost t n ~pending:true t.sim_c1 t.sim_len;
     t.sim_net_stamp.(n) <- stamp;
     a.(k_c1) <- a.(k_c1) +. t.sim_c1.(n);
     a.(k_teil) <- a.(k_teil) +. t.sim_len.(n)
   done
 
-(* Mirrors [refresh_c3]. *)
+(* The C3 chain of pending slot [s]: its last C3 out, the recount in. *)
 let sim_c3 t s ci =
   let a = t.acc in
   let g = t.slots.(s) in
@@ -1186,16 +996,18 @@ let sim_c3 t s ci =
   c3_into t ci ~variant:g.variant g.sites t.sl_c3 s;
   a.(k_c3) <- a.(k_c3) +. t.sl_c3.(s)
 
-(* Mirrors [set_cell_sites]. *)
+(* A pin-site move: the pins, nets and C3 change, the geometry does not. *)
 let sim_sites_move t ci sites =
   let s = acquire t ci in
   let g = t.slots.(s) in
-  set_sites t ci g.sites sites;
+  set_sites t ci ~variant:g.variant g.sites sites;
   refresh_pins t ci g;
   sim_nets t ci;
   sim_c3 t s ci
 
-(* Mirrors [set_cell], including its sites-only routing. *)
+(* A move of cell [ci]'s position, orientation, variant or sites: its
+   nets, its overlap before and after, its C3 when the variant or the
+   sites change, and the constraints that name it. *)
 let sim_cell_move t ci ~x ~y ~orient ~variant ~sites =
   let a = t.acc in
   let before = eval_state t ci in
@@ -1218,7 +1030,7 @@ let sim_cell_move t ci ~x ~y ~orient ~variant ~sites =
   let sites_given =
     match sites with
     | Some v ->
-        set_sites t ci g.sites v;
+        set_sites t ci ~variant:g.variant g.sites v;
         true
     | None ->
         if variant_changed then
@@ -1251,6 +1063,9 @@ let sim_cell_move t ci ~x ~y ~orient ~variant ~sites =
     t.sim_cpen_stamp.(k) <- stamp
   done
 
+(* A [Cell_move] that carries only sites is a pin-site move.  Its overlap
+   and constraint chains would subtract and add back the same integers, so
+   skipping them changes no float. *)
 let sim_move t = function
   | Cell_move { ci; x = None; y = None; orient = None; variant = None; sites = Some s }
   | Sites_move { ci; sites = s } ->
@@ -1264,10 +1079,9 @@ let rec sim_moves t = function
       sim_move t m;
       sim_moves t rest
 
-(* Computes exactly the float that [apply_move]-ing every move and then
-   subtracting the prior [total_cost] would produce — same accumulator
-   chains in the same order on the same operands — and keeps the evaluated
-   state in the scratch for [commit]. *)
+(* Each move runs its chains from the state the moves before it left, on
+   the operands a commit of those moves would leave, so a list and the
+   same moves committed one at a time give the same floats bit for bit. *)
 let delta_cost t moves =
   t.evaluated <- -1;
   t.n_pending <- 0;
@@ -1301,7 +1115,6 @@ let commit t =
     let nets = t.cell_nets.(ci) in
     for k = 0 to Array.length nets - 1 do
       let n = nets.(k) in
-      copy_span t.sim_span t.span n;
       t.net_c1.(n) <- t.sim_c1.(n);
       t.net_len.(n) <- t.sim_len.(n)
     done;
@@ -1315,10 +1128,11 @@ let commit t =
   t.n_pending <- 0;
   touch t
 
-let apply_move t = function
-  | Cell_move { ci; x; y; orient; variant; sites } ->
-      set_cell t ci ?x ?y ?orient ?variant ?sites ()
-  | Sites_move { ci; sites } -> set_cell_sites t ci sites
+(* One move, evaluated and committed: a move that raises does so in the
+   evaluation, before the placement changes. *)
+let set_cell t ci ?x ?y ?orient ?variant ?sites () =
+  ignore (delta_cost t [ Cell_move { ci; x; y; orient; variant; sites } ]);
+  commit t
 
 (* ------------------------------------------------------------------ *)
 (* Cost snapshots                                                      *)
@@ -1391,8 +1205,3 @@ let verify_index t =
               (Printf.sprintf
                  "Placement.verify_index: query mismatch at cell %d" ci))
         t.cells
-
-let pp_summary ppf t =
-  Format.fprintf ppf "C1=%.0f C2=%.0f (p2=%.3g) C3=%.0f TEIL=%.0f cost=%.0f"
-    (c1 t) (c2_raw t) t.p2v (c3 t) (teil t) (total_cost t);
-  if Array.length t.cons > 0 then Format.fprintf ppf " C4=%.0f" (c4 t)

@@ -3,10 +3,12 @@
     Holds, per cell: position (of the variant bounding-box center),
     orientation, selected variant, and the pin-site assignment of
     uncommitted pins; plus the derived caches (absolute tiles, expanded
-    tiles and their bounding box, absolute pin positions, per-net spans
-    and TEIC contributions, per-cell C3, per-constraint penalties) that
-    make move evaluation incremental.  The annealer evaluates a move once,
-    with {!delta_cost}, and installs it with {!commit}.
+    tiles and their bounding box, absolute pin positions, per-net TEIC
+    contributions and lengths, per-cell C3, per-constraint penalties) that
+    make move evaluation incremental.  Every change of a cell is one path:
+    {!delta_cost} evaluates it, {!commit} installs what was evaluated, and
+    {!set_cell} is the two in one call.  {!recompute_all} rebuilds every
+    cache from the cell fields alone, independently of that path.
 
     Cost terms:
     - [C1] — the TEIC (Eqn 6): weighted net spans from exact pin locations;
@@ -82,15 +84,13 @@ val set_cell :
   ?sites:int array ->
   unit ->
   unit
-(** Mutates the cell and incrementally updates every cache and cost term.
-    A variant change re-clamps out-of-range site assignments.  A given
-    [sites] array is copied, and must have one entry per pin.  The general
-    mutation path, and the reference {!commit} is tested against. *)
-
-val set_cell_sites : t -> int -> int array -> unit
-(** Fast path for pin moves: replaces the site assignment only.  Skips the
-    tile/overlap work ([C2] cannot change when only pins move), updating pin
-    positions, net contributions and occupancy. *)
+(** One [Cell_move]: {!delta_cost} of it, then {!commit}.  A variant
+    change without [sites] re-clamps the site assignment into the new
+    variant.  A given [sites] array is copied; it must have one entry per
+    pin, and each uncommitted pin's entry must index the (new) variant's
+    site table.  Whatever raises — a bad site assignment, a variant or
+    cell out of range — raises in the evaluation, before the placement
+    changes. *)
 
 (** {2 Cost} *)
 
@@ -164,16 +164,14 @@ val verify_index : t -> unit
     placement preallocates: two pending-cell slots (a move list touches at
     most two cells), each holding the candidate position, orientation,
     variant and sites and, in flat int arrays, its tiles, expanded tiles,
-    bounding box and pin positions; per-net simulated extremes with their
-    support counts, C1 and length, and per-constraint penalties, in
-    stamped arrays; and the five evaluated accumulators (C1-C4, TEIL) in
-    a float array.  On an unconstrained netlist the evaluation allocates
-    nothing but its boxed float result.  If the Metropolis test accepts,
-    {!commit} installs exactly that state: what {!apply_move}-ing the same
-    moves would leave, bit for bit.  Any mutation in between — {!set_cell},
-    {!set_cell_sites}, {!apply_move}, {!commit}, {!set_p2}, {!set_core},
-    {!set_expander}, {!recompute_all}, {!restore_cost} — invalidates the
-    evaluation. *)
+    bounding box and pin positions; the moved cells' nets, rescanned into
+    a per-net C1 and length, and per-constraint penalties, in stamped
+    arrays; and the five evaluated accumulators (C1-C4, TEIL) in a float
+    array.  On an unconstrained netlist the evaluation allocates nothing
+    but its boxed float result.  If the Metropolis test accepts, {!commit}
+    installs exactly that state.  Any mutation in between — {!set_cell},
+    {!commit}, {!set_p2}, {!set_core}, {!set_expander}, {!recompute_all},
+    {!restore_cost} — invalidates the evaluation. *)
 
 type move =
   | Cell_move of {
@@ -183,27 +181,25 @@ type move =
       orient : Twmc_geometry.Orient.t option;
       variant : int option;
       sites : int array option;
-    }  (** Mirrors the optional arguments of {!set_cell}. *)
+    }  (** The optional arguments of {!set_cell}.  One that carries only
+           [sites] is a pin-site move. *)
   | Sites_move of { ci : int; sites : int array }
-      (** Mirrors {!set_cell_sites}. *)
+      (** A pin-site move: the site assignment changes, the geometry does
+          not, so the overlap and constraint terms are not evaluated. *)
 
 val delta_cost : t -> move list -> float
-(** Cost change of applying the moves in order, without changing the
-    placement.  Bit-identical to applying them and differencing
-    {!total_cost} — the same accumulator chains run in the same order on
-    the same operands — so Metropolis decisions (and RNG consumption) are
-    those of a mutate-and-measure trial.  Raises [Invalid_argument] when
-    the moves touch more than two cells. *)
+(** Cost change of the moves in order, without changing the placement.
+    Each move runs its accumulator chains from the state the moves before
+    it left, so the result equals, bit for bit, committing the same moves
+    one at a time and differencing {!total_cost}.  Raises
+    [Invalid_argument] when the moves touch more than two cells, or as
+    {!set_cell} does; after a raise there is no evaluation to commit. *)
 
 val commit : t -> unit
 (** Installs the state the last {!delta_cost} evaluated: cell fields,
-    packed bbox and grid entry, net extremes with support counts, net C1
-    and length, C3, constraint penalties and the accumulators.  Raises [Invalid_argument] when there was no evaluation or the
-    placement changed since. *)
-
-val apply_move : t -> move -> unit
-(** Applies one move through {!set_cell}/{!set_cell_sites}, evaluating it
-    anew: the reference {!commit} is tested against. *)
+    packed bbox and grid entry, net C1 and length, C3, constraint
+    penalties and the accumulators.  Raises [Invalid_argument] when there
+    was no evaluation or the placement changed since. *)
 
 (** {2 Cost snapshots} *)
 
@@ -214,5 +210,3 @@ val restore_cost : t -> cost_snapshot -> unit
 (** Puts back the five cost accumulators only, leaving the cells alone;
     the stale-cache mutation tests use it to corrupt a placement on
     purpose. *)
-
-val pp_summary : Format.formatter -> t -> unit

@@ -165,11 +165,11 @@ let relabel p =
         Placement.set_cell q j ~x ~y
           ~orient:(Placement.cell_orient p old)
           ~variant:(Placement.cell_variant p old)
-          ();
-        Placement.set_cell_sites q j
-          (Array.init
-             (Cell.n_pins nl.Netlist.cells.(old))
-             (fun k -> Placement.site_of_pin p ~cell:old ~pin:k))
+          ~sites:
+            (Array.init
+               (Cell.n_pins nl.Netlist.cells.(old))
+               (fun k -> Placement.site_of_pin p ~cell:old ~pin:k))
+          ()
       done;
       Placement.recompute_all q;
       let check name got want =
@@ -215,11 +215,11 @@ let constrained_twin p ~name_suffix ~constraints ?(dx = 0) ?(dy = 0) ?core ()
         Placement.set_cell q ci ~x:(x + dx) ~y:(y + dy)
           ~orient:(Placement.cell_orient p ci)
           ~variant:(Placement.cell_variant p ci)
-          ();
-        Placement.set_cell_sites q ci
-          (Array.init
-             (Cell.n_pins nl.Netlist.cells.(ci))
-             (fun k -> Placement.site_of_pin p ~cell:ci ~pin:k))
+          ~sites:
+            (Array.init
+               (Cell.n_pins nl.Netlist.cells.(ci))
+               (fun k -> Placement.site_of_pin p ~cell:ci ~pin:k))
+          ()
       done;
       Placement.recompute_all q;
       Ok q

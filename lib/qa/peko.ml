@@ -13,7 +13,6 @@ let spec_of_scale ?(locality = 0.7) ?(utilization = 0.5) ?(nets_per_cell = 1.6)
     utilization }
 
 let default_scales = [ 25; 49; 100 ]
-let full_scales = [ 25; 49; 100; 225; 400; 784 ]
 
 let save ~dir nl (cert : Gen.certificate) =
   Atomic_io.mkdir_p dir;

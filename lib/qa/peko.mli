@@ -19,10 +19,6 @@ val spec_of_scale :
 val default_scales : int list
 (** The per-PR sweep sizes: [[25; 49; 100]]. *)
 
-val full_scales : int list
-(** The nightly sweep sizes, up to ≈800 cells:
-    [[25; 49; 100; 225; 400; 784]]. *)
-
 val save :
   dir:string ->
   Twmc_netlist.Netlist.t ->

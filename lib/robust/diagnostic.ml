@@ -20,9 +20,6 @@ let make ?file ?line ?(entity = "") ?severity ~code message =
   in
   { code; severity; entity; message; file; line }
 
-let errorf ?file ?line ?entity ~code fmt =
-  Format.kasprintf (fun m -> make ?file ?line ?entity ~severity:Error ~code m) fmt
-
 let of_triple ?file (code, entity, message) = make ?file ~entity ~code message
 
 let is_error d = d.severity = Error
@@ -44,8 +41,5 @@ let pp ppf d =
   Format.fprintf ppf "%s[%s]" (severity_string d.severity) d.code;
   if d.entity <> "" then Format.fprintf ppf " %s" d.entity;
   Format.fprintf ppf ": %s" d.message
-
-let pp_list ppf ds =
-  List.iter (fun d -> Format.fprintf ppf "%a@." pp d) ds
 
 let to_string d = Format.asprintf "%a" pp d

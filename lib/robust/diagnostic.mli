@@ -31,10 +31,6 @@ val make :
 (** When [severity] is omitted it is inferred from the code's first letter:
     [E]/[P] → [Error], [W] → [Warning], anything else → [Info]. *)
 
-val errorf :
-  ?file:string -> ?line:int -> ?entity:string -> code:string ->
-  ('a, Format.formatter, unit, t) format4 -> 'a
-
 val of_triple : ?file:string -> string * string * string -> t
 (** Map a [(code, entity, message)] triple (the dependency-free shape
     {!Twmc_netlist.Builder.lint_specs} emits) onto a diagnostic. *)
@@ -50,5 +46,4 @@ val pp : Format.formatter -> t -> unit
 (** One line: [file:line: severity[CODE] entity: message] with the
     location/entity parts elided when absent. *)
 
-val pp_list : Format.formatter -> t list -> unit
 val to_string : t -> string

@@ -21,19 +21,6 @@ let should_stop t () = expired t
 let remaining_s t =
   Option.map (fun d -> Float.max 0.0 (d -. Unix.gettimeofday ())) t.deadline
 
-(* A child guard can only ever be *tighter* than its parent: its deadline is
-   the earlier of the parent's and [now + budget_s].  A nested stage started
-   1 ms before the parent's deadline therefore inherits that 1 ms instead of
-   running unbudgeted. *)
-let with_remaining t ?budget_s () =
-  let own = Option.map (fun b -> Unix.gettimeofday () +. b) budget_s in
-  let deadline =
-    match (t.deadline, own) with
-    | None, d | d, None -> d
-    | Some a, Some b -> Some (Float.min a b)
-  in
-  { deadline }
-
 let sleep_s d = if d > 0.0 then Unix.sleepf d
 
 type 'a outcome =

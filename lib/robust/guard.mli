@@ -24,13 +24,6 @@ val should_stop : t -> unit -> bool
 val expired : t -> bool
 val remaining_s : t -> float option
 
-val with_remaining : t -> ?budget_s:float -> unit -> t
-(** A child guard bounded by the parent's remaining budget: its deadline is
-    the earlier of the parent's and [now + budget_s].  Use it to hand a
-    nested stage its own (tighter) budget — the child can never outlive the
-    parent, so a stage started 1 ms before the parent's deadline inherits
-    that 1 ms instead of running unbudgeted. *)
-
 val sleep_s : float -> unit
 (** Block for the given number of seconds (no-op when non-positive); used
     for the retry backoff between seed-perturbed stage-1 attempts. *)

@@ -24,10 +24,6 @@ let all_kinds =
     Conflicting_fixed 1; Zero_slack_regions 2; Pin_boundary 2; Align_chain 3;
     Abut_pairs 2; Tight_density 1 ]
 
-let constraint_kinds =
-  [ Add_blockages 2; Add_keepouts 2; Conflicting_fixed 1; Zero_slack_regions 2;
-    Pin_boundary 2; Align_chain 3; Abut_pairs 2; Tight_density 1 ]
-
 let is_constraint_kind = function
   | Add_blockages _ | Add_keepouts _ | Conflicting_fixed _
   | Zero_slack_regions _ | Pin_boundary _ | Align_chain _ | Abut_pairs _

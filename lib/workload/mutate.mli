@@ -60,10 +60,6 @@ val all_kinds : t list
 (** One representative of each constructor, with small default counts —
     the fuzzer's sampling universe. *)
 
-val constraint_kinds : t list
-(** The constraint-injecting subset of {!all_kinds} — one adversarial
-    mutator per placement-constraint type. *)
-
 val is_constraint_kind : t -> bool
 
 val to_string : t -> string

@@ -392,31 +392,6 @@ let test_guard_expired_short_circuit () =
   | Guard.Failed d -> checks "code" "G401" d.Diagnostic.code);
   checkb "thunk skipped" false !ran
 
-let test_with_remaining () =
-  (* unbudgeted parent: the child budget applies as-is *)
-  let parent = Guard.create () in
-  checkb "parent unbounded" true (Guard.remaining_s parent = None);
-  let child = Guard.with_remaining parent ~budget_s:60.0 () in
-  (match Guard.remaining_s child with
-  | None -> Alcotest.fail "child should be bounded"
-  | Some r -> checkb "child bounded by own budget" true (r <= 60.0));
-  (* budgeted parent: a larger child budget is clamped to the parent's
-     remaining time *)
-  let parent = Guard.create ~time_budget_s:5.0 () in
-  let child = Guard.with_remaining parent ~budget_s:3600.0 () in
-  (match (Guard.remaining_s parent, Guard.remaining_s child) with
-  | Some p, Some c -> checkb "child cannot outlive parent" true (c <= p)
-  | _ -> Alcotest.fail "both must be bounded");
-  (* no explicit budget: the child inherits the parent's deadline *)
-  let inherit_ = Guard.with_remaining parent () in
-  (match (Guard.remaining_s parent, Guard.remaining_s inherit_) with
-  | Some p, Some c -> checkb "inherited deadline" true (c <= p)
-  | _ -> Alcotest.fail "both must be bounded");
-  (* an expired parent yields an expired child, before any stage runs *)
-  let parent = Guard.create ~time_budget_s:(-1.0) () in
-  let child = Guard.with_remaining parent ~budget_s:3600.0 () in
-  checkb "expired parent, expired child" true (Guard.expired child)
-
 (* ------------------------------------------------------ resume equality *)
 
 let flow_digest rr =
@@ -534,8 +509,7 @@ let () =
             test_run_rolls_back_refine_fault ] );
       ( "guard",
         [ Alcotest.test_case "expired guard short-circuits" `Quick
-            test_guard_expired_short_circuit;
-          Alcotest.test_case "with_remaining" `Quick test_with_remaining ] );
+            test_guard_expired_short_circuit ] );
       ( "resume",
         [ Alcotest.test_case "kill at refinement 1 + resume" `Slow
             test_kill_resume_stage1_boundary;

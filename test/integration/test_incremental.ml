@@ -4,8 +4,8 @@
    (C1/C2/C3/TEIL) and updates them incrementally on each move; the oracle
    is a from-scratch [Placement.recompute_all].  Random netlists from the
    synthetic workload generator are driven through batches of random moves
-   — hot temperatures so most are accepted, cold so most are rejected and
-   rolled back, covering both the apply and the restore paths — and after
+   — hot temperatures so most are accepted and committed, cold so most
+   are rejected and must leave the placement untouched — and after
    every batch each cached term must agree with the recomputed truth to
    within 1e-6 relative ([Placement.drift_report] applies exactly that
    tolerance and returns the offenders). *)
@@ -31,6 +31,11 @@ let random_spec rng =
 
 let centered_core ~w ~h =
   Rect.make ~x0:(-(w / 2)) ~y0:(-(h / 2)) ~x1:(w - (w / 2)) ~y1:(h - (h / 2))
+
+(* [Placement.drift_report]'s tolerance. *)
+let close a b =
+  Float.abs (a -. b)
+  <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
 let assert_no_drift ~what p =
   match Placement.drift_report p with
@@ -83,7 +88,7 @@ let differential_run seed =
   let batches = 10 and batch = 50 in
   for b = 1 to batches do
     (* Hot batches accept nearly everything; cold ones reject nearly
-       everything, exercising snapshot/restore. *)
+       everything, whose evaluations must leave the placement as it was. *)
     let temp = if b mod 2 = 1 then 1e4 else 1e-3 in
     let ctx =
       if b <= 6 then dyn_ctx
@@ -224,10 +229,6 @@ let test_per_move_terms () =
   let ctx =
     Moves.make_ctx ~placement:p ~limiter ~stats:(Moves.make_stats ()) ()
   in
-  let close a b =
-    Float.abs (a -. b)
-    <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-  in
   for i = 1 to 120 do
     let temp = if i mod 3 = 0 then 1e-3 else 1e3 in
     Moves.generate ctx rng ~temp;
@@ -342,20 +343,25 @@ let test_index_vs_scan () =
         frac_rectilinear = 0.4 })
     44
 
-(* The twin of a delta-vs-apply run evaluates every move with
-   [delta_cost] and installs it with [commit]; it must stay identical to
-   the placement the moves were applied to: every accumulator and
-   constraint penalty to the bit, every cell's state, tiles and pins. *)
-let assert_same_placement ~what a b =
+(* Placement [b] against the placement under test, [a]: every accumulator
+   but C1 and every constraint penalty to the bit, C1 to the bit when
+   [c1_exact] and within [drift_report]'s bound otherwise, and every
+   cell's state, tiles and pins. *)
+let assert_same_placement ~what ~against ?(c1_exact = true) a b =
   let module Cell = Twmc_netlist.Cell in
   let bits = Int64.bits_of_float in
   List.iter
     (fun (term, f) ->
       if bits (f a) <> bits (f b) then
-        Alcotest.failf "%s: %s applied %.17g, committed %.17g" what term (f a)
-          (f b))
-    [ ("C1", Placement.c1); ("C2", Placement.c2_raw); ("C3", Placement.c3);
-      ("C4", Placement.c4); ("TEIL", Placement.teil) ];
+        Alcotest.failf "%s: %s committed %.17g, %s %.17g" what term (f a)
+          against (f b))
+    [ ("C2", Placement.c2_raw); ("C3", Placement.c3); ("C4", Placement.c4);
+      ("TEIL", Placement.teil) ];
+  let c1a = Placement.c1 a and c1b = Placement.c1 b in
+  if
+    if c1_exact then bits c1a <> bits c1b else not (close c1a c1b)
+  then
+    Alcotest.failf "%s: C1 committed %.17g, %s %.17g" what c1a against c1b;
   let nl = Placement.netlist a in
   Array.iteri
     (fun ci (c : Cell.t) ->
@@ -378,33 +384,106 @@ let assert_same_placement ~what a b =
     let pa = Placement.constraint_penalty a k
     and pb = Placement.constraint_penalty b k in
     if bits pa <> bits pb then
-      Alcotest.failf "%s: constraint %d applied %.17g, committed %.17g" what k
-        pa pb
+      Alcotest.failf "%s: constraint %d committed %.17g, %s %.17g" what k pa
+        against pb
   done
 
-(* One move list checked on a placement [p] and its [twin]: [delta_cost]
-   on [p] must equal applying the moves and differencing [total_cost]
-   bit for bit, the twin must evaluate the same delta, and after its
-   [commit] the two placements must be identical. *)
+(* One move of a list through [Placement.set_cell]. *)
+let set_move p = function
+  | Placement.Cell_move { ci; x; y; orient; variant; sites } ->
+      Placement.set_cell p ci ?x ?y ?orient ?variant ?sites ()
+  | Placement.Sites_move { ci; sites } -> Placement.set_cell p ci ~sites ()
+
+(* A placement rebuilt from [p]'s committed cell fields alone: a fresh one
+   over the same netlist, core, expander and p2, each cell set to [p]'s
+   position, orientation, variant and sites, then [recompute_all], which
+   derives every cache and accumulator from those fields. *)
+let rebuild p =
+  let module Cell = Twmc_netlist.Cell in
+  let nl = Placement.netlist p in
+  let q =
+    Placement.create ~params:(Placement.params p) ~core:(Placement.core p)
+      ~expander:(Placement.expander p) ~rng:(Rng.create ~seed:0) nl
+  in
+  Placement.set_p2 q (Placement.p2 p);
+  Array.iteri
+    (fun ci (c : Cell.t) ->
+      let x, y = Placement.cell_pos p ci in
+      Placement.set_cell q ci ~x ~y ~orient:(Placement.cell_orient p ci)
+        ~variant:(Placement.cell_variant p ci)
+        ~sites:
+          (Array.init (Cell.n_pins c) (fun pin ->
+               Placement.site_of_pin p ~cell:ci ~pin))
+        ())
+    nl.Twmc_netlist.Netlist.cells;
+  Placement.recompute_all q;
+  q
+
+(* One move list checked three ways.  [p] evaluates it with [delta_cost]
+   and installs it with [commit]; its same-seed [twin] applies the moves
+   one at a time through [set_cell], so a two-cell list is evaluated as
+   two independent moves.  The delta must equal the twin's cost change,
+   and the two placements each other, bit for bit; and [p] must match its
+   [rebuild].  Nothing recomputes [p] itself, so no stale cache is
+   repaired before it is compared. *)
 let check_twin_move ~what p twin moves =
   let d = Placement.delta_cost p moves in
-  let t0 = Placement.total_cost p in
-  List.iter (Placement.apply_move p) moves;
-  let t1 = Placement.total_cost p in
-  let measured = t1 -. t0 in
+  Placement.commit p;
+  let t0 = Placement.total_cost twin in
+  List.iter (set_move twin) moves;
+  let measured = Placement.total_cost twin -. t0 in
   if Int64.bits_of_float d <> Int64.bits_of_float measured then
-    Alcotest.failf "%s: delta_cost %.17g <> measured %.17g" what d measured;
-  let d' = Placement.delta_cost twin moves in
-  Placement.commit twin;
-  if Int64.bits_of_float d' <> Int64.bits_of_float d then
-    Alcotest.failf "%s: twin delta_cost %.17g <> %.17g" what d' d;
-  assert_same_placement ~what p twin
+    Alcotest.failf "%s: delta_cost %.17g <> set_cell one at a time %.17g" what
+      d measured;
+  assert_same_placement ~what ~against:"set_cell" p twin;
+  assert_same_placement ~what ~against:"rebuilt" ~c1_exact:false p (rebuild p)
 
-(* Satellite: [Placement.delta_cost] must equal apply-and-difference
-   bit-for-bit (same accumulator chains on the same operands), over every
-   move kind — displace, displace+orient, in-place orient, interchange,
-   variant and pin-site moves, through both the [Sites_move] constructor
-   and the sites-only [Cell_move] routing. *)
+(* Cell [ci]'s site assignment with every uncommitted pin that may take
+   it moved onto one site, the least-capacity allowed site of its first
+   uncommitted pin: with two or more such pins the site is crowded past
+   its capacity, so the move changes the cell's C3. *)
+let crowded_sites p ci =
+  let module Cell = Twmc_netlist.Cell in
+  let c = (Placement.netlist p).Twmc_netlist.Netlist.cells.(ci) in
+  let variant = Placement.cell_variant p ci in
+  let cap s = (Cell.variant c variant).Cell.sites.(s).Twmc_netlist.Pin_site.capacity in
+  let allowed pin = Placement.allowed_sites p ~cell:ci ~variant ~pin in
+  let sites =
+    Array.init (Cell.n_pins c) (fun pin -> Placement.site_of_pin p ~cell:ci ~pin)
+  in
+  match
+    List.find_opt
+      (fun pin -> Array.length (allowed pin) > 0)
+      (List.init (Cell.n_pins c) Fun.id)
+  with
+  | None -> None
+  | Some first ->
+      let a = allowed first in
+      let s0 =
+        Array.fold_left (fun best s -> if cap s < cap best then s else best)
+          a.(0) a
+      in
+      Array.iteri
+        (fun pin _ -> if Array.mem s0 (allowed pin) then sites.(pin) <- s0)
+        sites;
+      Some sites
+
+(* A site move that crowds cell [ci] ([crowded_sites]) through
+   [check_move]; counts it in [changes] when it changed C3.  The next
+   site move of the same cell then takes its C3 out again: what a
+   [commit] that drops its C3 copy gets wrong. *)
+let check_crowd ~check_move ~changes p ci =
+  match crowded_sites p ci with
+  | None -> ()
+  | Some sites ->
+      let c3 = Placement.c3 p in
+      check_move "crowd one site" [ Placement.Sites_move { ci; sites } ];
+      if Placement.c3 p <> c3 then incr changes
+
+(* [check_twin_move] over every move kind — displace, displace+orient,
+   in-place orient, interchange, variant and pin-site moves, through both
+   the [Sites_move] constructor and the sites-only [Cell_move] routing —
+   under the dynamic and then the static expander. *)
 let test_delta_vs_apply () =
   let rng = Rng.create ~seed:909 in
   let nl =
@@ -436,7 +515,7 @@ let test_delta_vs_apply () =
   let cm ?x ?y ?orient ?variant ?sites ci =
     Placement.Cell_move { ci; x; y; orient; variant; sites }
   in
-  let checked = ref 0 in
+  let checked = ref 0 and c3_changes = ref 0 in
   let check_move what moves =
     check_twin_move ~what p twin moves;
     incr checked
@@ -490,6 +569,7 @@ let test_delta_vs_apply () =
       let v' = Rng.int_incl rng 0 (Cell.n_variants c - 1) in
       check_move "variant" [ cm ~variant:v' ci ]
     end;
+    check_crowd ~check_move ~changes:c3_changes p ci;
     (match random_sites ci with
     | Some sites ->
         check_move "sites" [ Placement.Sites_move { ci; sites } ]
@@ -499,12 +579,6 @@ let test_delta_vs_apply () =
         (* The sites-only Cell_move must route through the same fast path. *)
         check_move "sites-via-cell-move" [ cm ~sites ci ]
     | None -> ());
-    (* A displacement applied to both placements: [set_cell] reads the
-       net support counts the twin's commits installed. *)
-    (let ci = Rng.int_incl rng 0 (n - 1) and x, y = rand_pos () in
-     Placement.apply_move p (cm ~x ~y ci);
-     Placement.apply_move twin (cm ~x ~y ci);
-     assert_same_placement ~what:"set_cell after commits" p twin);
     (* Swap expanders mid-run: the delta path must track both models. *)
     if i = 20 then begin
       Placement.set_expander p (Placement.Static (Array.make n (3, 3, 3, 3)));
@@ -513,14 +587,15 @@ let test_delta_vs_apply () =
     end
   done;
   checkb "coverage: enough move kinds exercised" true (!checked > 150);
+  checkb "coverage: site moves changed C3" true (!c3_changes >= 5);
+  Placement.verify_index p;
   Placement.verify_index twin;
   Placement.verify_consistency twin;
   assert_no_drift ~what:"delta-vs-apply end" p
 
-(* Satellite: delta-vs-apply bit-exactness on a constrained netlist, for
-   every move kind, with displacement targets biased onto and just across
-   the blockage edges — the worst case for the per-constraint incremental
-   re-evaluation. *)
+(* [check_twin_move] on a constrained netlist, for every move kind, with
+   displacement targets biased onto and just across the blockage edges —
+   the worst case for the per-constraint incremental re-evaluation. *)
 let test_delta_vs_apply_constrained () =
   let rng = Rng.create ~seed:911 in
   let nl =
@@ -563,7 +638,7 @@ let test_delta_vs_apply_constrained () =
   let cm ?x ?y ?orient ?variant ?sites ci =
     Placement.Cell_move { ci; x; y; orient; variant; sites }
   in
-  let checked = ref 0 in
+  let checked = ref 0 and c3_changes = ref 0 in
   let check_move what moves =
     check_twin_move ~what p twin moves;
     incr checked
@@ -628,16 +703,13 @@ let test_delta_vs_apply_constrained () =
       let v' = Rng.int_incl rng 0 (Cell.n_variants c - 1) in
       check_move "c-variant" [ cm ~variant:v' ci ]
     end;
+    check_crowd ~check_move ~changes:c3_changes p ci;
     (match random_sites ci with
     | Some sites -> check_move "c-sites" [ Placement.Sites_move { ci; sites } ]
     | None -> ());
     (match random_sites ci with
     | Some sites -> check_move "c-sites-via-cell-move" [ cm ~sites ci ]
     | None -> ());
-    (let ci = Rng.int_incl rng 0 (n - 1) and x, y = rand_pos () in
-     Placement.apply_move p (cm ~x ~y ci);
-     Placement.apply_move twin (cm ~x ~y ci);
-     assert_same_placement ~what:"c-set_cell after commits" p twin);
     if i = 20 then begin
       Placement.set_expander p (Placement.Static (Array.make n (3, 3, 3, 3)));
       Placement.set_expander twin
@@ -646,8 +718,10 @@ let test_delta_vs_apply_constrained () =
   done;
   checkb "coverage: enough constrained move kinds exercised" true
     (!checked > 150);
-  assert_constraint_accounting ~what:"constrained delta-vs-apply end" p;
-  assert_constraint_accounting ~what:"constrained delta-vs-commit end" twin;
+  checkb "coverage: site moves changed C3" true (!c3_changes >= 5);
+  assert_constraint_accounting ~what:"constrained delta-vs-commit end" p;
+  assert_constraint_accounting ~what:"constrained set_cell end" twin;
+  Placement.verify_index p;
   Placement.verify_index twin;
   Placement.verify_consistency twin;
   assert_no_drift ~what:"constrained delta-vs-apply end" p
@@ -656,8 +730,9 @@ let test_delta_vs_apply_constrained () =
    penalty, and a keepout penalty when the owner is not the mover, by the
    moved cell's share alone: its share before the move, read before its
    pending slot is rewritten, against the owner's halo in the state the
-   evaluation holds it in.  Bit for bit against apply, with every cached
-   penalty checked against a fresh evaluation after each move:
+   evaluation holds it in.  Each list through [check_twin_move], with
+   every cached penalty checked against a fresh evaluation after each
+   move:
    interchanges with a keepout owner moving first and second (also two
    owners swapping), a list that touches one cell twice, and
    displacements that carry a cell's edge across a blockage edge or a
@@ -840,6 +915,94 @@ let test_commit_stale_raises () =
       Placement.commit p);
   Placement.verify_consistency p
 
+(* A [set_cell] that raises changes nothing: the error comes from the
+   evaluation, before any cell field, cache or accumulator is written, so
+   the position and [total_cost] stay as they were, nothing drifts, and
+   there is no evaluation left to commit.  Out-of-range pin sites are
+   rejected where the assignment enters, against the variant the move
+   evaluates, through both move constructors. *)
+let test_set_cell_raises_unchanged () =
+  let module Builder = Twmc_netlist.Builder in
+  let module Cell = Twmc_netlist.Cell in
+  let module Pin = Twmc_netlist.Pin in
+  let module Shape = Twmc_geometry.Shape in
+  (* Cell 0 has two uncommitted pins and two instances: an L, whose six
+     edges carry more sites than the four of the rectangle. *)
+  let b = Builder.create ~name:"sites" ~track_spacing:2 in
+  Builder.add_custom_instances b ~name:"a"
+    ~shapes:
+      [ Shape.l_shape ~w:40 ~h:40 ~notch_w:20 ~notch_h:20;
+        Shape.rectangle ~w:40 ~h:20 ]
+    ~pins:
+      [ Builder.on ~name:"p" ~net:"n0" Pin.Any_edge;
+        Builder.on ~name:"q" ~net:"n1" Pin.Any_edge ]
+    ();
+  List.iter
+    (fun name ->
+      Builder.add_macro b ~name ~shape:(Shape.rectangle ~w:20 ~h:20)
+        ~pins:
+          [ Builder.at ~name:"p" ~net:"n0" (20, 10);
+            Builder.at ~name:"q" ~net:"n1" (10, 20) ])
+    [ "b"; "c" ];
+  let nl = Builder.build b in
+  let p =
+    Placement.create ~params:Params.default ~core:(centered_core ~w:120 ~h:120)
+      ~expander:(Placement.Static (Array.make 3 (2, 2, 2, 2)))
+      ~rng:(Rng.create ~seed:38) nl
+  in
+  Placement.set_p2 p 0.5;
+  let c = nl.Twmc_netlist.Netlist.cells.(0) in
+  let sites_of () =
+    Array.init (Cell.n_pins c) (fun pin -> Placement.site_of_pin p ~cell:0 ~pin)
+  in
+  (* [f] raises [Invalid_argument msg], and cell 0, [total_cost] and every
+     cache are as they were, with no evaluation left to commit. *)
+  let rejects what msg f =
+    let pos = Placement.cell_pos p 0 and sites = sites_of () in
+    let cost = Int64.bits_of_float (Placement.total_cost p) in
+    Alcotest.check_raises what (Invalid_argument msg) f;
+    checkb (what ^ ": position unchanged") true (Placement.cell_pos p 0 = pos);
+    checkb (what ^ ": sites unchanged") true (sites_of () = sites);
+    checkb (what ^ ": total_cost unchanged") true
+      (Int64.bits_of_float (Placement.total_cost p) = cost);
+    Alcotest.check_raises (what ^ ": nothing to commit")
+      (Invalid_argument
+         "Placement.commit: no evaluation of the current placement")
+      (fun () -> Placement.commit p);
+    assert_no_drift ~what p
+  in
+  let x, _ = Placement.cell_pos p 0 in
+  rejects "wrong-length sites" "Placement: site assignment of the wrong length"
+    (fun () -> Placement.set_cell p 0 ~x:(x + 50) ~sites:[||] ());
+  let out_of_range = "Placement: pin site out of range for the variant" in
+  let n_sites v = Array.length (Cell.variant c v).Cell.sites in
+  checkb "committed as the L" true
+    (Placement.cell_variant p 0 = 0 && n_sites 1 < n_sites 0);
+  let with_pin0 s =
+    let sites = sites_of () in
+    sites.(0) <- s;
+    sites
+  in
+  List.iter
+    (fun s ->
+      let sites = with_pin0 s and what = Printf.sprintf "site %d" s in
+      rejects what out_of_range (fun () ->
+          Placement.set_cell p 0 ~x:(x + 50) ~sites ());
+      rejects (what ^ ", sites only") out_of_range (fun () ->
+          Placement.set_cell p 0 ~sites ());
+      rejects (what ^ ", Sites_move") out_of_range (fun () ->
+          ignore
+            (Placement.delta_cost p [ Placement.Sites_move { ci = 0; sites } ])))
+    [ -1; n_sites 0; n_sites 0 + 7 ];
+  (* A site on the L's table, past the rectangle's: checked against the
+     variant the move evaluates, and accepted for the committed one. *)
+  let sites = with_pin0 (n_sites 1) in
+  rejects "site past the new variant's table" out_of_range (fun () ->
+      Placement.set_cell p 0 ~variant:1 ~sites ());
+  Placement.set_cell p 0 ~sites ();
+  checkb "valid sites installed" true (sites_of () = sites);
+  Placement.verify_consistency p
+
 (* The evaluation allocates nothing but its boxed float result: 10,000
    rejected single-cell displacements (pre-built, never committed) on an
    unconstrained netlist, after a warm-up that fills the geometry caches,
@@ -920,5 +1083,7 @@ let () =
             test_delta_vs_apply_shares;
           Alcotest.test_case "commit of a stale evaluation raises" `Quick
             test_commit_stale_raises;
+          Alcotest.test_case "set_cell that raises changes nothing" `Quick
+            test_set_cell_raises_unchanged;
           Alcotest.test_case "delta_cost allocates only its result" `Quick
             test_delta_cost_no_alloc ] ) ]

@@ -126,7 +126,7 @@ let test_placement_sites_fastpath () =
     | Some s ->
         let sites' = Array.copy sites in
         sites'.(!pin) <- s;
-        Placement.set_cell_sites p ci sites';
+        Placement.set_cell p ci ~sites:sites' ();
         check "site moved" s (Placement.site_of_pin p ~cell:ci ~pin:!pin);
         Placement.verify_consistency p
     | None -> ())
@@ -172,7 +172,7 @@ let prop_incremental_consistency =
                   | [] -> ()
                   | allowed -> sites.(pi) <- Rng.pick_list rng allowed)
               c.Cell.pins;
-            Placement.set_cell_sites p ci sites
+            Placement.set_cell p ci ~sites ()
       done;
       Placement.verify_consistency p;
       true)
