@@ -16,34 +16,10 @@ let ppf = Format.std_formatter
 
 let csv name = Some (Filename.concat "results" (name ^ ".csv"))
 
-let run_experiment profile = function
-  | "schedules" -> Twmc_experiments.Figures.schedules ppf
-  | "fig1" -> ignore (Twmc_experiments.Figures.fig1 ?out_csv:(csv "fig1") ppf)
-  | "fig4" -> ignore (Twmc_experiments.Figures.fig4 ?out_csv:(csv "fig4") ppf)
-  | "table3" ->
-      ignore (Twmc_experiments.Table3.run ?out_csv:(csv "table3") profile ppf)
-  | "table4" ->
-      ignore (Twmc_experiments.Table4.run ?out_csv:(csv "table4") profile ppf)
-  | "fig3" -> ignore (Twmc_experiments.Fig3.run ?out_csv:(csv "fig3") profile ppf)
-  | "fig5" | "fig6" | "fig56" ->
-      ignore (Twmc_experiments.Fig56.run ?out_csv:(csv "fig56") profile ppf)
-  | "ablation-ds" ->
-      ignore
-        (Twmc_experiments.Ablations.run_ds_vs_dr ?out_csv:(csv "ablation_ds")
-           profile ppf)
-  | "ablation-eta" ->
-      ignore
-        (Twmc_experiments.Ablations.run_eta ?out_csv:(csv "ablation_eta")
-           profile ppf)
-  | "ablation-rho" ->
-      ignore
-        (Twmc_experiments.Ablations.run_rho ?out_csv:(csv "ablation_rho")
-           profile ppf)
-  | other -> Format.fprintf ppf "unknown experiment %s@." other
-
-let all_experiments =
-  [ "schedules"; "fig1"; "fig4"; "table3"; "table4"; "fig3"; "fig56";
-    "ablation-ds"; "ablation-eta"; "ablation-rho" ]
+let run_experiment profile name =
+  match Twmc_experiments.find name with
+  | Some run -> run ~csv profile ppf
+  | None -> Format.fprintf ppf "unknown experiment %s@." name
 
 (* ------------------------------------------------- Bechamel kernels *)
 
@@ -232,10 +208,7 @@ let place_bench_scene =
      in
      let w = sizing.Twmc_estimator.Core_area.core_w
      and h = sizing.Twmc_estimator.Core_area.core_h in
-     let core =
-       Twmc_geometry.Rect.make ~x0:(-(w / 2)) ~y0:(-(h / 2))
-         ~x1:(w - (w / 2)) ~y1:(h - (h / 2))
-     in
+     let core = Twmc_geometry.Rect.of_center_dims ~cx:0 ~cy:0 ~w ~h in
      let est =
        Twmc_estimator.Dynamic_area.create ~core_w:w ~core_h:h nl
      in
@@ -301,9 +274,9 @@ let place_kernels () =
    enough that OLS sampling would be wasteful, and CPU time is the wrong
    clock for a speedup measurement. *)
 let wall_time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Twmc_obs.Clock.now_ns () in
   let v = f () in
-  (v, Unix.gettimeofday () -. t0)
+  (v, Twmc_obs.Clock.s_of_ns (Twmc_obs.Clock.now_ns () - t0))
 
 (* The medium synthetic circuit (the 25-cell default spec behind
    examples/netlists/medium.twn), annealed at a reduced A_c so one
@@ -471,10 +444,10 @@ let () =
         "TimberWolfMC reproduction — all tables and figures, profile %s@.@."
         profile.Profile.name;
       List.iter
-        (fun e ->
-          run_experiment profile e;
+        (fun (_, run) ->
+          run ~csv profile ppf;
           Format.printf "@.")
-        all_experiments;
+        Twmc_experiments.all;
       run_micro ?json ()
   | [ "micro" ] -> run_micro ?json ()
   | [ "place-kernels" ] -> (

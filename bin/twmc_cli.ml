@@ -548,7 +548,7 @@ let report_health_cmd =
     let h = Twmc_obs.Health.of_events (load_trace file) in
     if json then
       print_endline
-        (Twmc_obs.Report.json_to_string (Twmc_obs.Health.to_json h))
+        (Twmc_obs.Json.to_string (Twmc_obs.Health.to_json h))
     else Format.printf "%a@." Twmc_obs.Health.pp h;
     exit 0
   in
@@ -712,11 +712,8 @@ let experiment_cmd =
       & pos 0
           (some
              (enum
-                [ ("table3", `Table3); ("table4", `Table4); ("fig3", `Fig3);
-                  ("fig5", `Fig56); ("fig6", `Fig56); ("fig1", `Fig1);
-                  ("fig4", `Fig4); ("schedules", `Schedules);
-                  ("ablation-ds", `Ds); ("ablation-eta", `Eta);
-                  ("ablation-rho", `Rho); ("all", `All) ]))
+                (List.map (fun n -> (n, n))
+                   ("all" :: Twmc_experiments.names))))
           None
       & info [] ~docv:"EXPERIMENT")
   in
@@ -739,28 +736,15 @@ let experiment_cmd =
     let csv name =
       Option.map (fun d -> Filename.concat d (name ^ ".csv")) csv_dir
     in
-    let dispatch = function
-      | `Table3 -> ignore (Twmc_experiments.Table3.run ?out_csv:(csv "table3") profile ppf)
-      | `Table4 -> ignore (Twmc_experiments.Table4.run ?out_csv:(csv "table4") profile ppf)
-      | `Fig3 -> ignore (Twmc_experiments.Fig3.run ?out_csv:(csv "fig3") profile ppf)
-      | `Fig56 -> ignore (Twmc_experiments.Fig56.run ?out_csv:(csv "fig56") profile ppf)
-      | `Fig1 -> ignore (Twmc_experiments.Figures.fig1 ?out_csv:(csv "fig1") ppf)
-      | `Fig4 -> ignore (Twmc_experiments.Figures.fig4 ?out_csv:(csv "fig4") ppf)
-      | `Schedules -> Twmc_experiments.Figures.schedules ppf
-      | `Ds -> ignore (Twmc_experiments.Ablations.run_ds_vs_dr ?out_csv:(csv "ablation_ds") profile ppf)
-      | `Eta -> ignore (Twmc_experiments.Ablations.run_eta ?out_csv:(csv "ablation_eta") profile ppf)
-      | `Rho -> ignore (Twmc_experiments.Ablations.run_rho ?out_csv:(csv "ablation_rho") profile ppf)
-      | `All -> assert false
-    in
-    match which with
-    | `All ->
+    match Twmc_experiments.find which with
+    | Some run -> run ~csv profile ppf
+    | None ->
+        (* "all": the enum admits no other unknown name. *)
         List.iter
-          (fun w ->
-            dispatch w;
+          (fun (_, run) ->
+            run ~csv profile ppf;
             Format.fprintf ppf "@.")
-          [ `Schedules; `Fig1; `Fig4; `Table3; `Table4; `Fig3; `Fig56; `Ds;
-            `Eta; `Rho ]
-    | w -> dispatch w
+          Twmc_experiments.all
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce a table or figure from the paper")
@@ -912,7 +896,7 @@ let qa_bless_cmd =
       (fun (name, load) ->
         let g = Twmc_qa.Golden.capture ~name (golden_load name load) in
         let path = Filename.concat golden_dir (name ^ ".golden") in
-        if not (Sys.file_exists golden_dir) then Sys.mkdir golden_dir 0o755;
+        Twmc_util.Atomic_io.mkdir_p golden_dir;
         Twmc_util.Atomic_io.write_string path (Twmc_qa.Golden.to_string g);
         Format.printf "blessed %s (%d trace steps, status %s)@." path
           (List.length g.Twmc_qa.Golden.trace)
@@ -1111,8 +1095,7 @@ let qa_gap_cmd =
     (match out with
     | None -> ()
     | Some path ->
-        let dir = Filename.dirname path in
-        if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        Twmc_util.Atomic_io.mkdir_p (Filename.dirname path);
         Twmc_util.Atomic_io.write_string path (Sub.to_json_string sweep);
         Format.printf "wrote %s@." path);
     if bless then begin
@@ -1133,8 +1116,7 @@ let qa_gap_cmd =
           broken;
         exit exit_qa_failure
       end;
-      let dir = Filename.dirname tolerance in
-      if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      Twmc_util.Atomic_io.mkdir_p (Filename.dirname tolerance);
       Twmc_util.Atomic_io.write_string tolerance
         (Sub.bands_to_string (Sub.bless ~margin sweep));
       Format.printf "blessed %s (%d bands, margin %.2f) — commit it@."

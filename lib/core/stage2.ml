@@ -121,10 +121,7 @@ let resize_core p =
   let w = sqrt (area *. prm.Params.core_aspect) in
   let h = area /. w in
   let w = int_of_float (Float.round w) and h = int_of_float (Float.round h) in
-  let core =
-    Rect.make ~x0:(-(w / 2)) ~y0:(-(h / 2)) ~x1:(w - (w / 2)) ~y1:(h - (h / 2))
-  in
-  Placement.set_core p core
+  Placement.set_core p (Rect.of_center_dims ~cx:0 ~cy:0 ~w ~h)
 
 (* One channel-define / route / refine execution, mutating the placement:
    the refinement anneal, then [final]'s frozen-cost stop or the minimum

@@ -10,42 +10,3 @@ let int i = Int i
 let float f = Float f
 let bool b = Bool b
 let str s = Str s
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_of_value = function
-  | Int i -> string_of_int i
-  | Float f ->
-      if Float.is_finite f then Printf.sprintf "%.17g" f
-      else if Float.is_nan f then "\"nan\""
-      else if f > 0.0 then "\"inf\""
-      else "\"-inf\""
-  | Bool b -> if b then "true" else "false"
-  | Str s -> "\"" ^ json_escape s ^ "\""
-
-let json_of attrs =
-  let b = Buffer.create 64 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      Buffer.add_string b (json_escape k);
-      Buffer.add_string b "\":";
-      Buffer.add_string b (json_of_value v))
-    attrs;
-  Buffer.add_char b '}';
-  Buffer.contents b

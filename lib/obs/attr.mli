@@ -12,13 +12,3 @@ val int : int -> value
 val float : float -> value
 val bool : bool -> value
 val str : string -> value
-
-val json_escape : string -> string
-(** Escape for embedding inside a JSON string literal (no quotes added). *)
-
-val json_of_value : value -> string
-(** JSON literal for one value.  Non-finite floats are emitted as JSON
-    strings (["nan"], ["inf"], ["-inf"]) so every line stays parseable. *)
-
-val json_of : t -> string
-(** The attrs as one JSON object, keys in the order given. *)

@@ -1,18 +1,4 @@
-let epoch = Unix.gettimeofday ()
-
-(* The clamp makes the clock monotone under NTP steps and coarse timer
-   granularity; CAS keeps it so when several domains stamp events
-   concurrently. *)
-let last = Atomic.make 0
-
-let now_ns () =
-  let raw = int_of_float ((Unix.gettimeofday () -. epoch) *. 1e9) in
-  let rec fix () =
-    let prev = Atomic.get last in
-    if raw <= prev then prev
-    else if Atomic.compare_and_set last prev raw then raw
-    else fix ()
-  in
-  fix ()
-
+let raw_ns () = Int64.to_int (Monotonic_clock.now ())
+let epoch = raw_ns ()
+let now_ns () = raw_ns () - epoch
 let s_of_ns ns = float_of_int ns *. 1e-9

@@ -1,13 +1,14 @@
-(** Monotonic process clock for telemetry timestamps.
+(** The process clock: every timestamp and duration in the program is read
+    here.
 
-    Wall-clock time relative to a per-process epoch, clamped so that
-    successive reads never decrease — even across domains and even if the
-    system clock steps backwards.  Every trace event carries a [now_ns]
-    timestamp, so the JSONL schema can promise monotonicity. *)
+    A monotonic clock ([CLOCK_MONOTONIC] through
+    [bechamel.monotonic_clock]) relative to a per-process epoch: it never
+    steps with the wall clock, so spans and budgets measure elapsed time
+    even across NTP adjustments.  Reads are not serialized; trace order
+    comes from stamping under the sink's (or flight recorder's) lock. *)
 
 val now_ns : unit -> int
-(** Nanoseconds since the process epoch; non-decreasing across all
-    domains. *)
+(** Nanoseconds since the process epoch; never decreases. *)
 
 val s_of_ns : int -> float
 (** Convenience: nanoseconds to seconds. *)

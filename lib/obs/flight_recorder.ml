@@ -96,9 +96,10 @@ let to_jsonl () =
   let t0 = match es with [] -> 0 | e :: _ -> e.t_ns in
   let b = Buffer.create 4096 in
   Buffer.add_string b
-    (Printf.sprintf
-       "{\"v\":%d,\"ev\":\"meta\",\"name\":\"twmc-flight\",\"t_ns\":%d,\"attrs\":{\"recorded\":%d,\"dropped\":%d}}\n"
-       Sink.schema_version t0 (List.length es) (dropped ()));
+    (Sink.meta_jsonl ~name:"twmc-flight" ~t_ns:t0
+       [ ("recorded", Attr.Int (List.length es));
+         ("dropped", Attr.Int (dropped ())) ]);
+  Buffer.add_char b '\n';
   List.iter
     (fun e ->
       let attrs =

@@ -22,7 +22,13 @@ type class_stat = {
   dcost : float;
 }
 
-type overflow_sample = { pass : int; before : float; after : float }
+type overflow_sample = Report.route_pass = {
+  pass : int;
+  before : float;
+  after : float;
+  length : float;
+  nets : float;
+}
 
 type t = {
   replica : int option;
@@ -43,64 +49,29 @@ let target_acceptance ~index ~n =
     let frac = float_of_int index /. float_of_int (n - 1) in
     0.5 *. (1.0 +. cos (Float.pi *. frac))
 
-let attr_f e k =
-  match List.assoc_opt k e.Report.attrs with
-  | Some (Report.Num f) -> f
-  | _ -> nan
-
-let attr_s e k =
-  match List.assoc_opt k e.Report.attrs with
-  | Some (Report.Str s) -> s
-  | _ -> ""
-
-let points name events =
-  List.filter
-    (fun e -> e.Report.ev = "point" && e.Report.name = name)
-    events
-
-(* The winning replica, when the trace carries a best-of-K run. *)
-let winner_of events =
-  match List.rev (points "stage1.winner" events) with
-  | e :: _ ->
-      let w = attr_f e "index" in
-      if Float.is_nan w then None else Some (int_of_float w)
-  | [] -> None
-
-let replica_filter winner e =
-  match (winner, attr_f e "replica") with
-  | Some w, r when not (Float.is_nan r) -> int_of_float r = w
-  | Some _, _ -> false
-  | None, _ -> true
-
 let temp_samples name ~winner events =
-  let pts = List.filter (replica_filter winner) (points name events) in
+  let pts = Report.replica_points name ~winner events in
   let n = List.length pts in
   List.mapi
     (fun i e ->
-      { t = attr_f e "t";
-        acceptance = attr_f e "acceptance";
+      let f = Report.attr_f e in
+      { t = f "t";
+        acceptance = f "acceptance";
         target = target_acceptance ~index:i ~n;
-        cost = attr_f e "cost";
-        wx = attr_f e "wx";
-        wy = attr_f e "wy";
-        est = attr_f e "est" })
+        cost = f "cost";
+        wx = f "wx";
+        wy = f "wy";
+        est = f "est" })
     pts
 
 let class_stats name ~winner events =
-  List.filter (replica_filter winner) (points name events)
+  Report.replica_points name ~winner events
   |> List.map (fun e ->
-         { cls = attr_s e "cls";
-           attempts = int_of_float (attr_f e "attempts");
-           accepts = int_of_float (attr_f e "accepts");
-           dcost = (let d = attr_f e "dcost" in if Float.is_nan d then 0.0 else d) })
-
-let overflow_samples events =
-  List.mapi
-    (fun i e ->
-      { pass = i + 1;
-        before = attr_f e "overflow_before";
-        after = attr_f e "overflow_after" })
-    (points "route.assign" events)
+         let f = Report.attr_f e in
+         { cls = Report.attr_s e "cls";
+           attempts = int_of_float (f "attempts");
+           accepts = int_of_float (f "accepts");
+           dcost = (let d = f "dcost" in if Float.is_nan d then 0.0 else d) })
 
 (* ------------------------------------------------------------- findings *)
 
@@ -174,12 +145,12 @@ let findings_of ~temps ~classes ~overflow =
   List.rev !out
 
 let of_events events =
-  let winner = winner_of events in
+  let winner = Report.winner events in
   let temps = temp_samples "stage1.temp" ~winner events in
   let s2_temps = temp_samples "stage2.temp" ~winner:None events in
   let classes = class_stats "stage1.classes" ~winner events in
   let s2_classes = class_stats "stage2.classes" ~winner:None events in
-  let overflow = overflow_samples events in
+  let overflow = Report.route_passes events in
   { replica = winner;
     temps;
     s2_temps;
@@ -257,14 +228,14 @@ let to_json h =
   let class_obj c =
     Report.Obj
       [ ("cls", Report.Str c.cls);
-        ("attempts", Report.Num (float_of_int c.attempts));
-        ("accepts", Report.Num (float_of_int c.accepts));
+        ("attempts", Report.Int c.attempts);
+        ("accepts", Report.Int c.accepts);
         ("dcost", num c.dcost) ]
   in
   Report.Obj
     [ ("replica",
        match h.replica with
-       | Some r -> Report.Num (float_of_int r)
+       | Some r -> Report.Int r
        | None -> Report.Null);
       ("stage1_temps", Report.List (List.map temp_obj h.temps));
       ("stage2_temps", Report.List (List.map temp_obj h.s2_temps));
@@ -275,7 +246,7 @@ let to_json h =
          (List.map
             (fun o ->
               Report.Obj
-                [ ("pass", Report.Num (float_of_int o.pass));
+                [ ("pass", Report.Int o.pass);
                   ("before", num o.before); ("after", num o.after) ])
             h.overflow));
       ("findings", Report.List (List.map (fun f -> Report.Str f) h.findings)) ]

@@ -27,7 +27,14 @@ type class_stat = {
   dcost : float;  (** Summed Δcost of the accepted moves. *)
 }
 
-type overflow_sample = { pass : int; before : float; after : float }
+type overflow_sample = Report.route_pass = {
+  pass : int;
+  before : float;
+  after : float;
+  length : float;
+  nets : float;
+}
+(** One routing pass, as {!Report.route_passes} reads it. *)
 
 type t = {
   replica : int option;  (** Winning replica, when identifiable. *)

@@ -190,56 +190,36 @@ let time t name f =
 let sorted_names tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
-let float_json f =
-  if Float.is_finite f then Printf.sprintf "%.17g" f
-  else if Float.is_nan f then "\"nan\""
-  else if f > 0.0 then "\"inf\""
-  else "\"-inf\""
-
 let to_json t =
-  let b = Buffer.create 1024 in
-  let section name tbl emit_one =
-    Buffer.add_string b (Printf.sprintf "  \"%s\": {" name);
-    let names = sorted_names tbl in
-    List.iteri
-      (fun i k ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "\n    \"%s\": %s" (Attr.json_escape k)
-             (emit_one (Hashtbl.find tbl k))))
-      names;
-    if names <> [] then Buffer.add_string b "\n  ";
-    Buffer.add_char b '}'
+  let section tbl value =
+    Json.Obj
+      (List.map (fun k -> (k, value (Hashtbl.find tbl k))) (sorted_names tbl))
   in
-  Buffer.add_string b "{\n";
-  section "counters" t.counters (fun c -> string_of_int (counter_value c));
-  Buffer.add_string b ",\n";
-  section "gauges" t.gauges (fun g -> float_json (gauge_value g));
-  Buffer.add_string b ",\n";
-  section "histograms" t.histograms (fun h ->
-      let bb = Buffer.create 128 in
-      Buffer.add_string bb
-        (Printf.sprintf "{\"count\": %d, \"sum\": %s, \"buckets\": [" h.h_count
-           (float_json h.h_sum));
-      let first = ref true in
-      Array.iteri
-        (fun i n ->
-          if n > 0 then begin
-            if not !first then Buffer.add_char bb ',';
-            first := false;
-            let le =
-              if i < Array.length h.bounds then float_json h.bounds.(i)
-              else "\"inf\""
-            in
-            Buffer.add_string bb (Printf.sprintf "{\"le\": %s, \"n\": %d}" le n)
-          end)
-        h.counts;
-      Buffer.add_string bb "]}";
-      Buffer.contents bb);
-  Buffer.add_string b ",\n";
-  section "series" t.series_tbl (fun s ->
-      "["
-      ^ String.concat ", " (List.map float_json (series_values s))
-      ^ "]");
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+  let histogram h =
+    let buckets =
+      List.filter_map
+        (fun i ->
+          let n = h.counts.(i) in
+          if n = 0 then None
+          else
+            Some
+              (Json.Obj
+                 [ ("le",
+                    if i < Array.length h.bounds then Json.Num h.bounds.(i)
+                    else Json.Str "inf");
+                   ("n", Json.Int n) ]))
+        (List.init (Array.length h.counts) Fun.id)
+    in
+    Json.Obj
+      [ ("count", Json.Int h.h_count); ("sum", Json.Num h.h_sum);
+        ("buckets", Json.List buckets) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("counters", section t.counters (fun c -> Json.Int (counter_value c)));
+         ("gauges", section t.gauges (fun g -> Json.Num (gauge_value g)));
+         ("histograms", section t.histograms histogram);
+         ("series",
+          section t.series_tbl (fun s ->
+              Json.List (List.map (fun x -> Json.Num x) (series_values s)))) ])
+  ^ "\n"

@@ -1,4 +1,4 @@
-(** Zero-dependency metrics registry.
+(** Metrics registry.
 
     Named counters, gauges, histograms with fixed log-spaced buckets,
     time series, and monotonic timers.  Handles are get-or-create by name;
@@ -75,6 +75,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** {1 Export} *)
 
 val to_json : t -> string
-(** The whole registry as one JSON document with "counters", "gauges",
-    "histograms" and "series" sections, keys sorted — deterministic for a
-    given recorded state. *)
+(** The whole registry as one compact JSON line ({!Json.to_string}) with
+    "counters", "gauges", "histograms" and "series" sections, keys sorted —
+    deterministic for a given recorded state. *)

@@ -1,6 +1,7 @@
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | List of json list
@@ -159,48 +160,6 @@ let parse_json s =
   | exception Bad (pos, msg) ->
       failwith (Printf.sprintf "at offset %d: %s" pos msg)
 
-(* The writing direction: serialize a [json] value so it round-trips
-   through {!parse_json}.  Whole numbers print without a fraction (ids and
-   counts stay readable); everything else gets full float precision. *)
-let json_to_string j =
-  let b = Buffer.create 256 in
-  let add_num f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string b (Printf.sprintf "%.0f" f)
-    else Buffer.add_string b (Printf.sprintf "%.17g" f)
-  in
-  let rec go = function
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Num f -> add_num f
-    | Str s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (Attr.json_escape s);
-        Buffer.add_char b '"'
-    | List l ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_string b ", ";
-            go x)
-          l;
-        Buffer.add_char b ']'
-    | Obj fs ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string b ", ";
-            Buffer.add_char b '"';
-            Buffer.add_string b (Attr.json_escape k);
-            Buffer.add_string b "\": ";
-            go v)
-          fs;
-        Buffer.add_char b '}'
-  in
-  go j;
-  Buffer.contents b
-
 (* --------------------------------------------------------------- events *)
 
 type event = {
@@ -256,6 +215,52 @@ let load path =
          done
        with End_of_file -> ());
       List.rev !events)
+
+(* ------------------------------------------------------- reading events *)
+
+let attr_f e k =
+  match List.assoc_opt k e.attrs with Some (Num f) -> f | _ -> nan
+
+let attr_s e k =
+  match List.assoc_opt k e.attrs with Some (Str s) -> s | _ -> ""
+
+let points name events =
+  List.filter (fun e -> e.ev = "point" && e.name = name) events
+
+let winner events =
+  match List.rev (points "stage1.winner" events) with
+  | e :: _ ->
+      let w = attr_f e "index" in
+      if Float.is_nan w then None else Some (int_of_float w)
+  | [] -> None
+
+let replica_points name ~winner events =
+  let of_winner e =
+    match winner with
+    | None -> true
+    | Some w ->
+        let r = attr_f e "replica" in
+        (not (Float.is_nan r)) && int_of_float r = w
+  in
+  List.filter of_winner (points name events)
+
+type route_pass = {
+  pass : int;
+  before : float;
+  after : float;
+  length : float;
+  nets : float;
+}
+
+let route_passes events =
+  List.mapi
+    (fun i e ->
+      { pass = i + 1;
+        before = attr_f e "overflow_before";
+        after = attr_f e "overflow_after";
+        length = attr_f e "length";
+        nets = attr_f e "nets" })
+    (points "route.assign" events)
 
 (* ----------------------------------------------------------- validation *)
 
@@ -341,7 +346,7 @@ let load_bench path =
 
 let bench_to_string kernels =
   let kernel (name, ns) = Obj [ ("name", Str name); ("ns_per_op", Num ns) ] in
-  json_to_string (Obj [ ("kernels", List (List.map kernel kernels)) ]) ^ "\n"
+  Json.to_string (Obj [ ("kernels", List (List.map kernel kernels)) ]) ^ "\n"
 
 type bench_row = {
   kernel : string;
@@ -437,11 +442,10 @@ let spans_of events =
     events;
   List.rev !spans
 
-let attr_num e k =
-  match List.assoc_opt k e.attrs with Some (Num f) -> Some f | _ -> None
+(* A whole-number attr, or "?" when the event lacks it. *)
+let whole_or_unknown f = if Float.is_nan f then "?" else Printf.sprintf "%.0f" f
 
 let pp_summary ppf events =
-  let points name = List.filter (fun e -> e.ev = "point" && e.name = name) events in
   let spans = spans_of events in
   let t_lo =
     List.fold_left (fun acc e -> if e.t_ns > 0 then min acc e.t_ns else acc)
@@ -484,57 +488,38 @@ let pp_summary ppf events =
       slowest
   end;
   (* Stage-1 acceptance curve, winning replica when identifiable. *)
-  let winner =
-    match List.rev (points "stage1.winner") with
-    | e :: _ -> attr_num e "index"
-    | [] -> None
-  in
-  let temp_points =
-    points "stage1.temp"
-    |> List.filter (fun e ->
-           match (winner, attr_num e "replica") with
-           | Some w, Some r -> r = w
-           | Some _, None -> false
-           | None, _ -> true)
-  in
+  let winner = winner events in
+  let temp_points = replica_points "stage1.temp" ~winner events in
   if temp_points <> [] then begin
     let n = List.length temp_points in
     Format.fprintf ppf "@,stage-1 acceptance curve (%d temperatures%s):@," n
       (match winner with
-      | Some w -> Printf.sprintf ", replica %d" (int_of_float w)
+      | Some w -> Printf.sprintf ", replica %d" w
       | None -> "");
     (* At most 12 evenly spaced rows. *)
     let step = max 1 (n / 12) in
     List.iteri
       (fun i e ->
-        if i mod step = 0 || i = n - 1 then
-          match (attr_num e "t", attr_num e "acceptance") with
-          | Some t, Some a ->
-              Format.fprintf ppf "  T=%-12.4g accept=%5.1f%%  cost=%s@," t
-                (100.0 *. a)
-                (match attr_num e "cost" with
-                | Some c -> Printf.sprintf "%.0f" c
-                | None -> "?")
-          | _ -> ())
+        let t = attr_f e "t" and a = attr_f e "acceptance" in
+        if
+          (i mod step = 0 || i = n - 1)
+          && not (Float.is_nan t || Float.is_nan a)
+        then
+          Format.fprintf ppf "  T=%-12.4g accept=%5.1f%%  cost=%s@," t
+            (100.0 *. a)
+            (whole_or_unknown (attr_f e "cost")))
       temp_points
   end;
   (* Router overflow trend. *)
-  let assigns = points "route.assign" in
-  if assigns <> [] then begin
+  let passes = route_passes events in
+  if passes <> [] then begin
     Format.fprintf ppf "@,router overflow (per routing pass):@,";
-    List.iteri
-      (fun i e ->
-        match (attr_num e "overflow_before", attr_num e "overflow_after") with
-        | Some b, Some a ->
-            Format.fprintf ppf "  pass %-2d X %.0f -> %.0f  (L=%s, %s nets)@,"
-              (i + 1) b a
-              (match attr_num e "length" with
-              | Some l -> Printf.sprintf "%.0f" l
-              | None -> "?")
-              (match attr_num e "nets" with
-              | Some x -> Printf.sprintf "%.0f" x
-              | None -> "?")
-        | _ -> ())
-      assigns
+    List.iter
+      (fun p ->
+        if not (Float.is_nan p.before || Float.is_nan p.after) then
+          Format.fprintf ppf "  pass %-2d X %.0f -> %.0f  (L=%s, %s nets)@,"
+            p.pass p.before p.after (whole_or_unknown p.length)
+            (whole_or_unknown p.nets))
+      passes
   end;
   Format.fprintf ppf "@]"

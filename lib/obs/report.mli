@@ -1,13 +1,16 @@
 (** Reading side of the trace schema: load a JSONL trace file, validate it,
     and render a human-readable run summary ([twmc report]). *)
 
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | List of json list
   | Obj of (string * json) list
+(** {!Json.t}, re-exported for the readers below.  {!parse_json} reads
+    every number as [Num]; only writers build [Int]. *)
 
 type event = {
   v : int;  (** Schema version stamped on the line; 0 when absent. *)
@@ -26,11 +29,6 @@ val parse_json : string -> json
 (** Minimal JSON parser (objects, arrays, strings, numbers, booleans,
     null); raises [Failure] on malformed input. *)
 
-val json_to_string : json -> string
-(** Serializes so that [parse_json (json_to_string j)] reproduces [j]
-    (whole numbers print without a fraction, other floats at full
-    precision). *)
-
 val event_of_json : ?line:int -> json -> event
 (** One trace line as an {!event} ([line], default 0, is stamped into the
     result for error reporting).  Raises [Failure] when [j] is not an
@@ -48,6 +46,37 @@ val validate : event list -> string list
     [span_begin] of the same id, no span left open, and parents that are
     open when their children begin.  Returns the problems found ([[]] means
     valid). *)
+
+(** {2 Reading events}
+
+    The accessors every trace consumer ([pp_summary], {!Health},
+    {!Progress}) reads events through. *)
+
+val attr_f : event -> string -> float
+(** A numeric attr; [nan] when absent or not a number. *)
+
+val attr_s : event -> string -> string
+(** A string attr; [""] when absent or not a string. *)
+
+val winner : event list -> int option
+(** The winning replica of a best-of-K stage 1: the [index] of the last
+    ["stage1.winner"] point, if any. *)
+
+val replica_points : string -> winner:int option -> event list -> event list
+(** The point events of one name, in trace order, restricted to the
+    [replica] attr [winner] when one is given (points without a [replica]
+    attr are then dropped). *)
+
+type route_pass = {
+  pass : int;  (** 1-based, in trace order. *)
+  before : float;  (** Overflow before the pass; [nan] when absent. *)
+  after : float;
+  length : float;  (** Total routed length; [nan] when absent. *)
+  nets : float;
+}
+
+val route_passes : event list -> route_pass list
+(** One entry per ["route.assign"] point. *)
 
 val pp_summary : Format.formatter -> event list -> unit
 (** Per-stage wall time, top-5 slowest spans, the stage-1 acceptance curve

@@ -55,35 +55,40 @@ let dropped t =
       d
   | _ -> 0
 
-let jsonl_of_event ev =
-  let b = Buffer.create 128 in
-  let common name t_ns attrs =
-    Buffer.add_string b (Printf.sprintf ",\"name\":\"%s\",\"t_ns\":%d"
-                           (Attr.json_escape name) t_ns);
-    if attrs <> [] then begin
-      Buffer.add_string b ",\"attrs\":";
-      Buffer.add_string b (Attr.json_of attrs)
-    end
-  in
-  Buffer.add_string b (Printf.sprintf "{\"v\":%d," schema_version);
-  (match ev with
-  | Span_begin { id; parent; name; t_ns; attrs } ->
-      Buffer.add_string b (Printf.sprintf "\"ev\":\"span_begin\",\"id\":%d" id);
-      if parent <> 0 then Buffer.add_string b (Printf.sprintf ",\"parent\":%d" parent);
-      common name t_ns attrs
-  | Span_end { id; name; t_ns; attrs } ->
-      Buffer.add_string b (Printf.sprintf "\"ev\":\"span_end\",\"id\":%d" id);
-      common name t_ns attrs
-  | Point { name; t_ns; attrs } ->
-      Buffer.add_string b "\"ev\":\"point\"";
-      common name t_ns attrs);
-  Buffer.add_char b '}';
-  Buffer.contents b
+let json_of_attr : Attr.value -> Json.t = function
+  | Attr.Int i -> Json.Int i
+  | Attr.Float f -> Json.Num f
+  | Attr.Bool b -> Json.Bool b
+  | Attr.Str s -> Json.Str s
 
-let meta_line () =
-  Printf.sprintf
-    "{\"v\":%d,\"ev\":\"meta\",\"name\":\"twmc-trace\",\"t_ns\":%d}"
-    schema_version (Clock.now_ns ())
+(* One trace line: the schema version, the event kind, its ids, then the
+   fields every event shares. *)
+let line ~ev ~ids ~name ~t_ns attrs =
+  let attrs =
+    if attrs = [] then []
+    else
+      [ ("attrs",
+         Json.Obj (List.map (fun (k, v) -> (k, json_of_attr v)) attrs)) ]
+  in
+  Json.to_string
+    (Json.Obj
+       ([ ("v", Json.Int schema_version); ("ev", Json.Str ev) ]
+       @ ids
+       @ [ ("name", Json.Str name); ("t_ns", Json.Int t_ns) ]
+       @ attrs))
+
+let jsonl_of_event = function
+  | Span_begin { id; parent; name; t_ns; attrs } ->
+      line ~ev:"span_begin"
+        ~ids:
+          (("id", Json.Int id)
+          :: (if parent <> 0 then [ ("parent", Json.Int parent) ] else []))
+        ~name ~t_ns attrs
+  | Span_end { id; name; t_ns; attrs } ->
+      line ~ev:"span_end" ~ids:[ ("id", Json.Int id) ] ~name ~t_ns attrs
+  | Point { name; t_ns; attrs } -> line ~ev:"point" ~ids:[] ~name ~t_ns attrs
+
+let meta_jsonl ~name ~t_ns attrs = line ~ev:"meta" ~ids:[] ~name ~t_ns attrs
 
 let to_file path =
   let oc = open_out path in
@@ -91,7 +96,7 @@ let to_file path =
     { target = Channel { oc; closed = false };
       mutex = Mutex.create () }
   in
-  output_string oc (meta_line ());
+  output_string oc (meta_jsonl ~name:"twmc-trace" ~t_ns:(Clock.now_ns ()) []);
   output_char oc '\n';
   t
 

@@ -61,3 +61,8 @@ val close : t -> unit
 
 val jsonl_of_event : event -> string
 (** One JSON line (no trailing newline) for an event. *)
+
+val meta_jsonl : name:string -> t_ns:int -> Attr.t -> string
+(** The meta line that opens a trace file ([name] ["twmc-trace"]) or a
+    flight-recorder dump (["twmc-flight"]), in the layout of
+    {!jsonl_of_event}. *)

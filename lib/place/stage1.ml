@@ -29,11 +29,6 @@ type result = {
   interrupted : bool;
 }
 
-let centered_core ~core_w ~core_h =
-  Rect.make ~x0:(-(core_w / 2)) ~y0:(-(core_h / 2))
-    ~x1:(core_w - (core_w / 2))
-    ~y1:(core_h - (core_h / 2))
-
 (* Scatter every cell uniformly over the core; used to sample the random
    ensemble that normalizes p2. *)
 let randomize rng p =
@@ -91,8 +86,8 @@ let run ?(params = Params.default) ?core ?should_stop ?(obs = Obs.disabled)
             ~aspect:params.Params.core_aspect
             ~fill_target:params.Params.fill_target nl
         in
-        centered_core ~core_w:r.Twmc_estimator.Core_area.core_w
-          ~core_h:r.Twmc_estimator.Core_area.core_h
+        Rect.of_center_dims ~cx:0 ~cy:0 ~w:r.Twmc_estimator.Core_area.core_w
+          ~h:r.Twmc_estimator.Core_area.core_h
   in
   let estimator =
     Twmc_estimator.Dynamic_area.create ~beta:params.Params.beta

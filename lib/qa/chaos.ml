@@ -1,3 +1,4 @@
+module Clock = Twmc_obs.Clock
 module Fault = Twmc_util.Fault
 module Flow = Twmc.Flow
 module Checkpoint = Twmc_robust.Checkpoint
@@ -135,7 +136,7 @@ let save_survivor ~dir s =
 
 let campaign ?out_dir ?(progress = fun _ -> ()) ~seed ~plans () =
   let rng = Rng.create ~seed in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   let clean = ref 0 and degraded = ref 0 and invalid = ref 0 in
   let timed_out = ref 0 and rejected = ref 0 in
   let fired_total = ref 0 and ckpts = ref 0 in
@@ -187,7 +188,7 @@ let campaign ?out_dir ?(progress = fun _ -> ()) ~seed ~plans () =
     faults_fired = !fired_total;
     checkpoints_validated = !ckpts;
     survivors = List.rev !survivors;
-    elapsed_s = Unix.gettimeofday () -. t0 }
+    elapsed_s = Clock.s_of_ns (Clock.now_ns () - t0) }
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -1,3 +1,4 @@
+module Clock = Twmc_obs.Clock
 module Flow = Twmc.Flow
 module Rng = Twmc_sa.Rng
 
@@ -24,7 +25,7 @@ type report = {
 let campaign ?corpus_dir ?time_limit_s ?(run = Runner.run ?oracles:None ?extra_oracle:None)
     ?(progress = fun _ _ _ -> ()) ~seed ~iters () =
   let rng = Rng.create ~seed in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   let clean = ref 0 and degraded = ref 0 and invalid = ref 0 in
   let timed_out = ref 0 and rejected = ref 0 and iters_run = ref 0 in
   let constrained = ref 0 in
@@ -32,7 +33,7 @@ let campaign ?corpus_dir ?time_limit_s ?(run = Runner.run ?oracles:None ?extra_o
   (try
      for i = 1 to iters do
        (match time_limit_s with
-       | Some lim when Unix.gettimeofday () -. t0 > lim -> raise Exit
+       | Some lim when Clock.s_of_ns (Clock.now_ns () - t0) > lim -> raise Exit
        | _ -> ());
        let case = Fuzz_case.generate ~rng in
        let outcome = run case in
@@ -62,7 +63,7 @@ let campaign ?corpus_dir ?time_limit_s ?(run = Runner.run ?oracles:None ?extra_o
     rejected = !rejected;
     constrained = !constrained;
     failures = List.rev !failures;
-    elapsed_s = Unix.gettimeofday () -. t0 }
+    elapsed_s = Clock.s_of_ns (Clock.now_ns () - t0) }
 
 let replay ?(run = Runner.run ?oracles:None ?extra_oracle:None) ~dir () =
   List.map (fun (path, c) -> (path, c, run c)) (Corpus.load_dir dir)

@@ -228,9 +228,7 @@ let core c nl =
     let h =
       int_of_float (float_of_int r.Twmc_estimator.Core_area.core_h *. c.core_scale)
     in
-    Some
-      (Rect.make ~x0:(-(w / 2)) ~y0:(-(h / 2)) ~x1:(w - (w / 2))
-         ~y1:(h - (h / 2)))
+    Some (Rect.of_center_dims ~cx:0 ~cy:0 ~w ~h)
 
 let pp ppf c =
   if c.peko > 0 then

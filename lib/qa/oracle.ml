@@ -597,11 +597,6 @@ let check_flow (r : Twmc.Flow.result) =
 
 (* ---------------------------------------------- normalization oracle *)
 
-let centered_core ~core_w ~core_h =
-  Rect.make ~x0:(-(core_w / 2)) ~y0:(-(core_h / 2))
-    ~x1:(core_w - (core_w / 2))
-    ~y1:(core_h - (core_h / 2))
-
 let eta_monotone ?eta ?(samples = 6) ~seed nl =
   let params = Params.default in
   let eta = match eta with Some e -> e | None -> params.Params.eta in
@@ -611,8 +606,8 @@ let eta_monotone ?eta ?(samples = 6) ~seed nl =
         ~aspect:params.Params.core_aspect
         ~fill_target:params.Params.fill_target nl
     in
-    centered_core ~core_w:r.Twmc_estimator.Core_area.core_w
-      ~core_h:r.Twmc_estimator.Core_area.core_h
+    Rect.of_center_dims ~cx:0 ~cy:0 ~w:r.Twmc_estimator.Core_area.core_w
+      ~h:r.Twmc_estimator.Core_area.core_h
   in
   let p2_for eta =
     (* Fresh placement and rng per η: identical streams sample identical

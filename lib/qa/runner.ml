@@ -1,3 +1,4 @@
+module Clock = Twmc_obs.Clock
 module Flow = Twmc.Flow
 
 type failure_kind =
@@ -78,7 +79,7 @@ let run ?(oracles = true) ?extra_oracle c =
   match Fuzz_case.netlist c with
   | Error m -> Rejected m
   | Ok nl -> (
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_ns () in
       match resilient ~jobs:1 c nl with
       | exception ((Out_of_memory | Stack_overflow | Sys.Break
                    | Twmc_util.Fault.Abort _) as e) ->
@@ -88,7 +89,7 @@ let run ?(oracles = true) ?extra_oracle c =
             [ Crash
                 (Printexc.to_string e ^ "\n" ^ Printexc.get_backtrace ()) ]
       | rr ->
-          let elapsed = Unix.gettimeofday () -. t0 in
+          let elapsed = Clock.s_of_ns (Clock.now_ns () - t0) in
           let failures = ref [] in
           (match
              classify_budget ~budget_s:c.Fuzz_case.time_budget_s

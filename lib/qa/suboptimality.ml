@@ -3,7 +3,7 @@ module Params = Twmc_place.Params
 module Stage1 = Twmc_place.Stage1
 module Rng = Twmc_sa.Rng
 module Baseline = Twmc_baselines.Baseline
-module Report = Twmc_obs.Report
+module Json = Twmc_obs.Json
 module Flow = Twmc.Flow
 
 type point = {
@@ -85,25 +85,25 @@ let run ?algos ?(a_c = 8) ?locality ?utilization ?(progress = fun _ -> ())
   { seed; a_c; points }
 
 let to_json sweep =
-  Report.Obj
-    [ ("schema", Report.Str "twmc-peko-gap v1");
-      ("seed", Report.Num (float_of_int sweep.seed));
-      ("a_c", Report.Num (float_of_int sweep.a_c));
+  Json.Obj
+    [ ("schema", Json.Str "twmc-peko-gap v1");
+      ("seed", Json.Int sweep.seed);
+      ("a_c", Json.Int sweep.a_c);
       ( "points",
-        Report.List
+        Json.List
           (List.map
              (fun p ->
-               Report.Obj
-                 [ ("algo", Report.Str p.algo);
-                   ("case", Report.Str p.case_name);
-                   ("n_cells", Report.Num (float_of_int p.n_cells));
-                   ("optimal", Report.Num p.optimal);
-                   ("measured", Report.Num p.measured);
-                   ("ratio", Report.Num p.ratio);
-                   ("status", Report.Str p.status) ])
+               Json.Obj
+                 [ ("algo", Json.Str p.algo);
+                   ("case", Json.Str p.case_name);
+                   ("n_cells", Json.Int p.n_cells);
+                   ("optimal", Json.Num p.optimal);
+                   ("measured", Json.Num p.measured);
+                   ("ratio", Json.Num p.ratio);
+                   ("status", Json.Str p.status) ])
              sweep.points) ) ]
 
-let to_json_string sweep = Report.json_to_string (to_json sweep) ^ "\n"
+let to_json_string sweep = Json.to_string (to_json sweep) ^ "\n"
 
 (* ------------------------------------------------------ tolerance bands *)
 

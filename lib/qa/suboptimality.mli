@@ -47,9 +47,11 @@ val run :
     the band is blessed at the same [a_c] the sweep runs at.  [progress] is
     called once per (case, algorithm) with a one-line description. *)
 
-val to_json : sweep -> Twmc_obs.Report.json
+val to_json : sweep -> Twmc_obs.Json.t
 val to_json_string : sweep -> string
-(** Schema ["twmc-peko-gap v1"]: seed, a_c, and one object per point. *)
+(** Schema ["twmc-peko-gap v1"]: seed, a_c, and one object per point; a
+    failed point's [nan] measurement and ratio are written as the string
+    ["nan"]. *)
 
 (** {1 Tolerance bands} *)
 

@@ -1,17 +1,20 @@
 module Fault = Twmc_util.Fault
+module Clock = Twmc_obs.Clock
 
+(* Deadlines are seconds on {!Clock}; a float keeps any budget, however
+   large, representable. *)
 type t = { deadline : float option }
 
+let now_s () = Clock.s_of_ns (Clock.now_ns ())
+
 let create ?time_budget_s () =
-  let deadline =
-    Option.map (fun b -> Unix.gettimeofday () +. b) time_budget_s
-  in
+  let deadline = Option.map (fun b -> now_s () +. b) time_budget_s in
   { deadline }
 
 let expired t =
   (match t.deadline with
   | None -> false
-  | Some d -> Unix.gettimeofday () >= d)
+  | Some d -> now_s () >= d)
   (* Simulated expiry: one atomic load, false whenever fault injection is
      disarmed. *)
   || Fault.deadline_pending ()
@@ -19,7 +22,7 @@ let expired t =
 let should_stop t () = expired t
 
 let remaining_s t =
-  Option.map (fun d -> Float.max 0.0 (d -. Unix.gettimeofday ())) t.deadline
+  Option.map (fun d -> Float.max 0.0 (d -. now_s ())) t.deadline
 
 let sleep_s d = if d > 0.0 then Unix.sleepf d
 

@@ -14,8 +14,9 @@
 type t
 
 val create : ?time_budget_s:float -> unit -> t
-(** [time_budget_s] is measured from this call with [Unix.gettimeofday].
-    Without it the guard never expires. *)
+(** [time_budget_s] is measured from this call on the monotonic
+    {!Twmc_obs.Clock}, so a wall-clock step neither extends nor cuts the
+    budget.  Without it the guard never expires. *)
 
 val should_stop : t -> unit -> bool
 (** Closure suitable for the [?should_stop] parameter of the annealing

@@ -186,6 +186,32 @@ let test_sweep_json_parses_back () =
       checkb "has points" true (List.mem_assoc "points" fields)
   | _ -> Alcotest.fail "sweep JSON did not parse back to an object"
 
+(* A failed point carries a nan measurement and ratio; the written sweep
+   must still parse, with the non-finite values as strings. *)
+let test_sweep_json_errored_point () =
+  let point status measured =
+    { Sub.algo = "shelf"; case_name = "peko-9"; n_cells = 9; optimal = 100.0;
+      measured; ratio = measured /. 100.0; status }
+  in
+  let sweep =
+    { Sub.seed = 5; a_c = 8;
+      points = [ point "ok" 120.0; point "error: Failure(\"boom\")" nan ] }
+  in
+  let module R = Twmc_obs.Report in
+  match R.parse_json (Sub.to_json_string sweep) with
+  | exception Failure m -> Alcotest.failf "sweep JSON does not parse: %s" m
+  | R.Obj fields -> (
+      match List.assoc_opt "points" fields with
+      | Some (R.List [ R.Obj ok; R.Obj failed ]) ->
+          checkb "finite ratio is a number" true
+            (List.assoc "ratio" ok = R.Num 1.2);
+          checkb "nan measured is the string \"nan\"" true
+            (List.assoc "measured" failed = R.Str "nan");
+          checkb "nan ratio is the string \"nan\"" true
+            (List.assoc "ratio" failed = R.Str "nan")
+      | _ -> Alcotest.fail "expected two point objects")
+  | _ -> Alcotest.fail "sweep JSON is not an object"
+
 let test_bands_roundtrip () =
   let bands =
     [ { Sub.b_algo = "stage1"; b_n_cells = 25; max_ratio = 2.5 };
@@ -385,6 +411,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sweep_deterministic;
           Alcotest.test_case "JSON parses back" `Quick
             test_sweep_json_parses_back;
+          Alcotest.test_case "sweep JSON with an errored point parses" `Quick
+            test_sweep_json_errored_point;
           Alcotest.test_case "bands round-trip" `Quick test_bands_roundtrip;
           Alcotest.test_case "bands reject garbage" `Quick
             test_bands_reject_garbage;
