@@ -392,19 +392,13 @@ let obs_overhead_kernels () =
   let disabled = best (run_with Twmc_obs.Ctx.disabled) in
   let enabled =
     best (fun () ->
-        let obs =
-          Twmc_obs.Ctx.create
-            ~sink:(Twmc_obs.Sink.memory ())
-            ~metrics:(Twmc_obs.Metrics.create ())
-            ()
-        in
-        run_with obs ())
+        run_with (Twmc_obs.Ctx.create (Twmc_obs.Sink.memory ())) ())
   in
   Format.printf "@.Observability overhead (stage-1 anneal, same seed):@.";
   Format.printf "  %-48s %8.1f ms@." "stage1 obs=disabled"
     (disabled *. 1000.0);
   Format.printf "  %-48s %8.1f ms  overhead %+.1f%%@."
-    "stage1 obs=enabled (memory sink + metrics)" (enabled *. 1000.0)
+    "stage1 obs=enabled (memory sink)" (enabled *. 1000.0)
     (100.0 *. (enabled -. disabled) /. disabled);
   [ ("obs-overhead: stage1 obs=disabled", disabled *. 1e9);
     ("obs-overhead: stage1 obs=enabled", enabled *. 1e9) ]

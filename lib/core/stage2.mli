@@ -92,9 +92,8 @@ val run :
 
     [obs] wraps the stage in a ["stage2"] span (one ["stage2.refine"] child
     per execution plus a ["stage2.final_route"] child), emits one
-    ["route.iteration"] point per completed refinement, the refinement
-    anneals' per-temperature ["stage2.temp"] and per-class
-    ["stage2.classes"] points and [stage2.moves.*] / [stage2.class.*]
-    counters, and samples the
-    ["route.overflow"] / ["stage2.teil"] series — all from returned data on
+    ["route.iteration"] point per kept refinement and one
+    ["stage2.rollback"] point ([iteration]) per rolled-back one, and the
+    refinement anneals' per-temperature ["stage2.temp"], ["stage2.moves"]
+    and per-class ["stage2.classes"] points — all from returned data on
     the caller's domain, so results are byte-identical with it on or off. *)

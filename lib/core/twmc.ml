@@ -13,7 +13,8 @@
     - {!Route} — global routing (Sec 4.2)
     - {!Robust} — diagnostics, lint, invariants, guards, checkpoints
     - {!Util} — atomic file output
-    - {!Obs} — structured tracing and metrics (spans, counters, series)
+    - {!Obs} — structured tracing (spans, points) and the metrics folded
+      from it
     - {!Stage2} — placement refinement (Sec 4.3)
     - {!Flow} — the complete two-stage flow *)
 

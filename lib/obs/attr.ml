@@ -5,8 +5,3 @@ type value =
   | Str of string
 
 type t = (string * value) list
-
-let int i = Int i
-let float f = Float f
-let bool b = Bool b
-let str s = Str s

@@ -7,8 +7,3 @@ type value =
   | Str of string
 
 type t = (string * value) list
-
-val int : int -> value
-val float : float -> value
-val bool : bool -> value
-val str : string -> value

@@ -1,31 +1,36 @@
-(** The observability context threaded through the flow.
+(** The observability handle threaded through the flow: a span tracer over
+    one {!Sink}.
 
-    One value bundles the span tracer and the metrics registry; every
-    instrumented entry point takes [?obs:Ctx.t] defaulting to {!disabled}.
-    The contract, relied on by the determinism test suite:
+    Every instrumented entry point takes [?obs:Ctx.t] defaulting to
+    {!disabled}.  The trace is the one record of a run: [--metrics] is
+    {!Metrics.of_events} folded over the events this handle emitted.
+    Spans nest per domain (the parent of a new span is the innermost open
+    span started {e on the same domain}); points are instant events.  The
+    contract, relied on by the determinism test suite:
 
     - {!disabled} adds one branch per instrumentation site and allocates
-      nothing (producers guard attr construction on {!tracing} /
-      {!metrics_on});
-    - enabled contexts only {e read} algorithm state — never the RNG, never
-      a cost accumulator — so results are bit-identical with observability
-      on or off, at any [--jobs]. *)
+      nothing (producers guard attr construction on {!tracing}, and
+      {!span}/{!point} are fully applied);
+    - an enabled handle only {e reads} algorithm state — never the RNG,
+      never a cost accumulator — so results are bit-identical with
+      observability on or off, at any [--jobs]. *)
 
-type t = { tracer : Tracer.t; metrics : Metrics.t }
+type t
 
 val disabled : t
-(** Null tracer and null registry. *)
+(** The handle over {!Sink.null}. *)
 
-val create : ?sink:Sink.t -> ?metrics:Metrics.t -> unit -> t
-(** Missing pieces default to their null implementations. *)
+val create : Sink.t -> t
 
 val tracing : t -> bool
-(** The tracer has a live sink. *)
-
-val metrics_on : t -> bool
+(** The sink is live; guard attr construction on this. *)
 
 val point : t -> name:string -> ?attrs:Attr.t -> unit -> unit
-(** Shorthand for [Tracer.point t.tracer]. *)
+(** Instant event.  No-op when disabled — but callers that build non-empty
+    [attrs] should still guard on {!tracing} to avoid the list
+    allocation. *)
 
 val span : t -> name:string -> ?attrs:Attr.t -> (unit -> 'a) -> 'a
-(** Shorthand for [Tracer.span t.tracer]. *)
+(** [span t ~name f] emits [span_begin], runs [f], emits [span_end]; when
+    [f] raises, the end event carries [error = true] and the exception is
+    re-raised.  When disabled this is exactly [f ()]. *)

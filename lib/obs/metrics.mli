@@ -1,80 +1,40 @@
-(** Metrics registry.
+(** The [--metrics] document, folded from a run's trace.
 
-    Named counters, gauges, histograms with fixed log-spaced buckets,
-    time series, and monotonic timers.  Handles are get-or-create by name;
-    all operations on a {!null} registry (and on handles obtained from it)
-    are no-ops, so instrumentation can stay in place unconditionally.
-    Counters are lock-free ([Atomic]); the other instruments take the
-    registry mutex, so worker domains may record concurrently.
+    The trace is the one record of a run; this module reads it once, in
+    order, through {!Report}'s accessors and accumulates four sections:
 
-    Recording only reads algorithm state — metrics can never perturb a
-    run. *)
+    - {b counters} are sums: the [stage1.moves]/[stage2.moves] points'
+      attributes ([<stage>.moves.<attr>]), the per-class attempts and
+      accepts of [stage1.classes]/[stage2.classes]
+      ([<stage>.class.<cls>.attempts]/[.accepts]), one
+      [stage2.refinements] per [route.iteration], one [stage2.rollbacks]
+      per [stage2.rollback], [route.passes], [route.nets_routed],
+      [route.nets_unroutable] and [route.assign_attempts] from
+      [route.assign], [route.routes_enumerated] from [route.net],
+      [flow.retries] from [flow.status], [pool.tasks] and [pool.batches]
+      from [pool.shutdown];
+    - {b gauges} take the last value: [flow.teil_final],
+      [flow.area_final], [flow.elapsed_s], and on a constrained netlist
+      [cons.c4] and [cons.<kind>.penalty], from [flow.result];
+      [flow.diagnostics] from [flow.status]; [pool.imbalance] from
+      [pool.shutdown];
+    - {b histograms}: [route.alternatives_per_net] over the [route.net]
+      points, in 40 log-spaced buckets (3 per decade from 1e-9 to 1e4)
+      plus an overflow bucket; only non-empty buckets are written;
+    - {b series}, oldest sample first: at each [flow.result], the six
+      [stage1.*] trajectories of the winning replica of the last stage-1
+      attempt and [stage2.acceptance] over the refinements that were kept
+      (a [stage2.rollback] drops its refinement's samples);
+      [route.overflow] and [stage2.teil] per [route.iteration];
+      [stage1.replica_cost] per [stage1.replica]; [pool.busy_s] and
+      [pool.utilization] per [pool.domain].  A [flow.result] declares
+      [pool.utilization] and [route.overflow] even when they stay empty.
 
-type t
+    Keys are sorted within each section.  The fold reads events only, so a
+    trace file loaded with {!Report.load} and the same events collected in
+    a {!Sink.memory} (through {!Report.of_sink_event}) give the same
+    document. *)
 
-val create : unit -> t
-val null : t
-(** The disabled registry: every operation is a cheap no-op. *)
-
-val enabled : t -> bool
-
-(** {1 Counters} *)
-
-type counter
-
-val counter : t -> string -> counter
-val incr : counter -> unit
-val add : counter -> int -> unit
-val counter_value : counter -> int
-
-(** {1 Gauges} *)
-
-type gauge
-
-val gauge : t -> string -> gauge
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-(** {1 Histograms} *)
-
-type histogram
-
-val default_bounds : float array
-(** Log-spaced, 3 buckets per decade from 1e-9 to 1e4 (plus the implicit
-    overflow bucket) — wide enough for durations in seconds and for small
-    integral quantities alike. *)
-
-val histogram : ?bounds:float array -> t -> string -> histogram
-(** [bounds] must be strictly increasing; it is fixed at first creation
-    (later calls with the same name return the existing histogram). *)
-
-val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
-(** {1 Series} *)
-
-type series
-
-val series : t -> string -> series
-(** An append-only sequence of float samples — trajectories (acceptance
-    rate per temperature, overflow per iteration) live here.  Declaring a
-    series makes its key appear in {!to_json} even with no samples. *)
-
-val sample : series -> float -> unit
-val series_values : series -> float list
-(** Oldest first. *)
-
-(** {1 Timers} *)
-
-val time : t -> string -> (unit -> 'a) -> 'a
-(** Monotonic-clock timer: runs the thunk, observes its duration in
-    seconds in histogram [name] and bumps counter [name ^ ".calls"].
-    Exactly the thunk when the registry is disabled. *)
-
-(** {1 Export} *)
-
-val to_json : t -> string
-(** The whole registry as one compact JSON line ({!Json.to_string}) with
-    "counters", "gauges", "histograms" and "series" sections, keys sorted —
-    deterministic for a given recorded state. *)
+val of_events : Report.event list -> Json.t
+(** [{"counters": {..}, "gauges": {..}, "histograms": {..},
+    "series": {..}}]; events the fold does not read are skipped. *)

@@ -216,10 +216,16 @@ let load path =
        with End_of_file -> ());
       List.rev !events)
 
+(* Through the printer and back, so an in-memory event reads exactly as the
+   same event loaded from a trace file. *)
+let of_sink_event e = event_of_json (parse_json (Sink.jsonl_of_event e))
+
 (* ------------------------------------------------------- reading events *)
 
 let attr_f e k =
   match List.assoc_opt k e.attrs with Some (Num f) -> f | _ -> nan
+
+let whole_or_unknown f = if Float.is_nan f then "?" else Printf.sprintf "%.0f" f
 
 let attr_s e k =
   match List.assoc_opt k e.attrs with Some (Str s) -> s | _ -> ""
@@ -441,9 +447,6 @@ let spans_of events =
       | _ -> ())
     events;
   List.rev !spans
-
-(* A whole-number attr, or "?" when the event lacks it. *)
-let whole_or_unknown f = if Float.is_nan f then "?" else Printf.sprintf "%.0f" f
 
 let pp_summary ppf events =
   let spans = spans_of events in

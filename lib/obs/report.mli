@@ -35,6 +35,11 @@ val event_of_json : ?line:int -> json -> event
     object.  The incremental reader behind [twmc report tail] uses this on
     lines as they appear, where {!load} would demand the whole file. *)
 
+val of_sink_event : Sink.event -> event
+(** An event as {!load} would read it back from a trace file: attrs go
+    through the one JSON printer, so a non-finite float reads as its
+    string. *)
+
 val load : string -> event list
 (** Parses a JSONL trace file; raises [Failure "path:line: reason"] on the
     first malformed or non-object line, naming the offending line and why
@@ -50,10 +55,14 @@ val validate : event list -> string list
 (** {2 Reading events}
 
     The accessors every trace consumer ([pp_summary], {!Health},
-    {!Progress}) reads events through. *)
+    {!Progress}, {!Metrics}) reads events through. *)
 
 val attr_f : event -> string -> float
 (** A numeric attr; [nan] when absent or not a number. *)
+
+val whole_or_unknown : float -> string
+(** A whole number as text, or ["?"] for [nan] — how every reader shows a
+    number that {!attr_f} found missing. *)
 
 val attr_s : event -> string -> string
 (** A string attr; [""] when absent or not a string. *)

@@ -16,15 +16,9 @@ type event =
 
 type chan = { oc : out_channel; mutable closed : bool }
 
-type mem = {
-  q : event Queue.t;
-  cap : int;  (* [max_int] = unbounded (the default). *)
-  mutable dropped : int;
-}
-
 type target =
   | Null
-  | Memory of mem
+  | Memory of event Queue.t
   | Channel of chan
 
 type t = { target : target; mutex : Mutex.t }
@@ -32,28 +26,16 @@ type t = { target : target; mutex : Mutex.t }
 let null = { target = Null; mutex = Mutex.create () }
 let enabled t = t.target <> Null
 
-let memory ?(capacity = max_int) () =
-  if capacity < 1 then invalid_arg "Sink.memory: capacity < 1";
-  { target = Memory { q = Queue.create (); cap = capacity; dropped = 0 };
-    mutex = Mutex.create () }
+let memory () = { target = Memory (Queue.create ()); mutex = Mutex.create () }
 
 let memory_events t =
   match t.target with
-  | Memory m ->
+  | Memory q ->
       Mutex.lock t.mutex;
-      let es = List.of_seq (Queue.to_seq m.q) in
+      let es = List.of_seq (Queue.to_seq q) in
       Mutex.unlock t.mutex;
       es
   | _ -> []
-
-let dropped t =
-  match t.target with
-  | Memory m ->
-      Mutex.lock t.mutex;
-      let d = m.dropped in
-      Mutex.unlock t.mutex;
-      d
-  | _ -> 0
 
 let json_of_attr : Attr.value -> Json.t = function
   | Attr.Int i -> Json.Int i
@@ -106,13 +88,9 @@ let to_file path =
 let emit_stamped t make =
   match t.target with
   | Null -> ()
-  | Memory m ->
+  | Memory q ->
       Mutex.lock t.mutex;
-      if Queue.length m.q >= m.cap then begin
-        ignore (Queue.pop m.q);
-        m.dropped <- m.dropped + 1
-      end;
-      Queue.add (make (Clock.now_ns ())) m.q;
+      Queue.add (make (Clock.now_ns ())) q;
       Mutex.unlock t.mutex
   | Channel c ->
       Mutex.lock t.mutex;
@@ -121,8 +99,6 @@ let emit_stamped t make =
         output_char c.oc '\n'
       end;
       Mutex.unlock t.mutex
-
-let emit t ev = emit_stamped t (fun _ -> ev)
 
 let close t =
   match t.target with

@@ -32,29 +32,22 @@ val null : t
 
 val enabled : t -> bool
 
-val memory : ?capacity:int -> unit -> t
-(** Collects events in memory; retrieve with {!memory_events}.  [capacity]
-    (default unbounded) caps retention: once full, each new event evicts
-    the oldest and bumps {!dropped} — long fuzz/chaos campaigns can hold a
-    sink open without growing it without limit.  Raises [Invalid_argument]
-    when [capacity < 1]. *)
+val memory : unit -> t
+(** Collects every event in memory; retrieve with {!memory_events}.  A
+    [--metrics] run without [--trace] records here and folds the events
+    with {!Metrics.of_events} when it finishes. *)
 
 val memory_events : t -> event list
-(** Events retained so far, oldest first.  [[]] for non-memory sinks. *)
-
-val dropped : t -> int
-(** Events evicted by a bounded memory sink; [0] for other sinks. *)
+(** Events collected so far, oldest first.  [[]] for non-memory sinks. *)
 
 val to_file : string -> t
 (** Opens [path] for writing and emits JSONL; call {!close} when done. *)
-
-val emit : t -> event -> unit
 
 val emit_stamped : t -> (int -> event) -> unit
 (** [emit_stamped t make] emits [make t_ns], where [t_ns] is read from
     {!Clock.now_ns} while the sink's lock is held.  Events from concurrent
     domains therefore reach the sink in timestamp order, which
-    [Report.validate] requires; the tracer emits through this. *)
+    [Report.validate] requires; {!Ctx} emits through this. *)
 
 val close : t -> unit
 (** Flushes, and closes the underlying channel for {!to_file} sinks. *)

@@ -3,7 +3,6 @@ open Twmc_netlist
 module Schedule = Twmc_sa.Schedule
 module Obs = Twmc_obs.Ctx
 module Attr = Twmc_obs.Attr
-module Metrics = Twmc_obs.Metrics
 
 type temp_record = {
   temperature : float;
@@ -51,41 +50,33 @@ let accepted (s : Moves.stats) =
   s.Moves.displacements + s.Moves.interchanges + s.Moves.orient_changes
   + s.Moves.aspect_rescues
 
-(* Counter adds commute, so the totals are deterministic even when best-of-K
-   replicas record concurrently. *)
-let record_counters obs tag (s : Moves.stats) =
-  if Obs.metrics_on obs then begin
-    let add name v =
-      Metrics.add
-        (Metrics.counter obs.Obs.metrics
-           (Printf.sprintf "%s.%s" (stage_name tag) name))
-        v
-    in
-    add "moves.attempts" s.Moves.attempts;
-    add "moves.displacements" s.Moves.displacements;
-    (match tag with
-    | Stage1 _ ->
-        add "moves.aspect_rescues" s.Moves.aspect_rescues;
-        add "moves.orient_changes" s.Moves.orient_changes;
-        add "moves.interchanges" s.Moves.interchanges;
-        add "moves.interchange_rescues" s.Moves.interchange_rescues;
-        add "moves.pin_moves" s.Moves.pin_moves;
-        add "moves.variant_changes" s.Moves.variant_changes
-    | Stage2 _ ->
-        (* Stage 2's move set never reorients, interchanges or reshapes. *)
-        add "moves.pin_moves" s.Moves.pin_moves);
-    for c = 0 to Moves.n_classes - 1 do
-      let cls = Moves.class_name c in
-      add ("class." ^ cls ^ ".attempts") s.Moves.class_attempts.(c);
-      add ("class." ^ cls ^ ".accepts") s.Moves.class_accepts.(c)
-    done
-  end
-
-(* One per-class efficacy point per finished anneal: attempts, accepts and
-   summed Δcost for every move class of the trial ladder — the trace-side
-   source for [Health]'s move-class tables. *)
-let record_class_points obs tag (s : Moves.stats) =
-  if Obs.tracing obs then
+(* Per finished anneal: one point with the move counters, then one
+   per-class efficacy point (attempts, accepts and summed Δcost) for every
+   move class of the trial ladder — the trace-side source for [Health]'s
+   move-class tables and the metrics fold's stage counters. *)
+let record_stats obs tag (s : Moves.stats) =
+  if Obs.tracing obs then begin
+    let count name v = (name, Attr.Int v) in
+    Obs.point obs
+      ~name:(stage_name tag ^ ".moves")
+      ~attrs:
+        (index_attr tag
+        @ [ count "attempts" s.Moves.attempts;
+            count "displacements" s.Moves.displacements ]
+        @
+        match tag with
+        | Stage1 _ ->
+            [ count "aspect_rescues" s.Moves.aspect_rescues;
+              count "orient_changes" s.Moves.orient_changes;
+              count "interchanges" s.Moves.interchanges;
+              count "interchange_rescues" s.Moves.interchange_rescues;
+              count "pin_moves" s.Moves.pin_moves;
+              count "variant_changes" s.Moves.variant_changes ]
+        | Stage2 _ ->
+            (* Stage 2's move set never reorients, interchanges or
+               reshapes. *)
+            [ count "pin_moves" s.Moves.pin_moves ])
+      ();
     for c = 0 to Moves.n_classes - 1 do
       Obs.point obs
         ~name:(stage_name tag ^ ".classes")
@@ -97,6 +88,7 @@ let record_class_points obs tag (s : Moves.stats) =
               ("dcost", Attr.Float s.Moves.class_dcost.(c)) ])
         ()
     done
+  end
 
 let run tag ?should_stop ?(obs = Obs.disabled) ~rng ~schedule ~t_start
     ~t_floor ~stop moves =
@@ -214,8 +206,7 @@ let run tag ?should_stop ?(obs = Obs.disabled) ~rng ~schedule ~t_start
            else [])
         (fun () -> anneal t_start)
   | Stage2 _ -> anneal t_start);
-  record_counters obs tag stats;
-  record_class_points obs tag stats;
+  record_stats obs tag stats;
   { trace = List.rev !trace;
     temperatures = !temperatures;
     interrupted = !stopped || poll () }

@@ -67,7 +67,6 @@ let normalize_p2 rng p ~eta ~samples =
 
 module Obs = Twmc_obs.Ctx
 module Attr = Twmc_obs.Attr
-module Metrics = Twmc_obs.Metrics
 
 let run ?(params = Params.default) ?core ?should_stop ?(obs = Obs.disabled)
     ?replica ~rng nl =
@@ -164,17 +163,20 @@ let run_best_of_k ?params ?core ?should_stop ?pool ?(obs = Obs.disabled) ~rng
   done;
   Twmc_obs.Flight_recorder.note ~i:!best_index
     ~f:replica_costs.(!best_index) "stage1.winner";
-  if Obs.tracing obs then
+  if Obs.tracing obs then begin
+    (* Emitted in index order after the join — deterministic at any pool
+       size. *)
+    Array.iteri
+      (fun i c ->
+        Obs.point obs ~name:"stage1.replica"
+          ~attrs:[ ("replica", Attr.Int i); ("cost", Attr.Float c) ]
+          ())
+      replica_costs;
     Obs.point obs ~name:"stage1.winner"
       ~attrs:
         [ ("index", Attr.Int !best_index);
           ("cost", Attr.Float replica_costs.(!best_index)) ]
-      ();
-  if Obs.metrics_on obs then begin
-    (* Sampled in index order after the join — deterministic at any pool
-       size. *)
-    let s = Metrics.series obs.Obs.metrics "stage1.replica_cost" in
-    Array.iter (Metrics.sample s) replica_costs
+      ()
   end;
   { best = results.(!best_index);
     best_index = !best_index;

@@ -65,9 +65,9 @@ val run :
     [obs] (default disabled, zero overhead) wraps the anneal in a
     ["stage1.anneal"] span, emits one ["stage1.temp"] point per
     temperature (cost, C1/C2/C3 decomposition, acceptance rate,
-    range-limiter window, average expanded cell area), then records the
-    move counters ([stage1.moves.*], [stage1.class.*]) into the metrics
-    registry and one ["stage1.classes"] point per move class.  [replica]
+    range-limiter window, average expanded cell area), then one
+    ["stage1.moves"] point with the move counters and one
+    ["stage1.classes"] point per move class.  [replica]
     tags every emitted event with the replica index (set by
     {!run_best_of_k}).  Instrumentation only reads placement state:
     results are bit-identical with it on or off. *)
@@ -98,9 +98,10 @@ val run_best_of_k :
     [k] splits, so downstream draws are also independent of the pool.
     [should_stop] is shared by all replicas (each polls it cooperatively).
     [obs] adds a ["stage1.best_of_k"] span, per-replica spans/points
-    (tagged with their replica index), a ["stage1.winner"] point and the
-    [stage1.replica_cost] metric series (sampled in index order after the
-    join, so deterministic at any pool size).
+    (tagged with their replica index), then one ["stage1.replica"] point
+    per replica ([replica], final [cost]; emitted in index order after the
+    join, so deterministic at any pool size) and a ["stage1.winner"]
+    point.
     Raises [Invalid_argument] when [k <= 0]. *)
 
 val run_replicas :

@@ -2,7 +2,6 @@ module G = Twmc_channel.Graph
 module Pin_map = Twmc_channel.Pin_map
 module Obs = Twmc_obs.Ctx
 module Attr = Twmc_obs.Attr
-module Metrics = Twmc_obs.Metrics
 
 type routed_net = { net : int; route : Steiner.route; alternatives : int }
 
@@ -66,19 +65,6 @@ let route ?(m = 20) ?budget_factor ?should_stop ?pool ?(obs = Obs.disabled)
                   ("alternatives", Attr.Int (List.length routes)) ]
               ())
           enumerated;
-      if Obs.metrics_on obs then begin
-        let reg = obs.Obs.metrics in
-        let alts = Metrics.histogram reg "route.alternatives_per_net" in
-        Array.iter
-          (fun (_, routes) ->
-            Metrics.observe alts (float_of_int (List.length routes)))
-          enumerated;
-        Metrics.add
-          (Metrics.counter reg "route.routes_enumerated")
-          (Array.fold_left
-             (fun acc (_, routes) -> acc + List.length routes)
-             0 enumerated)
-      end;
       let with_routes, unroutable =
         Array.fold_left
           (fun (ok, bad) (net, routes) ->
@@ -94,8 +80,6 @@ let route ?(m = 20) ?budget_factor ?should_stop ?pool ?(obs = Obs.disabled)
         Twmc_obs.Flight_recorder.note
           ~i:(List.length r.unroutable)
           ~f:(float_of_int r.overflow) "route.assign";
-        if Obs.metrics_on obs then
-          Metrics.add (Metrics.counter obs.Obs.metrics "route.passes") 1;
         if Obs.tracing obs then
           Obs.point obs ~name:"route.assign"
             ~attrs:
@@ -103,20 +87,9 @@ let route ?(m = 20) ?budget_factor ?should_stop ?pool ?(obs = Obs.disabled)
                 ("overflow_before", Attr.Int r.initial_overflow);
                 ("overflow_after", Attr.Int r.overflow);
                 ("length", Attr.Int r.total_length);
-                ("attempts", Attr.Int r.assign_attempts) ]
+                ("attempts", Attr.Int r.assign_attempts);
+                ("unroutable", Attr.Int (List.length r.unroutable)) ]
             ();
-        if Obs.metrics_on obs then begin
-          let reg = obs.Obs.metrics in
-          Metrics.add
-            (Metrics.counter reg "route.nets_routed")
-            (List.length r.routed);
-          Metrics.add
-            (Metrics.counter reg "route.nets_unroutable")
-            (List.length r.unroutable);
-          Metrics.add
-            (Metrics.counter reg "route.assign_attempts")
-            r.assign_attempts
-        end;
         r
       in
       if Array.length alternatives = 0 then

@@ -49,10 +49,9 @@ val route :
     [obs] (default disabled, zero overhead) wraps the call in a ["route"]
     span, emits one ["route.net"] point per net (alternatives enumerated,
     in net order on the caller's domain — deterministic at any pool size),
-    one ["route.assign"] point (overflow before/after phase 2, length,
-    interchange attempts) and records routed/unroutable counters plus the
-    per-net alternatives histogram.  Never draws from [rng]: routing bytes
-    are identical with it on or off. *)
+    one ["route.assign"] point (routed [nets], overflow before/after
+    phase 2, length, interchange attempts, [unroutable] nets).  Never
+    draws from [rng]: routing bytes are identical with it on or off. *)
 
 val node_density : result -> int array
 (** Per region: the maximum density of its incident channel-graph edges —

@@ -18,13 +18,6 @@
 
 type t
 
-val create : ?jobs:int -> unit -> t
-(** [create ~jobs ()] spawns [jobs - 1] worker domains.  [jobs] defaults to
-    {!Domain.recommended_domain_count}[ ()] and is clamped to at least 1.
-    A pool with [jobs = 1] spawns nothing and maps sequentially. *)
-
-val jobs : t -> int
-
 val parallel_map : t -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
 (** [parallel_map pool ~f arr] is [Array.mapi f arr], computed on up to
     [jobs pool] domains.  Chunks are contiguous index ranges, so element
@@ -38,29 +31,23 @@ val run : t -> (unit -> 'a) list -> 'a array
     returning results in thunk order.  Convenience wrapper over
     {!parallel_map}. *)
 
-val set_metrics : t -> Twmc_obs.Metrics.t -> unit
-(** Attach a metrics registry.  From then on the pool times every executed
-    chunk (monotonic clock, per participating domain) and, on {!shutdown},
-    records: counter [pool.tasks] (chunks executed), counter
-    [pool.batches] ([parallel_map] calls), series [pool.busy_s] (busy
-    seconds, one sample per domain, caller first), series
-    [pool.utilization] (busy / pool wall lifetime per domain) and gauge
-    [pool.imbalance] (max/mean busy across domains).  With the default
-    null registry the pool does no timing at all; metrics never affect
-    mapped results. *)
-
-val shutdown : t -> unit
-(** Joins the worker domains.  Idempotent; the pool must not be used
-    afterwards.  Pools that are never shut down leak their domains until
-    program exit, which is harmless for a pool owned by [main]. *)
-
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] creates a pool, applies [f], and shuts the pool
-    down even when [f] raises. *)
+(** [with_pool ~jobs f] spawns [jobs - 1] worker domains, applies [f], and
+    joins the workers even when [f] raises; the pool must not be used
+    afterwards.  [jobs] defaults to {!Domain.recommended_domain_count}[ ()]
+    and is clamped to at least 1.  A pool with [jobs = 1] spawns nothing
+    and maps sequentially. *)
 
 val with_optional_pool :
-  jobs:int -> metrics:Twmc_obs.Metrics.t -> (t option -> 'a) -> 'a
-(** [with_optional_pool ~jobs ~metrics f] is [f None] when [jobs <= 1], so
+  jobs:int -> obs:Twmc_obs.Ctx.t -> (t option -> 'a) -> 'a
+(** [with_optional_pool ~jobs ~obs f] is [f None] when [jobs <= 1], so
     every call stays on the caller's domain with no synchronization;
-    otherwise it is {!with_pool} applied to [f (Some pool)], with [metrics]
-    attached through {!set_metrics}. *)
+    otherwise it is {!with_pool} applied to [f (Some pool)].  When [obs]
+    is live the pool times every executed chunk (monotonic clock, per
+    participating domain) and, once its workers are joined, emits one
+    [pool.domain] point per domain, caller first ([slot], busy seconds
+    [busy_s], and [utilization] = busy / pool lifetime), then one
+    [pool.shutdown] point ([jobs], [tasks] = chunks executed, [batches] =
+    [parallel_map] calls, [imbalance] = max / mean busy across domains).
+    With a disabled handle the pool does no timing at all; timing never
+    affects mapped results. *)
