@@ -18,13 +18,13 @@ let load_file path =
   | exception Sys_error m -> Error m
 
 let load_dir dir =
-  if not (Sys.file_exists dir) then []
+  if not (Sys.file_exists dir) then ([], [])
   else
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".twq")
     |> List.sort compare
-    |> List.filter_map (fun f ->
+    |> List.partition_map (fun f ->
            let path = Filename.concat dir f in
            match load_file path with
-           | Ok c -> Some (path, c)
-           | Error _ -> None)
+           | Ok c -> Left (path, c)
+           | Error m -> Right (path, m))

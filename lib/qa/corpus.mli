@@ -11,6 +11,8 @@ val save : dir:string -> ?key:string -> Fuzz_case.t -> string
 
 val load_file : string -> (Fuzz_case.t, string) result
 
-val load_dir : string -> (string * Fuzz_case.t) list
-(** Every parseable [*.twq] case, sorted by filename; missing directory is
-    an empty corpus.  Unparseable files are skipped. *)
+val load_dir :
+  string -> (string * Fuzz_case.t) list * (string * string) list
+(** Every [*.twq] file under the directory, sorted by filename: the
+    parseable cases with their paths, and the unparseable files with the
+    reason each was rejected.  A missing directory is an empty corpus. *)

@@ -65,9 +65,6 @@ let campaign ?corpus_dir ?time_limit_s ?(run = Runner.run ?oracles:None ?extra_o
     failures = List.rev !failures;
     elapsed_s = Clock.s_of_ns (Clock.now_ns () - t0) }
 
-let replay ?(run = Runner.run ?oracles:None ?extra_oracle:None) ~dir () =
-  List.map (fun (path, c) -> (path, c, run c)) (Corpus.load_dir dir)
-
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>%d case(s) in %.1fs: %d clean, %d degraded, %d invalid input, %d \

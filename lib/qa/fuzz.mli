@@ -37,12 +37,4 @@ val campaign :
     [corpus_dir] when given.  Deterministic for a fixed [(seed, iters)]
     without a time limit. *)
 
-val replay :
-  ?run:(Fuzz_case.t -> Runner.outcome) ->
-  dir:string ->
-  unit ->
-  (string * Fuzz_case.t * Runner.outcome) list
-(** Re-run every corpus case; entries whose outcome is still [Failed] are
-    open bugs. *)
-
 val pp_report : Format.formatter -> report -> unit

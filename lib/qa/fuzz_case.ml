@@ -155,15 +155,25 @@ let of_string s =
           in
           let* replicas = get "replicas" int_of_string_opt default.replicas in
           let* jobs_check = get "jobs_check" bool_of_string_opt false in
+          (* The core may shrink to nothing ([generate] draws 0) but not
+             below; a budget is a finite positive number of seconds. *)
           let* core_scale =
-            get "core_scale" float_of_string_opt default.core_scale
+            get "core_scale"
+              (fun v ->
+                match float_of_string_opt v with
+                | Some s when Float.is_finite s && s >= 0.0 -> Some s
+                | _ -> None)
+              default.core_scale
           in
           let* a_c = get "a_c" int_of_string_opt default.a_c in
           let* time_budget_s =
             get "budget"
               (fun v ->
                 if v = "none" then Some None
-                else Option.map Option.some (float_of_string_opt v))
+                else
+                  match float_of_string_opt v with
+                  | Some s when Float.is_finite s && s > 0.0 -> Some (Some s)
+                  | _ -> None)
               None
           in
           let* peko = get "peko" int_of_string_opt default.peko in

@@ -354,7 +354,9 @@ let test_peko_case_runs_clean_with_lower_bound_oracle () =
 let corpus_dir = "../corpus"
 
 let test_committed_corpus_replays () =
-  let cases = Corpus.load_dir corpus_dir in
+  let cases, unreadable = Corpus.load_dir corpus_dir in
+  Alcotest.(check (list (pair string string)))
+    "every committed case reads" [] unreadable;
   checkb "corpus present" true (List.length cases >= 2);
   checkb "corpus has peko cases" true
     (List.exists (fun (_, c) -> c.Fuzz_case.peko > 0) cases);
