@@ -1,7 +1,10 @@
 open Twmc_geometry
 
+(* Absolute boundary edges of a placed cell from its absolute tiles. *)
 let cell_edges ~tiles = Shape.boundary_edges (Shape.of_tiles tiles)
 
+(* The four inward-facing core-boundary edges (the Sec 2.2 dummy cells'
+   inner edges). *)
 let boundary_edges ~core:(c : Rect.t) =
   [ Edge.make Edge.V ~pos:c.Rect.x0 ~span:(Rect.yspan c) ~side:Edge.High;
     Edge.make Edge.V ~pos:c.Rect.x1 ~span:(Rect.yspan c) ~side:Edge.Low;

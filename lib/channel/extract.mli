@@ -14,14 +14,6 @@
     hit it constantly, and dropping the pair would disconnect the channel
     graph). *)
 
-val cell_edges :
-  tiles:Twmc_geometry.Rect.t list -> Twmc_geometry.Edge.t list
-(** Absolute boundary edges of a placed cell from its absolute tiles. *)
-
-val boundary_edges : core:Twmc_geometry.Rect.t -> Twmc_geometry.Edge.t list
-(** The four inward-facing core-boundary edges (the Sec 2.2 dummy cells'
-    inner edges). *)
-
 val regions :
   core:Twmc_geometry.Rect.t ->
   cells:Twmc_geometry.Rect.t list array ->

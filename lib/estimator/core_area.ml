@@ -9,8 +9,8 @@ let cell_dims (nl : Netlist.t) =
          let b = Shape.bbox (Cell.variant c 0).Cell.shape in
          (Rect.width b, Rect.height b))
 
-let determine ?beta ?(modulation = Modulation.default) ?(aspect = 1.0)
-    ?(fill_target = 0.85) (nl : Netlist.t) =
+let determine ?beta ?(aspect = 1.0) ?(fill_target = 0.85) (nl : Netlist.t) =
+  let modulation = Modulation.default in
   if Netlist.n_cells nl = 0 then invalid_arg "Core_area.determine: no cells";
   if aspect <= 0.0 then invalid_arg "Core_area.determine: aspect <= 0";
   if fill_target <= 0.0 || fill_target > 1.0 then

@@ -17,7 +17,6 @@ type result = {
 
 val determine :
   ?beta:float ->
-  ?modulation:Modulation.t ->
   ?aspect:float ->
   ?fill_target:float ->
   Twmc_netlist.Netlist.t ->

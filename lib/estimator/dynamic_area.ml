@@ -10,7 +10,8 @@ type t = {
   core_h : float;
 }
 
-let create ?beta ?(modulation = Modulation.default) ~core_w ~core_h nl =
+let create ?beta ~core_w ~core_h nl =
+  let modulation = Modulation.default in
   if core_w <= 0 || core_h <= 0 then invalid_arg "Dynamic_area.create";
   let core_wf = float_of_int core_w and core_hf = float_of_int core_h in
   (* C_w is anchored to the reference die (see Wire_estimate.reference_dims);
@@ -27,7 +28,6 @@ let create ?beta ?(modulation = Modulation.default) ~core_w ~core_h nl =
     core_h = core_hf }
 
 let c_w t = t.c_w
-let pin_density t = t.pin_density
 
 (* [Modulation.tent], [Float.min] included, operand for operand: inlined
    into [side_expansion] so that no float is boxed on the per-move path. *)
@@ -68,6 +68,10 @@ let tile_expansions_into t ~cell ~variant ~x0 ~y0 ~x1 ~y1 out off =
   out.(off + 2) <- side_expansion t f.(base + 2) ~x:xm ~y:fy0;
   out.(off + 3) <- side_expansion t f.(base + 3) ~x:xm ~y:fy1
 
+(* [(left, right, bottom, top)] expansions for an absolutely-positioned
+   tile: each side is evaluated at its own midpoint (Eqn 2's [x_i, y_i]).
+   [tile_expansions_into] computes the same values bit for bit without
+   allocating. *)
 let tile_expansions t ~cell ~variant (r : Rect.t) =
   let e = Array.make 4 0 in
   tile_expansions_into t ~cell ~variant ~x0:r.Rect.x0 ~y0:r.Rect.y0

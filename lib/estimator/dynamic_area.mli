@@ -15,26 +15,20 @@ type t
 
 val create :
   ?beta:float ->
-  ?modulation:Modulation.t ->
   core_w:int ->
   core_h:int ->
   Twmc_netlist.Netlist.t ->
   t
-(** Precomputes [C_w] (Eqn 1), the normalization, and the per-side pin
-    density factors.  The core is centered on the origin. *)
+(** Precomputes [C_w] (Eqn 1), the normalization of
+    {!Modulation.default}, and the per-side pin density factors.  The core
+    is centered on the origin. *)
 
 val c_w : t -> float
-val pin_density : t -> Pin_density.t
 
 val edge_expansion :
   t -> cell:int -> variant:int -> side:Twmc_netlist.Side.t -> x:float -> y:float -> int
 (** Expansion (in grid units, rounded to nearest) for a cell edge whose
     representative point is [(x, y)] in core coordinates. *)
-
-val tile_expansions :
-  t -> cell:int -> variant:int -> Twmc_geometry.Rect.t -> int * int * int * int
-(** [(left, right, bottom, top)] expansions for an absolutely-positioned
-    tile: each side is evaluated at its own midpoint (Eqn 2's [x_i, y_i]). *)
 
 val tile_expansions_into :
   t ->
@@ -47,15 +41,16 @@ val tile_expansions_into :
   int array ->
   int ->
   unit
-(** [tile_expansions_into t ~cell ~variant ~x0 ~y0 ~x1 ~y1 out off] is
-    {!tile_expansions} of the tile [(x0, y0)-(x1, y1)], written as left,
-    right, bottom, top into [out.(off)] .. [out.(off + 3)].  Bit-identical
-    to it and allocates nothing: the move-evaluation hot path. *)
+(** [tile_expansions_into t ~cell ~variant ~x0 ~y0 ~x1 ~y1 out off] writes
+    the left, right, bottom and top expansions of the absolutely-positioned
+    tile [(x0, y0)-(x1, y1)] into [out.(off)] .. [out.(off + 3)], each side
+    evaluated at its own midpoint (Eqn 2's [x_i, y_i]).  Allocates nothing:
+    the move-evaluation hot path. *)
 
 val expand_tile :
   t -> cell:int -> variant:int -> Twmc_geometry.Rect.t -> Twmc_geometry.Rect.t
-(** The tile grown by {!tile_expansions} — the footprint used by the overlap
-    penalty during stage 1. *)
+(** The tile grown by its four side expansions — the footprint used by the
+    overlap penalty during stage 1. *)
 
 val center_expansion : t -> int
 (** Eqn 5: the expansion with maximal modulation and unit pin density, used

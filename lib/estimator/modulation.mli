@@ -20,8 +20,6 @@ val fx : t -> core_w:float -> float -> float
 (** [fx m ~core_w x] with the core centered at the origin; [x] is clamped to
     [±core_w/2] so transiently out-of-core cells get boundary weights. *)
 
-val fy : t -> core_h:float -> float -> float
-
 val alpha : t -> float
 (** The closed-form mean of [f_x·f_y] over the core (Eqn 3); for equal
     parameters it reduces to [((M+B)/2)²] (Eqn 4).  Separability gives

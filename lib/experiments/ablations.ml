@@ -52,7 +52,10 @@ let run_ds_vs_dr ?out_csv (profile : Profile.t) ppf =
     ?out_csv points ppf;
   points
 
-let run_eta ?(etas = [ 0.1; 0.25; 0.5; 1.0; 2.0 ]) ?out_csv profile ppf =
+let etas = [ 0.1; 0.25; 0.5; 1.0; 2.0 ]
+let rhos = [ 1.0; 2.0; 4.0; 7.0; 10.0 ]
+
+let run_eta ?out_csv profile ppf =
   let base = Profile.params profile in
   let points =
     List.map
@@ -69,7 +72,7 @@ let run_eta ?(etas = [ 0.1; 0.25; 0.5; 1.0; 2.0 ]) ?out_csv profile ppf =
     ?out_csv points ppf;
   points
 
-let run_rho ?(rhos = [ 1.0; 2.0; 4.0; 7.0; 10.0 ]) ?out_csv profile ppf =
+let run_rho ?out_csv profile ppf =
   let base = Profile.params profile in
   let points =
     List.map

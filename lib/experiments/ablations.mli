@@ -14,10 +14,8 @@ type point = { label : string; avg_teil : float; avg_residual_overlap : float }
 val run_ds_vs_dr :
   ?out_csv:string -> Profile.t -> Format.formatter -> point list
 
-val run_eta :
-  ?etas:float list -> ?out_csv:string -> Profile.t -> Format.formatter ->
-  point list
+val run_eta : ?out_csv:string -> Profile.t -> Format.formatter -> point list
+(** Sweeps η over 0.1, 0.25, 0.5, 1 and 2. *)
 
-val run_rho :
-  ?rhos:float list -> ?out_csv:string -> Profile.t -> Format.formatter ->
-  point list
+val run_rho : ?out_csv:string -> Profile.t -> Format.formatter -> point list
+(** Sweeps ρ over 1, 2, 4, 7 and 10. *)

@@ -1,6 +1,6 @@
 type point = { r : float; avg_teil : float; normalized : float }
 
-let default_ratios = [ 1.0; 2.0; 4.0; 7.0; 10.0; 15.0; 25.0; 50.0 ]
+let ratios = [ 1.0; 2.0; 4.0; 7.0; 10.0; 15.0; 25.0; 50.0 ]
 
 (* The paper ran this on circuits averaging ~25 macro cells with A_c = 200;
    the profile scales A_c. *)
@@ -12,7 +12,7 @@ let spec =
     n_pins = 330;
     frac_custom = 0.0 }
 
-let run ?(ratios = default_ratios) ?out_csv (profile : Profile.t) ppf =
+let run ?out_csv (profile : Profile.t) ppf =
   let base = Profile.params profile in
   let points =
     List.map

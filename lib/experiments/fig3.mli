@@ -9,8 +9,5 @@
 
 type point = { r : float; avg_teil : float; normalized : float }
 
-val default_ratios : float list
-
-val run :
-  ?ratios:float list -> ?out_csv:string -> Profile.t -> Format.formatter ->
-  point list
+val run : ?out_csv:string -> Profile.t -> Format.formatter -> point list
+(** Sweeps r over 1, 2, 4, 7, 10, 15, 25 and 50. *)

@@ -7,7 +7,7 @@ type point = {
   avg_time_s : float;
 }
 
-let default_acs = [ 10; 25; 50; 100; 200; 400 ]
+let acs = [ 10; 25; 50; 100; 200; 400 ]
 
 (* "Circuits containing 30 to 60 macro cells" (Sec 3.3). *)
 let spec =
@@ -18,7 +18,7 @@ let spec =
     n_pins = 560;
     frac_custom = 0.0 }
 
-let run ?(acs = default_acs) ?out_csv (profile : Profile.t) ppf =
+let run ?out_csv (profile : Profile.t) ppf =
   let base = Profile.params profile in
   let points =
     List.map

@@ -15,8 +15,5 @@ type point = {
   avg_time_s : float;  (** The Sec 5 CPU-time observation. *)
 }
 
-val default_acs : int list
-
-val run :
-  ?acs:int list -> ?out_csv:string -> Profile.t -> Format.formatter ->
-  point list
+val run : ?out_csv:string -> Profile.t -> Format.formatter -> point list
+(** Sweeps A_c over 10, 25, 50, 100, 200 and 400. *)

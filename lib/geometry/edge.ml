@@ -5,11 +5,6 @@ type t = { dir : dir; pos : int; span : Interval.t; side : side }
 let make dir ~pos ~span ~side = { dir; pos; span; side }
 let length e = Interval.length e.span
 
-let translate e ~dx ~dy =
-  match e.dir with
-  | V -> { e with pos = e.pos + dx; span = Interval.shift e.span dy }
-  | H -> { e with pos = e.pos + dy; span = Interval.shift e.span dx }
-
 (* Transform an edge by transforming its two endpoints and re-deriving
    direction; the outward side follows from the action on a point nudged
    toward the outward normal. *)

@@ -20,8 +20,6 @@ type t = { dir : dir; pos : int; span : Interval.t; side : side }
 val make : dir -> pos:int -> span:Interval.t -> side:side -> t
 val length : t -> int
 
-val translate : t -> dx:int -> dy:int -> t
-
 val transform : Orient.t -> t -> t
 (** Action of an orientation about the origin; direction and side are
     remapped consistently with the action on points. *)

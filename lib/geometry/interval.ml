@@ -29,10 +29,6 @@ let hull a b =
 
 let shift i d = { lo = i.lo + d; hi = i.hi + d }
 
-let expand i e =
-  let lo = i.lo - e and hi = i.hi + e in
-  if lo >= hi then empty else { lo; hi }
-
 let subtract i cuts =
   let cuts =
     cuts
@@ -49,7 +45,6 @@ let subtract i cuts =
   in
   if is_empty i then [] else List.rev (go i.lo [] cuts)
 
-let midpoint i = i.lo + ((i.hi - i.lo) / 2)
 let compare a b = Stdlib.compare (a.lo, a.hi) (b.lo, b.hi)
 let equal a b = compare a b = 0
 let pp ppf i = Format.fprintf ppf "[%d,%d)" i.lo i.hi

@@ -44,17 +44,10 @@ val hull : t -> t -> t
 val shift : t -> int -> t
 (** [shift i d] translates both endpoints by [d]. *)
 
-val expand : t -> int -> t
-(** [expand i e] grows the interval by [e] on both sides (clamped to empty if
-    the result would be inverted). *)
-
 val subtract : t -> t list -> t list
 (** [subtract i cuts] removes every interval of [cuts] from [i] and returns
     the remaining pieces in increasing order.  Used to derive the exposed
     boundary segments of a tile that abuts other tiles of the same cell. *)
-
-val midpoint : t -> int
-(** Integer midpoint (rounded toward [lo]). *)
 
 val compare : t -> t -> int
 (** Lexicographic order on (lo, hi). *)

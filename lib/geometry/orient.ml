@@ -80,4 +80,3 @@ let of_string = function
   | _ -> None
 
 let equal (a : t) (b : t) = a = b
-let pp ppf o = Format.pp_print_string ppf (to_string o)

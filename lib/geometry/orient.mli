@@ -45,4 +45,3 @@ val to_int : t -> int
 val to_string : t -> string
 val of_string : string -> t option
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -127,9 +127,6 @@ let overlap_area a b =
         List.fold_left (fun acc tb -> acc + Rect.inter_area ta tb) acc b.tiles)
       0 a.tiles
 
-let equal a b =
-  List.sort Rect.compare a.tiles = List.sort Rect.compare b.tiles
-
 let pp ppf s =
   Format.fprintf ppf "@[<v>shape area=%d bbox=%a@,%a@]" s.area Rect.pp s.bbox
     (Format.pp_print_list Rect.pp)

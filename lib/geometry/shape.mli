@@ -54,5 +54,4 @@ val contains_point : t -> int * int -> bool
 val overlap_area : t -> t -> int
 (** The paper's [O(i, j)] (Eqn 8), without edge expansion. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -78,7 +78,6 @@ let add_custom_instances t ~name ~shapes ?sites_per_edge ~pins () =
 
 let set_net_weight t ~net ~h ~v = Hashtbl.replace t.weights net (h, v)
 let add_constraint t spec = t.constrs <- spec :: t.constrs
-let constraints t = List.rev t.constrs
 
 let spec_name = function
   | Macro_spec { name; _ } | Custom_spec { name; _ } | Instances_spec { name; _ }

@@ -64,9 +64,6 @@ val add_constraint : t -> Constr.spec -> unit
 (** Appends a placement-constraint spec; cell names resolve at [build]
     time, so constraints may precede or follow their cells. *)
 
-val constraints : t -> Constr.spec list
-(** Accumulated constraint specs in declaration order. *)
-
 val build : t -> Netlist.t
 (** Resolves names and validates; raises [Invalid_argument] on dangling
     weights (a weight for a net no pin mentions), constraints naming

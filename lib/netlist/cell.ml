@@ -112,6 +112,7 @@ let variant c i = c.variants.(i)
 let n_pins c = Array.length c.pins
 let base_area c = Shape.area c.variants.(0).shape
 
+(* Local position of a site after orientation. *)
 let site_local_pos c ~variant ~orient site =
   let s = c.variants.(variant).sites.(site) in
   Orient.apply orient (s.Pin_site.x, s.Pin_site.y)

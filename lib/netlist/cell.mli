@@ -68,10 +68,6 @@ val base_area : t -> int
 (** Area of variant 0 (all variants of a custom cell share it up to
     rounding). *)
 
-val site_local_pos :
-  t -> variant:int -> orient:Twmc_geometry.Orient.t -> int -> int * int
-(** Local position of a site after orientation. *)
-
 val pin_local_pos :
   t ->
   variant:int ->

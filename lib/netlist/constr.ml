@@ -171,18 +171,3 @@ let eval ~n_cells ~tiles ~pos ~core c =
       max 0 (!occupied - (Rect.area rect * cap_permille / 1000))
 
 let equal (a : t) (b : t) = a = b
-
-let pp ppf = function
-  | Blockage r -> Format.fprintf ppf "blockage %a" Rect.pp r
-  | Keepout { cell; margin } ->
-      Format.fprintf ppf "keepout cell=%d margin=%d" cell margin
-  | Fixed { cell; x; y } -> Format.fprintf ppf "fix cell=%d at (%d, %d)" cell x y
-  | Region { cell; rect } ->
-      Format.fprintf ppf "region cell=%d in %a" cell Rect.pp rect
-  | Boundary { cell; side } ->
-      Format.fprintf ppf "boundary cell=%d side=%s" cell (Side.to_string side)
-  | Align { a; b; axis } ->
-      Format.fprintf ppf "align %d %d %s" a b (axis_to_string axis)
-  | Abut { a; b } -> Format.fprintf ppf "abut %d %d" a b
-  | Density { rect; cap_permille } ->
-      Format.fprintf ppf "density %a cap=%d/1000" Rect.pp rect cap_permille

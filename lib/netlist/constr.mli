@@ -84,4 +84,3 @@ val eval :
     cell's absolute (unexpanded) tiles, [pos] its center. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -12,7 +12,3 @@ let make ~name ?(hweight = 1.0) ?(vweight = 1.0) pins =
   { name; hweight; vweight; pins = Array.of_list pins }
 
 let n_pins n = Array.length n.pins
-
-let pp ppf n =
-  Format.fprintf ppf "%s (%d pins, h=%g v=%g)" n.name (Array.length n.pins)
-    n.hweight n.vweight

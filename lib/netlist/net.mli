@@ -19,4 +19,3 @@ val make :
 (** Weights default to 1.0, in which case the TEIC equals the TEIL. *)
 
 val n_pins : t -> int
-val pp : Format.formatter -> t -> unit

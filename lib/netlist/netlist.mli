@@ -40,8 +40,6 @@ val total_pins : t -> int
 val cell_index_opt : t -> string -> int option
 (** Index of a cell by name, [None] when absent. *)
 
-val net_index_opt : t -> string -> int option
-
 val cell_index : t -> string -> int
 (** Like {!cell_index_opt} but raises [Invalid_argument] naming both the
     missing cell and the netlist. *)

@@ -20,8 +20,3 @@ let uncommitted ~name ~net ?equiv ?group ?seq restriction =
   { name; net; equiv; group; seq; loc = Uncommitted restriction }
 
 let is_committed p = match p.loc with Fixed _ -> true | Uncommitted _ -> false
-
-let pp ppf p =
-  match p.loc with
-  | Fixed (x, y) -> Format.fprintf ppf "%s(net %d)@(%d,%d)" p.name p.net x y
-  | Uncommitted _ -> Format.fprintf ppf "%s(net %d)@sites" p.name p.net

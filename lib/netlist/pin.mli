@@ -44,4 +44,3 @@ val uncommitted :
   t
 
 val is_committed : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -23,7 +23,3 @@ let sites_of_edges ~sites_per_edge ~track_spacing edges =
          edges)
   in
   Array.of_list site_list
-
-let pp ppf s =
-  Format.fprintf ppf "site@(%d,%d) edge=%d %a cap=%d" s.x s.y s.edge Side.pp
-    s.side s.capacity

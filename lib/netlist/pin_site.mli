@@ -22,5 +22,3 @@ val sites_of_edges :
 (** Generates evenly-spaced sites along each boundary edge.  Short edges get
     fewer sites (at least one, provided the edge can hold a pin); capacity is
     [edge span / number of sites / track_spacing], at least 1. *)
-
-val pp : Format.formatter -> t -> unit

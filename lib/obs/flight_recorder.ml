@@ -89,6 +89,9 @@ let dropped () =
   Mutex.unlock mutex;
   d
 
+(* The ring as a JSONL trace: a ["twmc-flight"] meta line (carrying
+   [recorded]/[dropped] attrs) followed by one point per entry with
+   [seq]/[i]/[f]/[detail] attrs.  The result passes [Report.validate]. *)
 let to_jsonl () =
   let es = entries () in
   (* The meta line carries the oldest entry's timestamp so the dump passes

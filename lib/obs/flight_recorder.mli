@@ -46,11 +46,9 @@ val dropped : unit -> int
 
 val clear : unit -> unit
 
-val to_jsonl : unit -> string
-(** The ring as a JSONL trace: a ["twmc-flight"] meta line (carrying
-    [recorded]/[dropped] attrs) followed by one point per entry with
-    [seq]/[i]/[f]/[detail] attrs.  The result passes {!Report.validate}. *)
-
 val dump : string -> unit
-(** Writes {!to_jsonl} to [path].  Best-effort: I/O errors are swallowed so
-    a failing disk never masks the crash being recorded. *)
+(** Writes the ring to [path] as a JSONL trace: a ["twmc-flight"] meta
+    line (carrying [recorded]/[dropped] attrs) followed by one point per
+    entry with [seq]/[i]/[f]/[detail] attrs, which passes
+    {!Report.validate}.  Best-effort: I/O errors are swallowed so a failing
+    disk never masks the crash being recorded. *)

@@ -69,8 +69,3 @@ val with_limiter : ctx -> Range_limiter.t -> ctx
 
 val generate : ctx -> Twmc_sa.Rng.t -> temp:float -> unit
 (** One top-level attempt, mutating the placement in place. *)
-
-val attempt_pin_move : ctx -> Twmc_sa.Rng.t -> temp:float -> cell:int -> bool
-(** One pin-group/lone-pin reassignment attempt on a custom cell; exposed
-    separately because stage 2's generate uses only displacements and pin
-    moves.  Returns true when a move was accepted. *)

@@ -40,12 +40,3 @@ let default =
     fill_target = 0.75;
     core_aspect = 1.0;
     seed = 1 }
-
-let pp ppf p =
-  Format.fprintf ppf
-    "@[<v>r=%.1f A_c=%d rho=%.1f eta=%.2f kappa=%d p3=%g beta=%.2f@,\
-     mu=%.3f min_window=%d selector=%s refinements=%d M=%d@,\
-     fill=%.2f aspect=%.2f seed=%d@]"
-    p.r_ratio p.a_c p.rho p.eta p.kappa p.p3 p.beta p.mu p.min_window
-    (match p.displacement_selector with Ds -> "Ds" | Dr -> "Dr")
-    p.refinement_iterations p.m_routes p.fill_target p.core_aspect p.seed

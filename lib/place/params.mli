@@ -50,4 +50,3 @@ type t = {
 }
 
 val default : t
-val pp : Format.formatter -> t -> unit

@@ -48,6 +48,9 @@ let lone_uncommitted (c : Cell.t) =
        c.Cell.pins)
   |> List.filter_map Fun.id
 
+(* Writes consecutive site assignments for [members] into [sites], starting
+   at [anchor_site] and wrapping within that site's edge.  The anchor must
+   be a site on an edge allowed for the group's first member. *)
 let assign_group c ~variant ~members ~anchor_site ~sites =
   let v = Cell.variant c variant in
   let anchor = v.Cell.sites.(anchor_site) in

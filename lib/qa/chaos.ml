@@ -53,6 +53,8 @@ let gen_rule ~rng =
       nth;
       kind = Rng.pick rng [| Fault.Exn; Fault.Exn; Fault.Deadline; Fault.Io_error |] }
 
+(* 1–3 rules; sites, trigger counts and kinds drawn from the catalog
+   (never [Abort]). *)
 let gen_plan ~rng =
   let n = Rng.int_incl rng 1 3 in
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (gen_rule ~rng :: acc) in

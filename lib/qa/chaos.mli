@@ -41,10 +41,6 @@ type report = {
   elapsed_s : float;
 }
 
-val gen_plan : rng:Twmc_sa.Rng.t -> Twmc_util.Fault.plan
-(** 1–3 rules; sites, trigger counts and kinds drawn from the catalog
-    (never [Abort]). *)
-
 val campaign :
   ?out_dir:string ->
   ?progress:(int -> unit) ->

@@ -39,6 +39,9 @@ type t = {
   trace : trace_point list;
 }
 
+(* The QA profile: stock parameters at [a_c = 8], [m_routes = 6],
+   [seed = 1] — heavy enough to exercise every stage, light enough that the
+   whole golden suite runs in seconds. *)
 let profile = { Params.default with Params.a_c = 8; m_routes = 6; seed = 1 }
 
 let rebless_hint =

@@ -44,13 +44,9 @@ type t = {
   trace : trace_point list;  (** Stage-1 trajectory, one point per T. *)
 }
 
-val profile : Twmc_place.Params.t
-(** The QA profile: stock parameters at [a_c = 8], [m_routes = 6],
-    [seed = 1] — heavy enough to exercise every stage, light enough that
-    the whole golden suite runs in seconds. *)
-
 val capture : name:string -> Twmc_netlist.Netlist.t -> t
-(** Run the resilient flow under {!profile} and record it.  Raises
+(** Run the resilient flow under the QA profile (stock parameters at
+    [a_c = 8], [m_routes = 6], [seed = 1]) and record it.  Raises
     [Failure] if the flow produces no result at all (a golden target must
     at least complete). *)
 

@@ -360,6 +360,17 @@ let fixed_oracles p =
     cons;
   !acc
 
+(* The constraint-penalty pack (empty list immediately when the netlist has
+   no constraints), in order: [constraints-accounting] (each cached
+   per-constraint penalty and the C4 accumulator equal a from-scratch
+   evaluation bit-for-bit — penalties are exact integers, so [=] is the
+   comparison), [fixed-exactness] / [fixed-zero] (a fixed cell's penalty is
+   exactly its Manhattan distance to the target, and zero at the target),
+   [constraints-translation] (translating constraints, core and placement
+   together leaves C4 unchanged), [density-monotone] (halving every density
+   cap cannot decrease C4) and [keepout-monotone] (widening every keepout
+   margin cannot decrease C4).  Runs before the transformation oracles
+   inside [check_placement] because those end in a repairing recompute. *)
 let check_constraints p =
   if Placement.n_constraints p = 0 then []
   else

@@ -3,12 +3,11 @@ module Writer = Twmc_netlist.Writer
 module Parser = Twmc_netlist.Parser
 module Atomic_io = Twmc_util.Atomic_io
 
-let spec_of_scale ?(locality = 0.7) ?(utilization = 0.5) ?(nets_per_cell = 1.6)
-    n =
+let spec_of_scale ?(locality = 0.7) ?(utilization = 0.5) n =
   { Gen.default_spec with
     Gen.name = Printf.sprintf "peko%d" n;
     n_cells = n;
-    nets_per_cell;
+    nets_per_cell = 1.6;
     locality;
     utilization }
 
@@ -34,5 +33,3 @@ let load path =
             | Some m -> m
             | None -> Printexc.to_string exn))
   | exception Sys_error e -> Error e
-
-let verify = Oracle.check_certificate

@@ -41,7 +41,10 @@ let size c =
 let reproduces ~run ~key cand =
   List.mem key (Runner.outcome_keys (run cand))
 
-let shrink ?(max_steps = 200) ~run ~key c0 =
+(* Bounds the work on pathological landscapes. *)
+let max_steps = 200
+
+let shrink ~run ~key c0 =
   let steps = ref 0 in
   let rec go c =
     if !steps >= max_steps then c

@@ -8,12 +8,11 @@
     size measure. *)
 
 val shrink :
-  ?max_steps:int ->
   run:(Fuzz_case.t -> Runner.outcome) ->
   key:string ->
   Fuzz_case.t ->
   Fuzz_case.t * int
 (** [shrink ~run ~key c] returns the minimized case and the number of
-    accepted shrink steps.  [run] is the full case runner (injectable for
-    tests); [max_steps] (default 200) bounds the work on pathological
-    landscapes. *)
+    accepted shrink steps, at most 200 (a bound on the work on
+    pathological landscapes).  [run] is the full case runner (injectable
+    for tests). *)

@@ -18,6 +18,8 @@ type point = {
 
 type sweep = { seed : int; a_c : int; points : point list }
 
+(* ["stage1"], ["stage2"] (the full flow) and every
+   [Twmc_baselines.comparators] entry, in run order. *)
 let all_algos =
   [ "stage1"; "stage2" ] @ List.map fst Twmc_baselines.comparators
 

@@ -25,10 +25,6 @@ type point = {
 
 type sweep = { seed : int; a_c : int; points : point list }
 
-val all_algos : string list
-(** ["stage1"], ["stage2"] (the full flow) and every
-    [Twmc_baselines.comparators] entry, in run order. *)
-
 val run :
   ?algos:string list ->
   ?a_c:int ->
@@ -47,7 +43,6 @@ val run :
     the band is blessed at the same [a_c] the sweep runs at.  [progress] is
     called once per (case, algorithm) with a one-line description. *)
 
-val to_json : sweep -> Twmc_obs.Json.t
 val to_json_string : sweep -> string
 (** Schema ["twmc-peko-gap v1"]: seed, a_c, and one object per point; a
     failed point's [nan] measurement and ratio are written as the string
@@ -71,7 +66,8 @@ val scales_of_bands : band list -> int list
 (** Sorted distinct scales a band list covers (the gate's default sweep). *)
 
 val algos_of_bands : band list -> string list
-(** Distinct algorithms a band list covers, in {!all_algos} order. *)
+(** Distinct algorithms a band list covers, in run order: ["stage1"],
+    ["stage2"], then the [Twmc_baselines.comparators] entries. *)
 
 val gate : sweep -> band list -> string list
 (** The quality gate; each returned string is a violation:

@@ -58,7 +58,6 @@ let restore p t =
   Placement.recompute_all p
 
 let teil t = t.teil
-let cost t = t.cost
 let core_of t = t.core
 
 (* ------------------------------------------------- durable checkpoints *)

@@ -36,7 +36,6 @@ val restore : Twmc_place.Placement.t -> t -> unit
     over the same netlist) and recomputes all caches. *)
 
 val teil : t -> float
-val cost : t -> float
 
 val core_of : t -> Twmc_geometry.Rect.t
 (** The core rectangle recorded in the snapshot (useful to build a fresh

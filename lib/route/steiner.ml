@@ -2,6 +2,7 @@ module G = Twmc_channel.Graph
 
 type route = { edges : int list; nodes : int list; length : int }
 
+(* By length, then structurally (for deterministic ordering). *)
 let compare_route a b =
   match Stdlib.compare a.length b.length with
   | 0 -> Stdlib.compare (a.edges, a.nodes) (b.edges, b.nodes)

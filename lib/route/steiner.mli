@@ -18,9 +18,6 @@ type route = {
   length : int;  (** Sum of the unique edges' lengths. *)
 }
 
-val compare_route : route -> route -> int
-(** By length, then structurally (for deterministic ordering). *)
-
 val routes :
   ?budget_factor:int ->
   ?prim_k:int ->

@@ -27,6 +27,12 @@ let truncate_half path =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (String.sub content 0 half))
 
+(* [write_file path f] runs [f] on a channel backed by a fresh temporary
+   file next to [path], checks that the file holds exactly the bytes [f]
+   wrote (raising [Sys_error] on a short write), and renames it to [path].
+   The temporary file is removed if [f], the size check or the rename
+   raises — except under a simulated crash ([Fault.Torn_write]), which
+   leaves the partial temp file exactly as a killed process would. *)
 let write_file path f =
   match Fault.io fault_site with
   | Fault.Io_transient ->

@@ -10,14 +10,6 @@
     write that simulates a mid-write crash (partial temp file left behind,
     destination untouched). *)
 
-val write_file : string -> (out_channel -> unit) -> unit
-(** [write_file path f] runs [f] on a channel backed by a fresh temporary
-    file next to [path], checks that the file holds exactly the bytes [f]
-    wrote (raising [Sys_error] on a short write), and renames it to [path].
-    The temporary file is removed if [f], the size check or the rename
-    raises — except under a simulated crash ({!Fault.Torn_write}), which
-    leaves the partial temp file exactly as a killed process would. *)
-
 val write_string : string -> string -> unit
 (** [write_string path s] atomically replaces [path]'s contents with [s]. *)
 

@@ -133,6 +133,7 @@ let kind_of_string = function
   | "io-error" -> Some Io_error
   | _ -> None
 
+(* ["site@nth:kind"], parseable by [rule_of_string]. *)
 let rule_to_string r =
   Printf.sprintf "%s@%d:%s" r.site r.nth (kind_to_string r.kind)
 

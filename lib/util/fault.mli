@@ -84,14 +84,6 @@ val deadline_pending : unit -> bool
 val fired : unit -> (string * kind) list
 (** The faults fired since the last {!arm}, in firing order. *)
 
-val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-
-val rule_to_string : rule -> string
-(** ["site@nth:kind"], parseable by {!rule_of_string}. *)
-
-val rule_of_string : string -> rule option
-
 val plan_to_string : plan -> string
 (** One rule per line; round-trips through {!plan_of_string}. *)
 

@@ -31,13 +31,13 @@ let draw_placement svg p =
     done
   done
 
-let placement ?(scale = 1.0) p =
-  let svg = Svg.create ~viewport:(viewport p) ~scale () in
+let placement p =
+  let svg = Svg.create ~viewport:(viewport p) () in
   draw_placement svg p;
   svg
 
-let channels ?(scale = 1.0) p (g : Graph.t) =
-  let svg = Svg.create ~viewport:(viewport p) ~scale () in
+let channels p (g : Graph.t) =
+  let svg = Svg.create ~viewport:(viewport p) () in
   draw_placement svg p;
   Array.iter
     (fun (r : Region.t) ->
@@ -55,8 +55,11 @@ let channels ?(scale = 1.0) p (g : Graph.t) =
 let route_palette =
   [| "#cc0000"; "#1155cc"; "#38761d"; "#b45f06"; "#741b47"; "#0b5394" |]
 
-let routed ?(scale = 1.0) ?(max_nets = 30) p (res : Router.result) =
-  let svg = Svg.create ~viewport:(viewport p) ~scale () in
+(* At most this many nets are drawn, so a large routing stays legible. *)
+let max_nets = 30
+
+let routed p (res : Router.result) =
+  let svg = Svg.create ~viewport:(viewport p) () in
   draw_placement svg p;
   let g = res.Router.graph in
   List.iteri

@@ -8,21 +8,13 @@
     centers).  Route drawings draw each routed net as a polyline over the
     graph it was routed on. *)
 
-val placement : ?scale:float -> Twmc_place.Placement.t -> Svg.t
+val placement : Twmc_place.Placement.t -> Svg.t
 (** Cells (with expansion outlines), pins, and core frame. *)
 
-val channels :
-  ?scale:float ->
-  Twmc_place.Placement.t ->
-  Twmc_channel.Graph.t ->
-  Svg.t
+val channels : Twmc_place.Placement.t -> Twmc_channel.Graph.t -> Svg.t
 (** The placement plus critical regions and channel-graph adjacency. *)
 
 val routed :
-  ?scale:float ->
-  ?max_nets:int ->
-  Twmc_place.Placement.t ->
-  Twmc_route.Global_router.result ->
-  Svg.t
-(** The placement plus the chosen route trees of up to [max_nets]
-    (default 30) nets, colored round-robin. *)
+  Twmc_place.Placement.t -> Twmc_route.Global_router.result -> Svg.t
+(** The placement plus the chosen route trees of up to 30 nets, colored
+    round-robin. *)
