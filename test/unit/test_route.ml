@@ -389,6 +389,150 @@ let prop_matches_reference =
           && Mshortest.distances g ~sources = Reference.distances g ~sources)
         queries)
 
+(* The Prim-ordered Steiner enumeration as it was written over one
+   [k_shortest] call per expansion, run here over [Reference.k_shortest]
+   and [Reference.distances]: a per-call [Set] of kept routes counted with
+   [cardinal], and a fresh all-distances sweep per added terminal. *)
+module Steiner_reference = struct
+  let compare_route (a : Steiner.route) (b : Steiner.route) =
+    match Stdlib.compare a.Steiner.length b.Steiner.length with
+    | 0 -> Stdlib.compare (a.Steiner.edges, a.Steiner.nodes) (b.edges, b.nodes)
+    | c -> c
+
+  module Route_set = Set.Make (struct
+    type t = Steiner.route
+
+    let compare = compare_route
+  end)
+
+  let prim_order ~skip g terminals =
+    match terminals with
+    | [] | [ _ ] -> terminals
+    | first :: rest ->
+        let ordered = ref [ first ] in
+        let connected = ref first in
+        let remaining = ref rest in
+        let steps = ref 0 in
+        while !remaining <> [] do
+          let dist = Reference.distances g ~sources:!connected in
+          let dist_of t = List.fold_left (fun acc c -> min acc dist.(c)) max_int t in
+          let ranked =
+            List.sort (fun a b -> Stdlib.compare (dist_of a) (dist_of b)) !remaining
+          in
+          let choice =
+            let want = if !steps = 0 then skip else 0 in
+            List.nth ranked (min want (List.length ranked - 1))
+          in
+          incr steps;
+          ordered := choice :: !ordered;
+          connected := choice @ !connected;
+          remaining := List.filter (fun t' -> t' != choice) !remaining
+        done;
+        List.rev !ordered
+
+  let route_of_edge_set (g : Graph.t) edge_ids node_ids =
+    let edges = List.sort_uniq Stdlib.compare edge_ids in
+    let nodes = List.sort_uniq Stdlib.compare node_ids in
+    let length =
+      List.fold_left (fun acc e -> acc + g.Graph.edges.(e).Graph.length) 0 edges
+    in
+    { Steiner.edges; nodes; length }
+
+  let distinct_length (g : Graph.t) edges =
+    List.sort_uniq Stdlib.compare edges
+    |> List.fold_left (fun acc e -> acc + g.Graph.edges.(e).Graph.length) 0
+
+  let routes_in_order ~budget_factor g ~m ~order =
+    match order with
+    | [] -> []
+    | [ single ] -> [ { Steiner.edges = []; nodes = [ List.hd single ]; length = 0 } ]
+    | first :: rest ->
+        let best = ref Route_set.empty in
+        let worst_kept () =
+          if Route_set.cardinal !best < m then max_int
+          else (Route_set.max_elt !best).Steiner.length
+        in
+        let record edge_ids node_ids =
+          best := Route_set.add (route_of_edge_set g edge_ids node_ids) !best;
+          if Route_set.cardinal !best > m then
+            best := Route_set.remove (Route_set.max_elt !best) !best
+        in
+        let budget = ref (budget_factor * m) in
+        let rec grow ~tree_nodes ~tree_edges ~depth = function
+          | [] -> record tree_edges tree_nodes
+          | terminal :: todo ->
+              let sources = if tree_nodes = [] then first else tree_nodes in
+              let k = max (if depth >= 2 then 1 else 2) (m lsr min depth 8) in
+              List.iter
+                (fun (p : Mshortest.path) ->
+                  if !budget > 0 then begin
+                    decr budget;
+                    let new_edges = p.Mshortest.edges @ tree_edges in
+                    let new_nodes = p.Mshortest.nodes @ tree_nodes in
+                    if distinct_length g new_edges < worst_kept () then
+                      grow ~tree_nodes:new_nodes ~tree_edges:new_edges
+                        ~depth:(depth + 1) todo
+                  end)
+                (Reference.k_shortest g ~k ~sources ~targets:terminal)
+        in
+        grow ~tree_nodes:[] ~tree_edges:[] ~depth:0 rest;
+        Route_set.elements !best
+
+  let routes ~budget_factor ~prim_k g ~m ~terminals =
+    let n_orders = min prim_k (max 1 (List.length terminals - 1)) in
+    let merged = ref Route_set.empty in
+    for skip = 0 to n_orders - 1 do
+      List.iter
+        (fun r -> merged := Route_set.add r !merged)
+        (routes_in_order ~budget_factor g ~m ~order:(prim_order ~skip g terminals))
+    done;
+    List.filteri (fun i _ -> i < m) (Route_set.elements !merged)
+end
+
+(* The lattice graphs above, each with two nets of 1-5 terminals of 1-3
+   candidates, enumerated at [m] 1-8, [budget_factor] 1-12 and [prim_k]
+   1-2. *)
+let steiner_case =
+  QCheck.Gen.(
+    int_range 2 31 >>= fun n ->
+    int_range 1 8 >>= fun span ->
+    let rect =
+      map4
+        (fun x y w h -> (2 * x, 2 * y, 2 * (x + w), 2 * (y + h)))
+        (int_range 0 span) (int_range 0 span) (int_range 1 3) (int_range 1 3)
+    in
+    let terminals =
+      list_size (int_range 1 5) (list_size (int_range 1 3) (int_range 0 (n - 1)))
+    in
+    pair (list_repeat n rect)
+      (list_repeat 2
+         (pair terminals (triple (int_range 1 8) (int_range 1 12) (int_range 1 2)))))
+
+let print_steiner_case (rects, nets) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  String.concat " "
+    (List.map (fun (x0, y0, x1, y1) -> Printf.sprintf "(%d,%d,%d,%d)" x0 y0 x1 y1) rects)
+  ^ " | "
+  ^ String.concat " "
+      (List.map
+         (fun (terminals, (m, bf, pk)) ->
+           Printf.sprintf "{%s} m=%d budget_factor=%d prim_k=%d"
+             (String.concat " " (List.map (fun t -> "[" ^ ints t ^ "]") terminals))
+             m bf pk)
+         nets)
+
+let prop_steiner_matches_reference =
+  QCheck.Test.make ~name:"Steiner.routes matches the reference enumeration"
+    ~count:500
+    (QCheck.make ~print:print_steiner_case steiner_case)
+    (fun (rects, nets) ->
+      let g = lattice_graph rects in
+      List.for_all
+        (fun (terminals, (m, budget_factor, prim_k)) ->
+          Steiner.routes ~budget_factor ~prim_k g ~m ~terminals
+          = Steiner_reference.routes ~budget_factor ~prim_k g ~m ~terminals)
+        nets)
+
 (* ------------------------------------------------------------- Steiner *)
 
 let test_steiner_two_pin () =
@@ -579,6 +723,155 @@ let test_assign_skips_empty () =
     (res.Assign.chosen.(1) >= 0
     && res.Assign.chosen.(1) < List.length r)
 
+(* Random interchange as it was written with a scan: every attempt lists
+   the over-capacity edges by scanning all of them (so the list runs in
+   decreasing edge id) and draws one with [Rng.pick_list]. *)
+module Assign_reference = struct
+  let run ?m ~rng ~(graph : Graph.t) ~(alternatives : Steiner.route array array) () =
+    let n_nets = Array.length alternatives in
+    let live i = Array.length alternatives.(i) > 0 in
+    let m =
+      match m with
+      | Some m -> m
+      | None -> Array.fold_left (fun acc a -> max acc (Array.length a)) 1 alternatives
+    in
+    let n_edges = Graph.n_edges graph in
+    let density = Array.make n_edges 0 in
+    let chosen = Array.make n_nets 0 in
+    Array.iteri
+      (fun i a ->
+        if live i then
+          List.iter (fun e -> density.(e) <- density.(e) + 1) a.(0).Steiner.edges)
+      alternatives;
+    let overflow_of_edge e = max 0 (density.(e) - graph.Graph.edges.(e).Graph.capacity) in
+    let x = ref 0 in
+    for e = 0 to n_edges - 1 do
+      x := !x + overflow_of_edge e
+    done;
+    let initial_overflow = !x in
+    let l = ref 0 in
+    Array.iteri (fun i a -> if live i then l := !l + a.(0).Steiner.length) alternatives;
+    let users = Array.make n_edges [] in
+    let add_user i (r : Steiner.route) =
+      List.iter (fun e -> users.(e) <- i :: users.(e)) r.Steiner.edges
+    in
+    let remove_user i (r : Steiner.route) =
+      List.iter (fun e -> users.(e) <- List.filter (fun j -> j <> i) users.(e)) r.Steiner.edges
+    in
+    Array.iteri (fun i a -> if live i then add_user i a.(0)) alternatives;
+    let apply i k =
+      let old_r = alternatives.(i).(chosen.(i)) and new_r = alternatives.(i).(k) in
+      let dx = ref 0 in
+      let shift sign e =
+        dx := !dx - overflow_of_edge e;
+        density.(e) <- density.(e) + sign;
+        dx := !dx + overflow_of_edge e
+      in
+      List.iter (shift (-1)) old_r.Steiner.edges;
+      List.iter (shift 1) new_r.Steiner.edges;
+      remove_user i old_r;
+      add_user i new_r;
+      chosen.(i) <- k;
+      (!dx, new_r.Steiner.length - old_r.Steiner.length)
+    in
+    let attempts = ref 0 and idle = ref 0 in
+    let max_idle = max 200 (m * n_nets) in
+    let overfull () =
+      let acc = ref [] in
+      for e = 0 to n_edges - 1 do
+        if overflow_of_edge e > 0 then acc := e :: !acc
+      done;
+      !acc
+    in
+    while !x > 0 && !idle < max_idle do
+      incr attempts;
+      match overfull () with
+      | [] -> ()
+      | edges -> (
+          match users.(Twmc_sa.Rng.pick_list rng edges) with
+          | [] -> incr idle
+          | us ->
+              let i = Twmc_sa.Rng.pick_list rng us in
+              let n_alts = Array.length alternatives.(i) in
+              if n_alts < 2 then incr idle
+              else
+                let k = Twmc_sa.Rng.int_incl rng 0 (n_alts - 1) in
+                if k = chosen.(i) then incr idle
+                else
+                  let old_k = chosen.(i) in
+                  let dx, dl = apply i k in
+                  if dx < 0 || (dx = 0 && dl <= 0) then begin
+                    x := !x + dx;
+                    l := !l + dl;
+                    if dx = 0 && dl = 0 then incr idle else idle := 0
+                  end
+                  else begin
+                    ignore (apply i old_k);
+                    incr idle
+                  end)
+    done;
+    (chosen, !l, !x, initial_overflow, density, !attempts)
+end
+
+(* Lattice graphs of 2-12 rectangles with capacities redrawn from 1-3, and
+   1-12 nets of 0-6 alternatives of 0-5 edges each, so that edges are
+   over capacity and nets share them. *)
+let assign_case =
+  QCheck.Gen.(
+    int_range 2 12 >>= fun n ->
+    let rect =
+      map4
+        (fun x y w h -> (2 * x, 2 * y, 2 * (x + w), 2 * (y + h)))
+        (int_range 0 3) (int_range 0 3) (int_range 1 3) (int_range 1 3)
+    in
+    let route = list_size (int_range 0 5) nat in
+    quad (list_repeat n rect)
+      (list_size (int_range 1 64) (int_range 1 3))
+      (list_size (int_range 1 12) (list_size (int_range 0 6) route))
+      (pair (opt (int_range 1 8)) nat))
+
+let print_assign_case (rects, caps, nets, (m, seed)) =
+  let ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+  String.concat " "
+    (List.map (fun (x0, y0, x1, y1) -> Printf.sprintf "(%d,%d,%d,%d)" x0 y0 x1 y1) rects)
+  ^ " | caps " ^ ints caps ^ " | "
+  ^ String.concat " " (List.map (fun alts -> "{" ^ String.concat " " (List.map ints alts) ^ "}") nets)
+  ^ Printf.sprintf " | m=%s seed=%d"
+      (match m with Some m -> string_of_int m | None -> "-")
+      seed
+
+let prop_assign_matches_reference =
+  QCheck.Test.make ~name:"Assign.run matches the scanning reference"
+    ~count:1000
+    (QCheck.make ~print:print_assign_case assign_case)
+    (fun (rects, caps, nets, (m, seed)) ->
+      let g = lattice_graph rects in
+      let n_edges = Graph.n_edges g in
+      let caps = Array.of_list caps in
+      let g =
+        { g with
+          Graph.edges =
+            Array.map
+              (fun (e : Graph.edge) ->
+                { e with Graph.capacity = caps.(e.Graph.id mod Array.length caps) })
+              g.Graph.edges }
+      in
+      let route picks =
+        if n_edges = 0 then { Steiner.edges = []; nodes = []; length = 0 }
+        else
+          let edges = List.sort_uniq Stdlib.compare (List.map (fun e -> e mod n_edges) picks) in
+          { Steiner.edges;
+            nodes = [];
+            length = List.fold_left (fun acc e -> acc + g.Graph.edges.(e).Graph.length) 0 edges }
+      in
+      let alternatives =
+        Array.of_list (List.map (fun alts -> Array.of_list (List.map route alts)) nets)
+      in
+      let a = Assign.run ?m ~rng:(Twmc_sa.Rng.create ~seed) ~graph:g ~alternatives () in
+      (a.Assign.chosen, a.Assign.total_length, a.Assign.overflow, a.Assign.initial_overflow,
+       a.Assign.edge_density, a.Assign.attempts)
+      = Assign_reference.run ?m ~rng:(Twmc_sa.Rng.create ~seed) ~graph:g ~alternatives ())
+
 (* ------------------------------------------------------- Global router *)
 
 let test_global_router_end_to_end () =
@@ -684,11 +977,17 @@ let () =
           Alcotest.test_case "multi pin" `Quick test_steiner_multi_pin;
           Alcotest.test_case "equivalent pins" `Quick test_steiner_equivalent_pins;
           Alcotest.test_case "prim_k orders" `Quick test_steiner_prim_k;
-          Alcotest.test_case "unreachable" `Quick test_steiner_unreachable ] );
+          Alcotest.test_case "unreachable" `Quick test_steiner_unreachable;
+          QCheck_alcotest.to_alcotest ~long:false
+            ~rand:(Random.State.make [| 22 |])
+            prop_steiner_matches_reference ] );
       ( "assign",
         [ Alcotest.test_case "resolves conflict" `Quick test_assign_resolves_conflict;
           Alcotest.test_case "keeps shortest" `Quick test_assign_keeps_shortest_when_free;
-          Alcotest.test_case "skips empty" `Quick test_assign_skips_empty ] );
+          Alcotest.test_case "skips empty" `Quick test_assign_skips_empty;
+          QCheck_alcotest.to_alcotest ~long:false
+            ~rand:(Random.State.make [| 22 |])
+            prop_assign_matches_reference ] );
       ( "global router",
         [ Alcotest.test_case "end to end" `Quick test_global_router_end_to_end ] );
       ( "congestion",
