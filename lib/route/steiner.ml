@@ -14,17 +14,22 @@ module Route_set = Set.Make (struct
   let compare = compare_route
 end)
 
+(* A terminal's candidate nodes, with the unbanned distance from every
+   node to them: the lower bound of the searches that target it, computed
+   on first use and shared by every search of one [routes] call. *)
+type terminal = { cands : int list; h : int array Lazy.t }
+
 (* Prim-style terminal order starting from a fixed first terminal.  [skip]
    steps down the closest-first ranking at the very first addition: the
    dissertation's footnote-27 generalization considers not only the closest
    unconnected pin but up to k alternatives, which we realize by exploring
    the orders that start with the 1st..k-th nearest second terminal. *)
-let prim_order ?(skip = 0) g terminals =
+let prim_order ~skip g terminals =
   match terminals with
   | [] | [ _ ] -> terminals
   | first :: rest ->
       let ordered = ref [ first ] in
-      let connected = ref first in
+      let connected = ref first.cands in
       let remaining = ref rest in
       let steps = ref 0 in
       while !remaining <> [] do
@@ -32,7 +37,7 @@ let prim_order ?(skip = 0) g terminals =
            remaining terminal at once. *)
         let dist = Mshortest.distances g ~sources:!connected in
         let dist_of t =
-          List.fold_left (fun acc c -> min acc dist.(c)) max_int t
+          List.fold_left (fun acc c -> min acc dist.(c)) max_int t.cands
         in
         let ranked =
           List.sort
@@ -45,7 +50,7 @@ let prim_order ?(skip = 0) g terminals =
         in
         incr steps;
         ordered := choice :: !ordered;
-        connected := choice @ !connected;
+        connected := choice.cands @ !connected;
         remaining := List.filter (fun t' -> t' != choice) !remaining
       done;
       List.rev !ordered
@@ -74,22 +79,29 @@ let distinct_length g mark stamp edges =
   in
   sum 0 edges
 
-let routes_in_order ~budget_factor ~mark ~stamp g ~m ~order =
+let routes_in_order ~budget_factor ~mark ~stamp ~ws g ~m ~order =
   match order with
   | [] -> []
   | [ single ] ->
-      [ { edges = []; nodes = [ List.hd single ]; length = 0 } ]
+      [ { edges = []; nodes = [ List.hd single.cands ]; length = 0 } ]
   | first :: rest ->
-      let best = ref Route_set.empty in
+      (* The M shortest complete routes so far, and how many there are. *)
+      let best = ref Route_set.empty and n_best = ref 0 in
       let worst_kept () =
-        if Route_set.cardinal !best < m then max_int
-        else (Route_set.max_elt !best).length
+        if !n_best < m then max_int else (Route_set.max_elt !best).length
       in
       let record edge_ids node_ids =
         let r = route_of_edge_set g edge_ids node_ids in
-        best := Route_set.add r !best;
-        if Route_set.cardinal !best > m then
-          best := Route_set.remove (Route_set.max_elt !best) !best
+        let added = Route_set.add r !best in
+        (* [add] returns the set itself when [r] is already in it. *)
+        if added != !best then begin
+          best := added;
+          incr n_best;
+          if !n_best > m then begin
+            best := Route_set.remove (Route_set.max_elt added) added;
+            decr n_best
+          end
+        end
       in
       (* Depth-first over the stored alternatives; [tree_nodes] are the
          paper's "target nodes" (every node touched so far).  A global
@@ -100,11 +112,14 @@ let routes_in_order ~budget_factor ~mark ~stamp g ~m ~order =
       let rec grow ~tree_nodes ~tree_edges ~depth = function
         | [] -> record tree_edges tree_nodes
         | terminal :: todo ->
-            let sources = if tree_nodes = [] then first else tree_nodes in
+            let sources = if tree_nodes = [] then first.cands else tree_nodes in
             (* Full fan-out at the first level, narrowing with depth; from
                the third terminal on, a single shortest path suffices. *)
             let k = max (if depth >= 2 then 1 else 2) (m lsr min depth 8) in
-            let paths = Mshortest.k_shortest g ~k ~sources ~targets:terminal in
+            let paths =
+              Mshortest.k_shortest_in ws ~h:(Lazy.force terminal.h) ~k ~sources
+                ~targets:terminal.cands
+            in
             List.iter
               (fun (p : Mshortest.path) ->
                 if !budget > 0 then begin
@@ -130,13 +145,21 @@ let routes ?(budget_factor = 12) ?(prim_k = 1) g ~m ~terminals =
   if List.exists (fun t -> t = []) terminals then
     invalid_arg "Steiner.routes: empty terminal candidate list";
   let n_orders = min prim_k (max 1 (List.length terminals - 1)) in
+  (* One search workspace and one heuristic per terminal serve every
+     k-shortest query of this net. *)
+  let ws = Mshortest.workspace g in
+  let terminals =
+    List.map
+      (fun cands -> { cands; h = lazy (Mshortest.distances g ~sources:cands) })
+      terminals
+  in
   let mark = Array.make (G.n_edges g) 0 and stamp = ref 0 in
   let merged = ref Route_set.empty in
   for skip = 0 to n_orders - 1 do
     let order = prim_order ~skip g terminals in
     List.iter
       (fun r -> merged := Route_set.add r !merged)
-      (routes_in_order ~budget_factor ~mark ~stamp g ~m ~order)
+      (routes_in_order ~budget_factor ~mark ~stamp ~ws g ~m ~order)
   done;
   let rec take k l =
     if k = 0 then [] else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl

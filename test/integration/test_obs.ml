@@ -374,6 +374,36 @@ let test_trace_file_valid () =
         events;
       checkb "summary non-empty" true (Buffer.length b > 0))
 
+(* Every routing pass splits into its two phases: each [route] span has
+   exactly one [route.phase1] child (the per-net enumeration, pool fan-out
+   and join included) and one [route.phase2] child (the assignment). *)
+let test_route_phases () =
+  let sink = Sink.memory () in
+  ignore (flow ~jobs:test_jobs ~obs:(Obs.create sink) ());
+  let begins =
+    List.filter_map
+      (function
+        | Sink.Span_begin { id; parent; name; _ } -> Some (id, parent, name)
+        | _ -> None)
+      (Sink.memory_events sink)
+  in
+  let routes = List.filter (fun (_, _, name) -> name = "route") begins in
+  checkb "routing passes traced" true (routes <> []);
+  List.iter
+    (fun (id, _, _) ->
+      let children kind =
+        List.length
+          (List.filter (fun (_, parent, name) -> parent = id && name = kind) begins)
+      in
+      check "one route.phase1 child" 1 (children "route.phase1");
+      check "one route.phase2 child" 1 (children "route.phase2"))
+    routes;
+  check "no phase span outside a route span" (2 * List.length routes)
+    (List.length
+       (List.filter
+          (fun (_, _, name) -> name = "route.phase1" || name = "route.phase2")
+          begins))
+
 (* [--metrics] folds a memory sink's events when no trace file is written
    and reads the file back when one is: both must give the same document.
    The extra point carries an infinite float, which the file holds as the
@@ -485,6 +515,8 @@ let () =
       ( "trace",
         [ Alcotest.test_case "traced flow validates" `Quick
             test_trace_file_valid;
+          Alcotest.test_case "route spans split into phases" `Quick
+            test_route_phases;
           Alcotest.test_case "concurrent points stay ordered" `Quick
             test_concurrent_points_ordered;
           Alcotest.test_case "validate rejects malformed" `Quick
