@@ -133,15 +133,21 @@ let of_string s =
                 | None -> Error (Printf.sprintf "bad value for %s: %s" k v))
           in
           let ( let* ) = Result.bind in
+          let at_least lo v =
+            match int_of_string_opt v with Some n when n >= lo -> Some n | _ -> None
+          in
+          let fraction v =
+            match float_of_string_opt v with
+            | Some x when x >= 0.0 && x <= 1.0 -> Some x
+            | _ -> None
+          in
           let* seed = get "seed" int_of_string_opt default.seed in
           let* n_cells = get "cells" int_of_string_opt default.n_cells in
           let* n_nets = get "nets" int_of_string_opt default.n_nets in
           let* n_pins = get "pins" int_of_string_opt default.n_pins in
-          let* frac_custom =
-            get "frac_custom" float_of_string_opt default.frac_custom
-          in
+          let* frac_custom = get "frac_custom" fraction default.frac_custom in
           let* frac_rectilinear =
-            get "frac_rect" float_of_string_opt default.frac_rectilinear
+            get "frac_rect" fraction default.frac_rectilinear
           in
           let* mutations =
             get "mutations"
@@ -153,10 +159,12 @@ let of_string s =
                   if List.length ms = List.length parts then Some ms else None)
               []
           in
-          let* replicas = get "replicas" int_of_string_opt default.replicas in
+          let* replicas = get "replicas" (at_least 1) default.replicas in
           let* jobs_check = get "jobs_check" bool_of_string_opt false in
           (* The core may shrink to nothing ([generate] draws 0) but not
-             below; a budget is a finite positive number of seconds. *)
+             below; a budget is a finite positive number of seconds.  A
+             fraction lies in [0, 1] (a NaN fails both comparisons), and a
+             run needs at least one replica and one attempt per cell. *)
           let* core_scale =
             get "core_scale"
               (fun v ->
@@ -165,7 +173,7 @@ let of_string s =
                 | _ -> None)
               default.core_scale
           in
-          let* a_c = get "a_c" int_of_string_opt default.a_c in
+          let* a_c = get "a_c" (at_least 1) default.a_c in
           let* time_budget_s =
             get "budget"
               (fun v ->
@@ -176,7 +184,7 @@ let of_string s =
                   | _ -> None)
               None
           in
-          let* peko = get "peko" int_of_string_opt default.peko in
+          let* peko = get "peko" (at_least 0) default.peko in
           Ok
             { seed; n_cells; n_nets; n_pins; frac_custom; frac_rectilinear;
               mutations; replicas; jobs_check; core_scale; a_c; time_budget_s;

@@ -41,6 +41,11 @@ val to_string : t -> string
 (** Stable [key value] lines; round-trips with {!of_string}. *)
 
 val of_string : string -> (t, string) result
+(** [Error] names the key and the value of the first field that does not
+    parse or is out of range: [a_c] and [replicas] below 1, [peko] below 0,
+    [frac_custom] or [frac_rect] outside [0, 1] or NaN, a negative or
+    non-finite [core_scale], or a [budget] that is not a finite positive
+    number of seconds. *)
 
 val constrained : t -> bool
 (** Whether any of the case's mutations injects placement constraints

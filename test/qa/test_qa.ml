@@ -52,9 +52,11 @@ let test_case_parse_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad seed value parsed"
 
-(* A core scale below zero or a non-finite one, and a budget that is not a
-   finite positive number, are rejected with the key and the value rather
-   than crashing the runner later; a zero core scale is a valid draw. *)
+(* A core scale below zero or a non-finite one, a budget that is not a
+   finite positive number, an [a_c] or [replicas] below 1, a negative
+   [peko] and a fraction outside [0, 1] are rejected with the key and the
+   value rather than crashing the runner later; the bounds themselves are
+   valid. *)
 let test_case_rejects_bad_numbers () =
   let parse line = Fuzz_case.of_string ("twmc-qa-case v1\n" ^ line ^ "\n") in
   List.iter
@@ -67,11 +69,26 @@ let test_case_rejects_bad_numbers () =
       ("core_scale inf", "bad value for core_scale: inf");
       ("budget -1", "bad value for budget: -1");
       ("budget 0", "bad value for budget: 0");
-      ("budget nan", "bad value for budget: nan") ];
-  match parse "core_scale 0" with
+      ("budget nan", "bad value for budget: nan");
+      ("a_c -3", "bad value for a_c: -3");
+      ("a_c 0", "bad value for a_c: 0");
+      ("replicas 0", "bad value for replicas: 0");
+      ("peko -1", "bad value for peko: -1");
+      ("frac_custom nan", "bad value for frac_custom: nan");
+      ("frac_custom inf", "bad value for frac_custom: inf");
+      ("frac_custom -0.5", "bad value for frac_custom: -0.5");
+      ("frac_rect 1.5", "bad value for frac_rect: 1.5");
+      ("frac_rect nan", "bad value for frac_rect: nan") ];
+  (match parse "core_scale 0" with
   | Ok c ->
       Alcotest.(check (float 0.0)) "core_scale 0" 0.0 c.Fuzz_case.core_scale
-  | Error m -> Alcotest.failf "core_scale 0 rejected: %s" m
+  | Error m -> Alcotest.failf "core_scale 0 rejected: %s" m);
+  List.iter
+    (fun line ->
+      match parse line with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "%s rejected: %s" line m)
+    [ "a_c 1"; "replicas 1"; "peko 0"; "frac_custom 0"; "frac_rect 1" ]
 
 let test_case_mutations_roundtrip () =
   let c = { Fuzz_case.default with Fuzz_case.mutations = Mutate.all_kinds } in
