@@ -70,12 +70,8 @@ let worker_loop t ~slot =
     end
   done
 
-let create ?jobs ~obs () =
-  let jobs =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> max 1 (Domain.recommended_domain_count ())
-  in
+let create ~jobs ~obs =
+  let jobs = max 1 jobs in
   let t =
     { jobs;
       m = Mutex.create ();
@@ -213,11 +209,11 @@ let shutdown t =
     report t
   end
 
-let pool ?jobs ~obs f =
-  let t = create ?jobs ~obs () in
+let pool ~jobs ~obs f =
+  let t = create ~jobs ~obs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let with_pool ?jobs f = pool ?jobs ~obs:Obs.disabled f
+let with_pool ~jobs f = pool ~jobs ~obs:Obs.disabled f
 
 let with_optional_pool ~jobs ~obs f =
   if jobs <= 1 then f None else pool ~jobs ~obs (fun t -> f (Some t))

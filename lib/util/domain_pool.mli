@@ -31,12 +31,11 @@ val run : t -> (unit -> 'a) list -> 'a array
     returning results in thunk order.  Convenience wrapper over
     {!parallel_map}. *)
 
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] spawns [jobs - 1] worker domains, applies [f], and
     joins the workers even when [f] raises; the pool must not be used
-    afterwards.  [jobs] defaults to {!Domain.recommended_domain_count}[ ()]
-    and is clamped to at least 1.  A pool with [jobs = 1] spawns nothing
-    and maps sequentially. *)
+    afterwards.  [jobs] is clamped to at least 1.  A pool with [jobs = 1]
+    spawns nothing and maps sequentially. *)
 
 val with_optional_pool :
   jobs:int -> obs:Twmc_obs.Ctx.t -> (t option -> 'a) -> 'a

@@ -3,21 +3,20 @@ open Twmc_geometry
 type t = {
   viewport : Rect.t;
   margin : int;
-  scale : float;
   buf : Buffer.t;
 }
 
-let create ~viewport ?(margin = 10) ?(scale = 1.0) () =
+let create ~viewport ?(margin = 10) () =
   if Rect.is_empty viewport then invalid_arg "Svg.create: empty viewport";
-  if scale <= 0.0 then invalid_arg "Svg.create: scale <= 0";
-  { viewport; margin; scale; buf = Buffer.create 4096 }
+  { viewport; margin; buf = Buffer.create 4096 }
 
-(* Layout point to SVG point: translate into the viewport, flip y. *)
-let px t x = ((float_of_int (x - t.viewport.Rect.x0) *. t.scale) +. float_of_int t.margin)
-let py t y = ((float_of_int (t.viewport.Rect.y1 - y) *. t.scale) +. float_of_int t.margin)
+(* Layout point to SVG point: translate into the viewport, flip y.  One
+   layout unit is one SVG unit. *)
+let px t x = float_of_int (x - t.viewport.Rect.x0) +. float_of_int t.margin
+let py t y = float_of_int (t.viewport.Rect.y1 - y) +. float_of_int t.margin
 
-let doc_w t = (float_of_int (Rect.width t.viewport) *. t.scale) +. (2.0 *. float_of_int t.margin)
-let doc_h t = (float_of_int (Rect.height t.viewport) *. t.scale) +. (2.0 *. float_of_int t.margin)
+let doc_w t = float_of_int (Rect.width t.viewport) +. (2.0 *. float_of_int t.margin)
+let doc_h t = float_of_int (Rect.height t.viewport) +. (2.0 *. float_of_int t.margin)
 
 let rect t ?(fill = "none") ?(stroke = "black") ?(stroke_width = 1.0)
     ?(opacity = 1.0) (r : Rect.t) =
@@ -27,8 +26,8 @@ let rect t ?(fill = "none") ?(stroke = "black") ?(stroke_width = 1.0)
          "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" \
           fill=\"%s\" stroke=\"%s\" stroke-width=\"%.2f\" opacity=\"%.2f\"/>\n"
          (px t r.Rect.x0) (py t r.Rect.y1)
-         (float_of_int (Rect.width r) *. t.scale)
-         (float_of_int (Rect.height r) *. t.scale)
+         (float_of_int (Rect.width r))
+         (float_of_int (Rect.height r))
          fill stroke stroke_width opacity)
 
 let line t ?(stroke = "black") ?(stroke_width = 1.0) ?(dashed = false) (x1, y1)

@@ -2,11 +2,11 @@
 
     Coordinates are layout grid units; the builder flips the y-axis (layout
     y grows upward, SVG y grows downward) and adds a margin, so callers draw
-    in layout space. *)
+    in layout space; one layout unit is one SVG unit. *)
 
 type t
 
-val create : viewport:Twmc_geometry.Rect.t -> ?margin:int -> ?scale:float -> unit -> t
+val create : viewport:Twmc_geometry.Rect.t -> ?margin:int -> unit -> t
 
 val rect :
   t ->
