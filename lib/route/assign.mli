@@ -7,7 +7,13 @@
     a random alternative with [ΔX <= 0]; the new route is accepted when
     [ΔX < 0], or when [ΔX = 0] and [ΔL <= 0].  The procedure stops when
     [X = 0] (covering the paper's "all k=1 and X=0" fast path), or when
-    neither [L] nor [X] has changed for [M·N] attempts. *)
+    neither [L] nor [X] has changed for [M·N] attempts.
+
+    The over-capacity edges are kept as flags in a Fenwick tree over edge
+    ids, updated as densities change, so an attempt draws its edge in
+    O(log E) without scanning the edges.  The draw is [Rng.int_incl] over
+    their count, read as an index into the over-capacity edges in
+    decreasing id order. *)
 
 type result = {
   chosen : int array;  (** Per net: index into its alternative list. *)

@@ -10,7 +10,14 @@
     shortest complete routes.  Branch-and-bound pruning against the current
     M-th best total keeps the enumeration tractable; for nets of fewer than
     20 pins the minimum-Steiner-length route is nearly always among the M
-    alternatives. *)
+    alternatives.
+
+    One call is one net's enumeration: it allocates one
+    {!Mshortest.workspace} and, for each terminal it adds, the unbanned
+    distance to that terminal's candidates (the lower bound of every path
+    search that targets it) once, and reuses both across all its
+    k-shortest queries.  Calls share nothing mutable, so nets can be
+    enumerated on different domains. *)
 
 type route = {
   edges : int list;  (** Sorted unique edge ids of the route tree. *)
