@@ -47,11 +47,14 @@ val route :
     identical with or without a pool.
 
     [obs] (default disabled, zero overhead) wraps the call in a ["route"]
-    span, emits one ["route.net"] point per net (alternatives enumerated,
-    in net order on the caller's domain — deterministic at any pool size),
-    one ["route.assign"] point (routed [nets], overflow before/after
-    phase 2, length, interchange attempts, [unroutable] nets).  Never
-    draws from [rng]: routing bytes are identical with it on or off. *)
+    span with two children, ["route.phase1"] around the per-net
+    enumeration (pool fan-out and join included) and ["route.phase2"]
+    around the assignment.  It emits one ["route.net"] point per net
+    (alternatives enumerated, in net order on the caller's domain —
+    deterministic at any pool size) and one ["route.assign"] point (routed
+    [nets], overflow before/after phase 2, length, interchange attempts,
+    [unroutable] nets).  Never draws from [rng]: routing bytes are
+    identical with it on or off. *)
 
 val node_density : result -> int array
 (** Per region: the maximum density of its incident channel-graph edges —
