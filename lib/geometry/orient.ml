@@ -35,8 +35,6 @@ let swaps_axes = function
   | R0 | R180 | FX | FY -> false
   | R90 | R270 | FX90 | FY90 -> true
 
-let aspect_inversion_of o = compose FX90 o
-
 let of_int = function
   | 0 -> R0
   | 1 -> R90
@@ -57,6 +55,11 @@ let to_int = function
   | FY -> 5
   | FX90 -> 6
   | FY90 -> 7
+
+(* [compose FX90 o] by [to_int o], built once: the displacement and
+   interchange rescues ask for it on every inverted trial. *)
+let inversions = Array.init 8 (fun i -> compose FX90 (of_int i))
+let aspect_inversion_of o = inversions.(to_int o)
 
 let to_string = function
   | R0 -> "R0"

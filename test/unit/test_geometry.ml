@@ -213,6 +213,18 @@ let test_orient_swaps () =
         (Orient.equal o (Option.get (Orient.of_string (Orient.to_string o)))))
     Orient.all
 
+(* The table behind [aspect_inversion_of] against its definition. *)
+let test_orient_inversion_table () =
+  List.iter
+    (fun o ->
+      checkb
+        (Printf.sprintf "aspect_inversion_of %s = compose FX90 %s"
+           (Orient.to_string o) (Orient.to_string o))
+        true
+        (Orient.equal (Orient.aspect_inversion_of o)
+           (Orient.compose Orient.FX90 o)))
+    Orient.all
+
 let test_orient_rect () =
   let a = r ~x0:1 ~y0:2 ~x1:4 ~y1:8 in
   List.iter
@@ -480,6 +492,8 @@ let () =
         [ Alcotest.test_case "group laws" `Quick test_orient_group;
           Alcotest.test_case "action" `Quick test_orient_action;
           Alcotest.test_case "axis swap" `Quick test_orient_swaps;
+          Alcotest.test_case "aspect inversion table" `Quick
+            test_orient_inversion_table;
           Alcotest.test_case "rect action" `Quick test_orient_rect ] );
       ( "edge",
         [ Alcotest.test_case "faces" `Quick test_edge_faces;
