@@ -108,10 +108,12 @@ let route ?(m = 20) ?budget_factor ?should_stop ?pool ?(obs = Obs.disabled)
       else begin
         let a = Assign.run ~m ~rng ~graph ~alternatives () in
         let skipped = List.map (fun i -> nets.(i)) a.Assign.skipped in
+        let is_skipped = Array.make (Array.length nets) false in
+        List.iter (fun i -> is_skipped.(i) <- true) a.Assign.skipped;
         let routed =
           List.filter_map
             (fun i ->
-              if List.mem i a.Assign.skipped then None
+              if is_skipped.(i) then None
               else
                 Some
                   { net = nets.(i);
