@@ -24,7 +24,7 @@ type t =
           [margin] of its tiles. *)
   | Fixed of { cell : int; x : int; y : int }
       (** Preplaced macro: penalty is the Manhattan distance of the cell
-          center from [(x, y)].  {!Moves.trial} additionally vetoes
+          center from [(x, y)].  [Moves] additionally vetoes
           geometric moves of fixed cells. *)
   | Region of { cell : int; rect : Twmc_geometry.Rect.t }
       (** Region lock: penalty is the cell-tile area outside [rect]. *)

@@ -42,7 +42,7 @@ let randomize rng p =
     nl.Netlist.constraints;
   for ci = 0 to Netlist.n_cells nl - 1 do
     if fixed.(ci) then begin
-      (* Preplaced cells stay put ([Moves.trial] vetoes their corrective
+      (* Preplaced cells stay put ([Moves] vetoes their corrective
          moves, so scattering them would be permanent); the draws still
          happen to keep RNG consumption uniform per cell. *)
       ignore (Rng.int_incl rng core.Rect.x0 core.Rect.x1);
