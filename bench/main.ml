@@ -239,14 +239,6 @@ let place_kernel_tests () =
           Twmc_sa.Rng.int_incl rng core.Twmc_geometry.Rect.y0
             core.Twmc_geometry.Rect.y1 ))
   in
-  let moves =
-    Array.map
-      (fun (ci, x, y) ->
-        [ Twmc_place.Placement.Cell_move
-            { ci; x = Some x; y = Some y; orient = None; variant = None;
-              sites = None } ])
-      props
-  in
   let cycle counter = let i = !counter in counter := (i + 1) land 255; i in
   let t_indexed =
     let c = ref 0 in
@@ -257,10 +249,15 @@ let place_kernel_tests () =
   in
   let t_delta =
     let c = ref 0 in
-    (* A rejected move: evaluate, decide, touch nothing. *)
+    (* A rejected move: evaluate, decide, touch nothing.  The cell keeps
+       its committed orientation and variant. *)
     Test.make ~name:kn_delta_eval
       (Staged.stage (fun () ->
-           ignore (Twmc_place.Placement.delta_cost p moves.(cycle c))))
+           let ci, x, y = props.(cycle c) in
+           ignore
+             (Twmc_place.Placement.delta_cell p ci ~x ~y
+                ~orient:(Twmc_place.Placement.cell_orient p ci)
+                ~variant:(Twmc_place.Placement.cell_variant p ci))))
   in
   [ t_indexed; t_delta ]
 

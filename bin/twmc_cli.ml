@@ -47,11 +47,15 @@ let read_netlist path =
 
 let gen_cmd =
   let circuit =
+    let names = List.map (fun n -> (n, n)) Twmc_workload.Circuits.names in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum names)) None
       & info [ "circuit" ] ~docv:"NAME"
-          ~doc:"One of the paper's nine circuits (i1 p1 x1 i2 i3 l1 d2 d1 d3).")
+          ~doc:
+            ("The paper's circuit $(docv), one of "
+            ^ doc_alts_enum ~quoted:false names
+            ^ "; overrides $(b,--cells), $(b,--nets) and $(b,--pins)."))
   in
   let cells = Arg.(value & opt int 25 & info [ "cells" ] ~docv:"N") in
   let nets = Arg.(value & opt int 100 & info [ "nets" ] ~docv:"N") in
@@ -77,12 +81,16 @@ let gen_cmd =
     let nl =
       match circuit with
       | Some name -> Twmc_workload.Circuits.netlist ~seed name
-      | None ->
-          Twmc_workload.Synth.generate ~seed
-            { Twmc_workload.Synth.default_spec with
-              Twmc_workload.Synth.n_cells = cells;
-              n_nets = nets;
-              n_pins = pins }
+      | None -> (
+          try
+            Twmc_workload.Synth.generate ~seed
+              { Twmc_workload.Synth.default_spec with
+                Twmc_workload.Synth.n_cells = cells;
+                n_nets = nets;
+                n_pins = pins }
+          with Invalid_argument m ->
+            Printf.eprintf "%s\n" m;
+            exit exit_invalid)
     in
     let nl =
       match constraints with
@@ -260,11 +268,20 @@ let make_obs (trace_path, metrics_path) =
   in
   (Twmc_obs.Ctx.create sink, finish)
 
+(* An integer of at least 1; anything else is a usage error. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let params_term =
-  let a_c = Arg.(value & opt int 100 & info [ "a-c" ] ~docv:"N"
+  let a_c = Arg.(value & opt pos_int 100 & info [ "a-c" ] ~docv:"N"
                    ~doc:"Attempted moves per cell per temperature (paper: 400).") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED") in
-  let m = Arg.(value & opt int 20 & info [ "m-routes" ] ~docv:"M"
+  let m = Arg.(value & opt pos_int 20 & info [ "m-routes" ] ~docv:"M"
                  ~doc:"Alternative routes stored per net.") in
   let make a_c seed m =
     ( { Twmc_place.Params.default with Twmc_place.Params.a_c; m_routes = m; seed },

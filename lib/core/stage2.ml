@@ -106,9 +106,8 @@ let anneal ?should_stop ?(obs = Obs.disabled) ?iteration ~rng ~final p =
     ~t_start:(Range_limiter.t_for_window_fraction limiter ~mu:prm.Params.mu)
     ~t_floor:(1e-6 *. t_inf)
     ~stop:(if final then Anneal_loop.Frozen 3 else Anneal_loop.Min_window)
-    (Moves.make_ctx ~allow_orient:false ~allow_variant:false
-       ~interchanges:false ~placement:p ~limiter ~stats:(Moves.make_stats ())
-       ())
+    (Moves.make_ctx ~refine:true ~placement:p ~limiter
+       ~stats:(Moves.make_stats ()) ())
 
 (* Resize the core so the statically-expanded cells fit at the configured
    fill fraction — the paper's refinement "provides additional space as

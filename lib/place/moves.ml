@@ -59,8 +59,7 @@ type ctx = {
   p : Placement.t;
   limiter : Range_limiter.t;
   stats : stats;
-  allow_orient : bool;
-  allow_variant : bool;
+  refine : bool;
   prob_displacement : float;
   (* Hard constraints on the proposal side: fixed cells admit no geometric
      move, region-locked cells are repaired into (and vetoed outside)
@@ -84,8 +83,7 @@ type ctx = {
   edge_len : int array array array;
 }
 
-let make_ctx ?(allow_orient = true) ?(allow_variant = true)
-    ?(interchanges = true) ~placement ~limiter ~stats () =
+let make_ctx ?(refine = false) ~placement ~limiter ~stats () =
   let r = (Placement.params placement).Params.r_ratio in
   let nl = Placement.netlist placement in
   let n = Netlist.n_cells nl in
@@ -121,9 +119,8 @@ let make_ctx ?(allow_orient = true) ?(allow_variant = true)
   { p = placement;
     limiter;
     stats;
-    allow_orient;
-    allow_variant;
-    prob_displacement = (if interchanges then r /. (r +. 1.0) else 1.0);
+    refine;
+    prob_displacement = (if refine then 1.0 else r /. (r +. 1.0));
     constrained;
     fixed;
     region;
@@ -277,7 +274,7 @@ let attempt_pin_move ctx rng ~temp ~cell =
     let variant = Placement.cell_variant ctx.p cell in
     let choice = Rng.int_incl rng 0 (n_choices - 1) in
     (* The site picks draw from the RNG while building the proposal —
-       before the Metropolis draw.  [Placement.delta_cost] copies the
+       before the Metropolis draw.  [Placement.delta_sites] copies the
        buffer, so it is reused by the next proposal. *)
     let sites = ctx.sites_buf.(cell) in
     for pin = 0 to Array.length sites - 1 do
@@ -352,15 +349,16 @@ let generate ctx rng ~temp =
     if attempt_displacement ctx rng ~temp ~cell:i ~x ~y then
       ctx.stats.displacements <- ctx.stats.displacements + 1
     else if
-      ctx.allow_orient && attempt_displacement_inverted ctx rng ~temp ~cell:i ~x ~y
+      (not ctx.refine)
+      && attempt_displacement_inverted ctx rng ~temp ~cell:i ~x ~y
     then ctx.stats.aspect_rescues <- ctx.stats.aspect_rescues + 1
-    else if ctx.allow_orient && attempt_orient ctx rng ~temp ~cell:i then
+    else if (not ctx.refine) && attempt_orient ctx rng ~temp ~cell:i then
       ctx.stats.orient_changes <- ctx.stats.orient_changes + 1;
     if ctx.custom.(i) then begin
       for _ = 1 to ctx.n_uncommitted.(i) do
         ignore (attempt_pin_move ctx rng ~temp ~cell:i)
       done;
-      if ctx.allow_variant then ignore (attempt_variant ctx rng ~temp ~cell:i)
+      if not ctx.refine then ignore (attempt_variant ctx rng ~temp ~cell:i)
     end
   end
   else begin
@@ -370,9 +368,7 @@ let generate ctx rng ~temp =
     if i <> j then
       if attempt_interchange ctx rng ~temp ~i ~j ~invert:false then
         ctx.stats.interchanges <- ctx.stats.interchanges + 1
-      else if
-        ctx.allow_orient && attempt_interchange ctx rng ~temp ~i ~j ~invert:true
-      then begin
+      else if attempt_interchange ctx rng ~temp ~i ~j ~invert:true then begin
         ctx.stats.interchanges <- ctx.stats.interchanges + 1;
         ctx.stats.interchange_rescues <- ctx.stats.interchange_rescues + 1
       end

@@ -46,18 +46,18 @@ val make_stats : unit -> stats
 type ctx
 
 val make_ctx :
-  ?allow_orient:bool ->
-  ?allow_variant:bool ->
-  ?interchanges:bool ->
+  ?refine:bool ->
   placement:Placement.t ->
   limiter:Range_limiter.t ->
   stats:stats ->
   unit ->
   ctx
-(** Stage 2 passes [~allow_orient:false ~allow_variant:false
-    ~interchanges:false]: there, new states come only from single-cell
-    displacements and pin moves, because orientation and aspect-ratio
-    changes invalidate the per-edge interconnect areas (Sec 4.3). *)
+(** The full move set of stage 1 by default.  Stage 2 passes
+    [~refine:true], the move set of Sec 4.3: new states come only from
+    single-cell displacements (no aspect-ratio rescue, no orientation
+    change) and pin moves — no interchange and no variant change —
+    because orientation and aspect-ratio changes invalidate the per-edge
+    interconnect areas. *)
 
 val placement : ctx -> Placement.t
 val limiter : ctx -> Range_limiter.t

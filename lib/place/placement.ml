@@ -9,7 +9,7 @@ type expander =
 (* One cell's geometry and pin state, flat: tile [k] is [4k .. 4k+3]
    (x0 y0 x1 y1) of [abs]/[exp], pin [p]'s absolute position is [2p],
    [2p+1] of [pp].  The committed cells use this record, and so do the two
-   pending slots of [delta_cost], sized for the largest cell. *)
+   pending slots of an evaluation, sized for the largest cell. *)
 type cell_state = {
   mutable x : int;
   mutable y : int;
@@ -75,7 +75,7 @@ type t = {
   bbs : int array;
   mutable idx : Spatial.t option;
   (* Any mutation bumps [version]; [evaluated] is the version the last
-     completed [delta_cost] saw, or -1. *)
+     completed evaluation saw, or -1. *)
   mutable version : int;
   mutable evaluated : int;
   (* Scratch, preallocated at [create]. *)
@@ -92,7 +92,7 @@ type t = {
   occ_buf : int array;  (* per-site pin counts, all zero between uses *)
   ebuf : int array;  (* one tile's four dynamic expansions *)
   bbuf : int array;  (* two bounding boxes for the constraint evaluator *)
-  (* Scratch of [delta_cost]: the pending slots (a move touches at most
+  (* Scratch of an evaluation: the pending slots (an interchange moves
      two cells), whether a slot's geometry differs from the committed
      cell's, its C3; and the simulated per-net C1 and length, and
      per-constraint penalties, valid where their stamp equals
@@ -426,7 +426,7 @@ let slot_geometry t s = if t.sl_geom.(s) then t.slots.(s) else t.cells.(t.sl_ci.
 (* Overlap of cell [ci], placed as [g], against every other cell and the
    core boundary.  Candidates are the cells whose packed bbox meets [g]'s,
    or, from [grid_min_cells] on, the grid's hits that do; with [~pending]
-   the cells pending in [delta_cost] are skipped there (both hold their
+   the cells pending in the evaluation are skipped there (both hold their
    committed geometry) and added back as evaluated.  The total is an exact
    integer sum, and the pairs whose bboxes do not overlap add 0, so any
    enumeration of a superset of the overlapping pairs gives the same
@@ -510,7 +510,7 @@ let eval_constraint t k =
        ~pos:(fun ci -> (t.cells.(ci).x, t.cells.(ci).y))
        ~core:t.core t.cons.(k))
 
-(* The state [delta_cost] evaluates cell [ci] in: its pending slot, or
+(* The state the evaluation holds cell [ci] in: its pending slot, or
    the committed cell. *)
 let eval_state t ci =
   let s = slot_of t ci in
@@ -613,8 +613,8 @@ let eval_constraint_pending t k =
 (* Cell [ci]'s share, placed as [g], of constraint [k] when that penalty is
    a sum of per-cell shares of which moving [ci] changes only its own: a
    blockage, or a keepout around another cell, whose halo is read in the
-   state [delta_cost] evaluates that cell in.  -1 for every other
-   constraint, which [delta_cost] evaluates in full: the cell-local ones
+   state the evaluation holds that cell in.  -1 for every other
+   constraint, which the evaluation recomputes in full: the cell-local ones
    are O(1), a keepout's owner moves its whole halo, and a density penalty
    is clamped at 0. *)
 let share t k ci g =
@@ -912,7 +912,7 @@ let constraint_penalty t k = t.cpen.(k)
 
 (* The unconstrained expression is kept verbatim so netlists without
    constraints produce bit-identical costs (and trajectories) to the
-   pre-constraint engine.  Inlined, so [delta_cost] boxes no float. *)
+   pre-constraint engine.  Inlined, so an evaluation boxes no float. *)
 let[@inline] cost_of t (a : float array) =
   let base = a.(k_c1) +. (t.p2v *. a.(k_c2)) +. (t.prm.Params.p3 *. a.(k_c3)) in
   if Array.length t.cons = 0 then base
@@ -927,17 +927,6 @@ let chip_bbox t =
 
 (* ------------------------------------------------------------------ *)
 (* Evaluate once, commit what was evaluated                            *)
-
-type move =
-  | Cell_move of {
-      ci : int;
-      x : int option;
-      y : int option;
-      orient : Orient.t option;
-      variant : int option;
-      sites : int array option;
-    }
-  | Sites_move of { ci : int; sites : int array }
 
 (* Copies the site assignment [src] of cell [ci] into [dst], rejecting
    one of the wrong length, or one that puts an uncommitted pin off
@@ -974,13 +963,11 @@ let reclamp_sites t ci ~variant sites n =
 
 (* The pending slot of cell [ci], taking a fresh one (loaded with the
    committed position, orientation, variant, sites and C3) on first
-   touch. *)
+   touch.  No entry point moves more than two cells. *)
 let acquire t ci =
   let s = slot_of t ci in
   if s >= 0 then s
   else begin
-    if t.n_pending = 2 then
-      invalid_arg "Placement.delta_cost: a move list touches at most two cells";
     let s = t.n_pending in
     t.n_pending <- s + 1;
     t.sl_ci.(s) <- ci;
@@ -997,7 +984,8 @@ let acquire t ci =
 
 (* The C1 and TEIL chains of a move of cell [ci]: net by net in
    [cell_nets] order, the net's last value out (evaluated earlier in this
-   list, else committed) and its rescan at the pending pin positions in. *)
+   evaluation, else committed) and its rescan at the pending pin
+   positions in. *)
 let sim_nets t ci =
   let nets = t.cell_nets.(ci) and a = t.acc and stamp = t.sim_stamp in
   for k = 0 to Array.length nets - 1 do
@@ -1032,11 +1020,11 @@ let sim_sites_move t ci sites =
    evaluation holds it in: returns its overlap, and leaves its share of
    each constraint in [cons_of_cell.(ci)] in [share_old], or, when
    nothing is pending, in [memo_share].  Taken before the slot is
-   rewritten, so a list that touches [ci] twice starts its second move
-   from the first one's result.  A move that starts from the committed
-   state reads them from the memo, which holds them for one cell and one
-   [version]: the rungs of a rescue ladder share them, and any mutation
-   invalidates them. *)
+   rewritten, so an interchange of [ci] with itself starts its second
+   move from the first one's result.  A move that starts from the
+   committed state reads them from the memo, which holds them for one
+   cell and one [version]: the rungs of a rescue ladder share them, and
+   any mutation invalidates them. *)
 let before_terms t ci =
   let ks = t.cons_of_cell.(ci) in
   if t.n_pending = 0 then begin
@@ -1112,32 +1100,6 @@ let sim_cell_move t ci ~x ~y ~orient ~variant ~sites =
     t.sim_cpen_stamp.(k) <- stamp
   done
 
-(* The cell state the evaluation holds [ci] at: its pending slot, or the
-   committed cell.  [acquire] loads a fresh slot from the latter. *)
-let current t ci =
-  let s = slot_of t ci in
-  if s >= 0 then t.slots.(s) else t.cells.(ci)
-
-(* A [Cell_move] that carries only sites is a pin-site move.  Its overlap
-   and constraint chains would subtract and add back the same integers, so
-   skipping them changes no float.  Any other [Cell_move] is a cell move
-   with each [None] resolved to the value the evaluation holds. *)
-let sim_move t = function
-  | Cell_move { ci; x = None; y = None; orient = None; variant = None; sites = Some s }
-  | Sites_move { ci; sites = s } ->
-      sim_sites_move t ci s
-  | Cell_move { ci; x; y; orient; variant; sites } ->
-      let g = current t ci in
-      let get v default = match v with Some v -> v | None -> default in
-      sim_cell_move t ci ~x:(get x g.x) ~y:(get y g.y)
-        ~orient:(get orient g.orient) ~variant:(get variant g.variant) ~sites
-
-let rec sim_moves t = function
-  | [] -> ()
-  | m :: rest ->
-      sim_move t m;
-      sim_moves t rest
-
 (* Every evaluation starts from the committed accumulators with nothing
    pending, and ends with the cost change of what it evaluated. *)
 let[@inline] begin_eval t =
@@ -1150,16 +1112,10 @@ let[@inline] end_eval t =
   t.evaluated <- t.version;
   cost_of t t.acc -. cost_of t t.tot
 
-(* Each move runs its chains from the state the moves before it left, on
-   the operands a commit of those moves would leave, so a list and the
-   same moves committed one at a time give the same floats bit for bit. *)
-let delta_cost t moves =
-  begin_eval t;
-  sim_moves t moves;
-  end_eval t
-
-(* The entry points below run the chains of the equivalent move list on
-   values their callers resolved: no list, option or record per call. *)
+(* The three entry points.  The second move of an interchange runs its
+   chains from the state the first one left, on the operands a commit of
+   the first would leave, so an interchange and its two moves committed
+   one at a time give the same floats bit for bit. *)
 let delta_cell t ci ~x ~y ~orient ~variant =
   begin_eval t;
   sim_cell_move t ci ~x ~y ~orient ~variant ~sites:None;
@@ -1217,9 +1173,21 @@ let commit t =
   touch t
 
 (* One move, evaluated and committed: a move that raises does so in the
-   evaluation, before the placement changes. *)
+   evaluation, before the placement changes.  Given only [sites], it is a
+   pin-site move, whose overlap and constraint chains would subtract and
+   add back the same integers; otherwise each field not given keeps its
+   committed value. *)
 let set_cell t ci ?x ?y ?orient ?variant ?sites () =
-  ignore (delta_cost t [ Cell_move { ci; x; y; orient; variant; sites } ]);
+  begin_eval t;
+  (match (x, y, orient, variant, sites) with
+  | None, None, None, None, Some sites -> sim_sites_move t ci sites
+  | _ ->
+      let cs = t.cells.(ci) in
+      let get v default = match v with Some v -> v | None -> default in
+      sim_cell_move t ci ~x:(get x cs.x) ~y:(get y cs.y)
+        ~orient:(get orient cs.orient) ~variant:(get variant cs.variant)
+        ~sites);
+  ignore (end_eval t);
   commit t
 
 (* ------------------------------------------------------------------ *)

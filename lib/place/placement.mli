@@ -6,9 +6,12 @@
     tiles and their bounding box, absolute pin positions, per-net TEIC
     contributions and lengths, per-cell C3, per-constraint penalties) that
     make move evaluation incremental.  Every change of a cell is one path:
-    {!delta_cost} evaluates it, {!commit} installs what was evaluated, and
-    {!set_cell} is the two in one call.  {!recompute_all} rebuilds every
-    cache from the cell fields alone, independently of that path.
+    one of three entry points evaluates it — {!delta_cell} (a displacement,
+    orientation or variant change), {!delta_interchange} (a pairwise
+    interchange) or {!delta_sites} (a pin-site move) — {!commit} installs
+    what was evaluated, and {!set_cell} is the two in one call.
+    {!recompute_all} rebuilds every cache from the cell fields alone,
+    independently of that path.
 
     Cost terms:
     - [C1] — the TEIC (Eqn 6): weighted net spans from exact pin locations;
@@ -88,9 +91,11 @@ val set_cell :
   ?sites:int array ->
   unit ->
   unit
-(** One [Cell_move]: {!delta_cost} of it, then {!commit}.  A variant
-    change without [sites] re-clamps the site assignment into the new
-    variant.  A given [sites] array is copied; it must have one entry per
+(** One move of cell [ci], evaluated and committed: with only [sites]
+    given, the chains of {!delta_sites}; otherwise those of {!delta_cell},
+    each field not given keeping its committed value; then {!commit}.  A
+    variant change without [sites] re-clamps the site assignment into the
+    new variant.  A given [sites] array is copied; it must have one entry per
     pin, and each uncommitted pin's entry must index the (new) variant's
     site table.  Whatever raises — a bad site assignment, a variant or
     cell out of range — raises in the evaluation, before the placement
@@ -174,51 +179,27 @@ val verify_index : t -> unit
 
 (** {2 Evaluate once, commit what was evaluated}
 
-    A proposal is evaluated once, by {!delta_cost}, into scratch the
-    placement preallocates: two pending-cell slots (a move list touches at
-    most two cells), each holding the candidate position, orientation,
-    variant and sites and, in flat int arrays, its tiles, expanded tiles,
-    bounding box and pin positions; the moved cells' nets, rescanned into
-    a per-net C1 and length, and per-constraint penalties, in stamped
-    arrays; and the five evaluated accumulators (C1-C4, TEIL) in a float
-    array.  On an unconstrained netlist the evaluation allocates nothing
-    but its boxed float result.  If the Metropolis test accepts, {!commit}
+    A proposal is evaluated once, by one of the three entry points below,
+    into scratch the placement preallocates: two pending-cell slots (an
+    interchange moves two cells), each holding the candidate position,
+    orientation, variant and sites and, in flat int arrays, its tiles,
+    expanded tiles, bounding box and pin positions; the moved cells' nets,
+    rescanned into a per-net C1 and length, and per-constraint penalties,
+    in stamped arrays; and the five evaluated accumulators (C1-C4, TEIL)
+    in a float array.  Each returns the cost change, without changing the
+    placement; on an unconstrained netlist it allocates nothing but its
+    boxed float result.  If the Metropolis test accepts, {!commit}
     installs exactly that state.  Any mutation in between — {!set_cell},
     {!commit}, {!set_p2}, {!set_core}, {!set_expander}, {!recompute_all},
-    {!resum}, {!restore_cost} — invalidates the evaluation.
+    {!resum}, {!restore_cost} — invalidates the evaluation.  An entry
+    point that raises (a bad site assignment, a variant or cell out of
+    range) leaves no evaluation to commit.
 
     A move that starts from the committed state takes the moved cell's
     overlap and constraint shares before the move from a memo keyed by
     the cell and the placement's mutation count, so the rungs of a
     rejected rescue ladder, which start from the same committed state,
     compute them once; any of the mutations above invalidates it. *)
-
-type move =
-  | Cell_move of {
-      ci : int;
-      x : int option;
-      y : int option;
-      orient : Twmc_geometry.Orient.t option;
-      variant : int option;
-      sites : int array option;
-    }  (** The optional arguments of {!set_cell}.  One that carries only
-           [sites] is a pin-site move. *)
-  | Sites_move of { ci : int; sites : int array }
-      (** A pin-site move: the site assignment changes, the geometry does
-          not, so the overlap and constraint terms are not evaluated. *)
-
-val delta_cost : t -> move list -> float
-(** Cost change of the moves in order, without changing the placement.
-    Each move runs its accumulator chains from the state the moves before
-    it left, so the result equals, bit for bit, committing the same moves
-    one at a time and differencing {!total_cost}.  Raises
-    [Invalid_argument] when the moves touch more than two cells, or as
-    {!set_cell} does; after a raise there is no evaluation to commit. *)
-
-(** The three kinds of move the generate function proposes, on resolved
-    values: each runs the chains of its equivalent {!move} list, in the
-    same order, and returns the same float.  None allocates anything but
-    its boxed result. *)
 
 val delta_cell :
   t ->
@@ -228,10 +209,12 @@ val delta_cell :
   orient:Twmc_geometry.Orient.t ->
   variant:int ->
   float
-(** [delta_cell t ci ~x ~y ~orient ~variant] is [delta_cost] of
-    [[Cell_move {ci; x = Some x; y = Some y; orient = Some orient;
-    variant = Some variant; sites = None}]]; a field equal to the cell's
-    committed value behaves as its [None]. *)
+(** [delta_cell t ci ~x ~y ~orient ~variant]: cell [ci] to center
+    [(x, y)], orientation [orient] and variant [variant].  Its nets, its
+    overlap before and after, and the constraints that name it are
+    evaluated; its C3 too when the variant changes, which re-clamps the
+    site assignment as {!set_cell} does.  A field equal to the cell's
+    committed value leaves it as it is. *)
 
 val delta_interchange :
   t ->
@@ -242,15 +225,19 @@ val delta_interchange :
   float
 (** [delta_interchange t i j ~orient_i ~orient_j]: cell [i] to [j]'s
     position with orientation [orient_i], then [j] to [i]'s with
-    [orient_j], as the two-move list of [Cell_move]s with those positions
-    read before the evaluation. *)
+    [orient_j], each keeping its variant, with both positions read before
+    the evaluation.  The second move runs its chains from the state the
+    first left, so the result equals, bit for bit, committing the two
+    moves one at a time with {!set_cell} and differencing
+    {!total_cost}. *)
 
 val delta_sites : t -> int -> int array -> float
-(** [delta_sites t ci sites] is [delta_cost] of
-    [[Sites_move {ci; sites}]]. *)
+(** [delta_sites t ci sites]: cell [ci]'s pins to the site assignment
+    [sites] (copied; as {!set_cell}'s [sites]).  The geometry does not
+    change, so only the cell's nets and C3 are evaluated. *)
 
 val commit : t -> unit
-(** Installs the state the last {!delta_cost} evaluated: cell fields,
+(** Installs the state the last entry point evaluated: cell fields,
     packed bbox and grid entry, net C1 and length, C3, constraint
     penalties and the accumulators.  Raises [Invalid_argument] when there
     was no evaluation or the placement changed since. *)

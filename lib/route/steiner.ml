@@ -19,19 +19,15 @@ end)
    on first use and shared by every search of one [routes] call. *)
 type terminal = { cands : int list; h : int array Lazy.t }
 
-(* Prim-style terminal order starting from a fixed first terminal.  [skip]
-   steps down the closest-first ranking at the very first addition: the
-   dissertation's footnote-27 generalization considers not only the closest
-   unconnected pin but up to k alternatives, which we realize by exploring
-   the orders that start with the 1st..k-th nearest second terminal. *)
-let prim_order ~skip g terminals =
+(* Prim-style terminal order starting from a fixed first terminal: each
+   addition is the unconnected terminal closest to the connected set. *)
+let prim_order g terminals =
   match terminals with
   | [] | [ _ ] -> terminals
   | first :: rest ->
       let ordered = ref [ first ] in
       let connected = ref first.cands in
       let remaining = ref rest in
-      let steps = ref 0 in
       while !remaining <> [] do
         (* One all-distances sweep from the connected set serves every
            remaining terminal at once. *)
@@ -44,11 +40,7 @@ let prim_order ~skip g terminals =
             (fun a b -> Stdlib.compare (dist_of a) (dist_of b))
             !remaining
         in
-        let choice =
-          let want = if !steps = 0 then skip else 0 in
-          List.nth ranked (min want (List.length ranked - 1))
-        in
-        incr steps;
+        let choice = List.hd ranked in
         ordered := choice :: !ordered;
         connected := choice.cands @ !connected;
         remaining := List.filter (fun t' -> t' != choice) !remaining
@@ -138,13 +130,11 @@ let routes_in_order ~budget_factor ~mark ~stamp ~ws g ~m ~order =
       grow ~tree_nodes:[] ~tree_edges:[] ~depth:0 rest;
       Route_set.elements !best
 
-let routes ?(budget_factor = 12) ?(prim_k = 1) g ~m ~terminals =
+let routes ?(budget_factor = 12) g ~m ~terminals =
   if m <= 0 then invalid_arg "Steiner.routes: m <= 0";
   if budget_factor <= 0 then invalid_arg "Steiner.routes: budget_factor <= 0";
-  if prim_k <= 0 then invalid_arg "Steiner.routes: prim_k <= 0";
   if List.exists (fun t -> t = []) terminals then
     invalid_arg "Steiner.routes: empty terminal candidate list";
-  let n_orders = min prim_k (max 1 (List.length terminals - 1)) in
   (* One search workspace and one heuristic per terminal serve every
      k-shortest query of this net. *)
   let ws = Mshortest.workspace g in
@@ -154,14 +144,5 @@ let routes ?(budget_factor = 12) ?(prim_k = 1) g ~m ~terminals =
       terminals
   in
   let mark = Array.make (G.n_edges g) 0 and stamp = ref 0 in
-  let merged = ref Route_set.empty in
-  for skip = 0 to n_orders - 1 do
-    let order = prim_order ~skip g terminals in
-    List.iter
-      (fun r -> merged := Route_set.add r !merged)
-      (routes_in_order ~budget_factor ~mark ~stamp ~ws g ~m ~order)
-  done;
-  let rec take k l =
-    if k = 0 then [] else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
-  in
-  take m (Route_set.elements !merged)
+  routes_in_order ~budget_factor ~mark ~stamp ~ws g ~m
+    ~order:(prim_order g terminals)

@@ -27,7 +27,6 @@ type route = {
 
 val routes :
   ?budget_factor:int ->
-  ?prim_k:int ->
   Twmc_channel.Graph.t ->
   m:int ->
   terminals:int list list ->
@@ -37,10 +36,4 @@ val routes :
     terminal cannot be reached.  A single-terminal net yields one empty
     route.  [budget_factor] (default 12) bounds the enumeration at
     [budget_factor·m] expansions per net — lower it to trade route
-    diversity for speed.
-
-    [prim_k] (default 1) is the dissertation's footnote-27 generalization:
-    besides the closest-first Prim order, also explore the orders whose
-    first addition is the 2nd..k-th nearest terminal, merging the resulting
-    route pools — for nets whose minimum Steiner tree does not follow the
-    greedy order. *)
+    diversity for speed. *)

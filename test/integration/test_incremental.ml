@@ -81,8 +81,7 @@ let differential_run seed =
   let static_ctx =
     (* Stage-2 style context, built lazily after the expander switch. *)
     lazy
-      (Moves.make_ctx ~allow_orient:false ~allow_variant:false
-         ~interchanges:false ~placement:p ~limiter
+      (Moves.make_ctx ~refine:true ~placement:p ~limiter
          ~stats:(Moves.make_stats ()) ())
   in
   let batches = 10 and batch = 50 in
@@ -177,8 +176,7 @@ let differential_constrained_run seed =
   in
   let static_ctx =
     lazy
-      (Moves.make_ctx ~allow_orient:false ~allow_variant:false
-         ~interchanges:false ~placement:p ~limiter
+      (Moves.make_ctx ~refine:true ~placement:p ~limiter
          ~stats:(Moves.make_stats ()) ())
   in
   let batches = 10 and batch = 50 in
@@ -324,7 +322,8 @@ let index_vs_scan_run spec_of seed =
   for i = 1 to 100 do
     Moves.generate ctx rng ~temp:(if i mod 2 = 0 then 1e4 else 1e-3)
   done;
-  check_point (Printf.sprintf "seed %d final" seed)
+  check_point (Printf.sprintf "seed %d final" seed);
+  assert_no_drift ~what:(Printf.sprintf "seed %d final" seed) p
 
 (* The random specs stay below [Placement.grid_min_cells], where the
    candidates come from the packed bboxes; one circuit above it takes them
@@ -388,11 +387,60 @@ let assert_same_placement ~what ~against ?(c1_exact = true) a b =
         against pb
   done
 
-(* One move of a list through [Placement.set_cell]. *)
-let set_move p = function
-  | Placement.Cell_move { ci; x; y; orient; variant; sites } ->
-      Placement.set_cell p ci ?x ?y ?orient ?variant ?sites ()
-  | Placement.Sites_move { ci; sites } -> Placement.set_cell p ci ~sites ()
+(* One proposal of the generate function, on the resolved values its
+   entry point takes. *)
+type proposal =
+  | Cell of {
+      ci : int;
+      x : int;
+      y : int;
+      orient : Twmc_geometry.Orient.t;
+      variant : int;
+    }
+  | Interchange of {
+      i : int;
+      j : int;
+      orient_i : Twmc_geometry.Orient.t;
+      orient_j : Twmc_geometry.Orient.t;
+    }
+  | Sites of { ci : int; sites : int array }
+
+(* A move of cell [ci] of [p], each field not given at its committed
+   value. *)
+let cell_move p ?x ?y ?orient ?variant ci =
+  let get v f = match v with Some v -> v | None -> f p ci in
+  Cell
+    { ci;
+      x = get x Placement.cell_x;
+      y = get y Placement.cell_y;
+      orient = get orient Placement.cell_orient;
+      variant = get variant Placement.cell_variant }
+
+(* An interchange of cells [i] and [j] of [p], each keeping its committed
+   orientation unless given another. *)
+let interchange p ?orient_i ?orient_j i j =
+  let get v ci =
+    match v with Some o -> o | None -> Placement.cell_orient p ci
+  in
+  Interchange { i; j; orient_i = get orient_i i; orient_j = get orient_j j }
+
+(* The proposal through its entry point. *)
+let evaluate p = function
+  | Cell { ci; x; y; orient; variant } ->
+      Placement.delta_cell p ci ~x ~y ~orient ~variant
+  | Interchange { i; j; orient_i; orient_j } ->
+      Placement.delta_interchange p i j ~orient_i ~orient_j
+  | Sites { ci; sites } -> Placement.delta_sites p ci sites
+
+(* The proposal through [Placement.set_cell], one cell at a time. *)
+let apply p = function
+  | Cell { ci; x; y; orient; variant } ->
+      Placement.set_cell p ci ~x ~y ~orient ~variant ()
+  | Interchange { i; j; orient_i; orient_j } ->
+      let xi, yi = Placement.cell_pos p i and xj, yj = Placement.cell_pos p j in
+      Placement.set_cell p i ~x:xj ~y:yj ~orient:orient_i ();
+      Placement.set_cell p j ~x:xi ~y:yi ~orient:orient_j ()
+  | Sites { ci; sites } -> Placement.set_cell p ci ~sites ()
 
 (* A placement rebuilt from [p]'s committed cell fields alone: a fresh one
    over the same netlist, core, expander and p2, each cell set to [p]'s
@@ -419,22 +467,22 @@ let rebuild p =
   Placement.recompute_all q;
   q
 
-(* One move list checked three ways.  [p] evaluates it with [delta_cost]
-   and installs it with [commit]; its same-seed [twin] applies the moves
-   one at a time through [set_cell], so a two-cell list is evaluated as
-   two independent moves.  The delta must equal the twin's cost change,
-   and the two placements each other, bit for bit; and [p] must match its
-   [rebuild].  Nothing recomputes [p] itself, so no stale cache is
-   repaired before it is compared. *)
-let check_twin_move ~what p twin moves =
-  let d = Placement.delta_cost p moves in
+(* One proposal checked three ways.  [p] evaluates it through its entry
+   point and installs it with [commit]; its same-seed [twin] applies it
+   through [set_cell] one cell at a time, so an interchange is evaluated
+   as two independent moves.  The delta must equal the twin's cost
+   change, and the two placements each other, bit for bit; and [p] must
+   match its [rebuild], the independent reference.  Nothing recomputes
+   [p] itself, so no stale cache is repaired before it is compared. *)
+let check_twin_move ~what p twin prop =
+  let d = evaluate p prop in
   Placement.commit p;
   let t0 = Placement.total_cost twin in
-  List.iter (set_move twin) moves;
+  apply twin prop;
   let measured = Placement.total_cost twin -. t0 in
   if Int64.bits_of_float d <> Int64.bits_of_float measured then
-    Alcotest.failf "%s: delta_cost %.17g <> set_cell one at a time %.17g" what
-      d measured;
+    Alcotest.failf "%s: entry point %.17g <> set_cell one cell at a time %.17g"
+      what d measured;
   assert_same_placement ~what ~against:"set_cell" p twin;
   assert_same_placement ~what ~against:"rebuilt" ~c1_exact:false p (rebuild p)
 
@@ -477,13 +525,12 @@ let check_crowd ~check_move ~changes p ci =
   | None -> ()
   | Some sites ->
       let c3 = Placement.c3 p in
-      check_move "crowd one site" [ Placement.Sites_move { ci; sites } ];
+      check_move "crowd one site" (Sites { ci; sites });
       if Placement.c3 p <> c3 then incr changes
 
 (* [check_twin_move] over every move kind — displace, displace+orient,
-   in-place orient, interchange, variant and pin-site moves, through both
-   the [Sites_move] constructor and the sites-only [Cell_move] routing —
-   under the dynamic and then the static expander. *)
+   in-place orient, interchange, variant and pin-site moves — under the
+   dynamic and then the static expander. *)
 let test_delta_vs_apply () =
   let rng = Rng.create ~seed:909 in
   let nl =
@@ -512,12 +559,10 @@ let test_delta_vs_apply () =
   Placement.set_p2 p 0.7;
   Placement.set_p2 twin 0.7;
   let n = Twmc_netlist.Netlist.n_cells nl in
-  let cm ?x ?y ?orient ?variant ?sites ci =
-    Placement.Cell_move { ci; x; y; orient; variant; sites }
-  in
+  let cm ?x ?y ?orient ?variant ci = cell_move p ?x ?y ?orient ?variant ci in
   let checked = ref 0 and c3_changes = ref 0 in
-  let check_move what moves =
-    check_twin_move ~what p twin moves;
+  let check_move what prop =
+    check_twin_move ~what p twin prop;
     incr checked
   in
   let rand_pos () =
@@ -552,32 +597,26 @@ let test_delta_vs_apply () =
   for i = 1 to 40 do
     let ci = Rng.int_incl rng 0 (n - 1) in
     let x, y = rand_pos () in
-    check_move "displace" [ cm ~x ~y ci ];
+    check_move "displace" (cm ~x ~y ci);
     let o = Rng.pick_list rng Orient.all in
-    check_move "orient" [ cm ~orient:o ci ];
+    check_move "orient" (cm ~orient:o ci);
     let x, y = rand_pos () in
     let o = Rng.pick_list rng Orient.all in
-    check_move "displace+orient" [ cm ~x ~y ~orient:o ci ];
+    check_move "displace+orient" (cm ~x ~y ~orient:o ci);
     let cj = Rng.int_incl rng 0 (n - 1) in
-    if cj <> ci then begin
-      let xi, yi = Placement.cell_pos p ci
-      and xj, yj = Placement.cell_pos p cj in
-      check_move "interchange" [ cm ~x:xj ~y:yj ci; cm ~x:xi ~y:yi cj ]
-    end;
+    if cj <> ci then check_move "interchange" (interchange p ci cj);
     let c = nl.Twmc_netlist.Netlist.cells.(ci) in
     if Cell.n_variants c > 1 then begin
       let v' = Rng.int_incl rng 0 (Cell.n_variants c - 1) in
-      check_move "variant" [ cm ~variant:v' ci ]
+      check_move "variant" (cm ~variant:v' ci)
     end;
     check_crowd ~check_move ~changes:c3_changes p ci;
+    (* Two pin-site moves: the second takes out the C3 the first put in. *)
     (match random_sites ci with
-    | Some sites ->
-        check_move "sites" [ Placement.Sites_move { ci; sites } ]
+    | Some sites -> check_move "sites" (Sites { ci; sites })
     | None -> ());
     (match random_sites ci with
-    | Some sites ->
-        (* The sites-only Cell_move must route through the same fast path. *)
-        check_move "sites-via-cell-move" [ cm ~sites ci ]
+    | Some sites -> check_move "sites again" (Sites { ci; sites })
     | None -> ());
     (* Swap expanders mid-run: the delta path must track both models. *)
     if i = 20 then begin
@@ -635,12 +674,10 @@ let test_delta_vs_apply_constrained () =
   Placement.set_p2 p 0.7;
   Placement.set_p2 twin 0.7;
   let n = Twmc_netlist.Netlist.n_cells nl in
-  let cm ?x ?y ?orient ?variant ?sites ci =
-    Placement.Cell_move { ci; x; y; orient; variant; sites }
-  in
+  let cm ?x ?y ?orient ?variant ci = cell_move p ?x ?y ?orient ?variant ci in
   let checked = ref 0 and c3_changes = ref 0 in
-  let check_move what moves =
-    check_twin_move ~what p twin moves;
+  let check_move what prop =
+    check_twin_move ~what p twin prop;
     incr checked
   in
   (* Positions on, one inside and one outside each blockage edge, plus
@@ -686,29 +723,25 @@ let test_delta_vs_apply_constrained () =
   for i = 1 to 40 do
     let ci = Rng.int_incl rng 0 (n - 1) in
     let x, y = rand_pos () in
-    check_move "c-displace" [ cm ~x ~y ci ];
+    check_move "c-displace" (cm ~x ~y ci);
     let o = Rng.pick_list rng Orient.all in
-    check_move "c-orient" [ cm ~orient:o ci ];
+    check_move "c-orient" (cm ~orient:o ci);
     let x, y = rand_pos () in
     let o = Rng.pick_list rng Orient.all in
-    check_move "c-displace+orient" [ cm ~x ~y ~orient:o ci ];
+    check_move "c-displace+orient" (cm ~x ~y ~orient:o ci);
     let cj = Rng.int_incl rng 0 (n - 1) in
-    if cj <> ci then begin
-      let xi, yi = Placement.cell_pos p ci
-      and xj, yj = Placement.cell_pos p cj in
-      check_move "c-interchange" [ cm ~x:xj ~y:yj ci; cm ~x:xi ~y:yi cj ]
-    end;
+    if cj <> ci then check_move "c-interchange" (interchange p ci cj);
     let c = nl.Twmc_netlist.Netlist.cells.(ci) in
     if Cell.n_variants c > 1 then begin
       let v' = Rng.int_incl rng 0 (Cell.n_variants c - 1) in
-      check_move "c-variant" [ cm ~variant:v' ci ]
+      check_move "c-variant" (cm ~variant:v' ci)
     end;
     check_crowd ~check_move ~changes:c3_changes p ci;
     (match random_sites ci with
-    | Some sites -> check_move "c-sites" [ Placement.Sites_move { ci; sites } ]
+    | Some sites -> check_move "c-sites" (Sites { ci; sites })
     | None -> ());
     (match random_sites ci with
-    | Some sites -> check_move "c-sites-via-cell-move" [ cm ~sites ci ]
+    | Some sites -> check_move "c-sites again" (Sites { ci; sites })
     | None -> ());
     if i = 20 then begin
       Placement.set_expander p (Placement.Static (Array.make n (3, 3, 3, 3)));
@@ -726,17 +759,15 @@ let test_delta_vs_apply_constrained () =
   Placement.verify_consistency twin;
   assert_no_drift ~what:"constrained delta-vs-apply end" p
 
-(* The per-cell C4 shares.  [delta_cost] updates a blockage
-   penalty, and a keepout penalty when the owner is not the mover, by the
-   moved cell's share alone: its share before the move, read before its
-   pending slot is rewritten, against the owner's halo in the state the
-   evaluation holds it in.  Each list through [check_twin_move], with
-   every cached penalty checked against a fresh evaluation after each
-   move:
+(* The per-cell C4 shares.  An evaluation updates a blockage penalty, and
+   a keepout penalty when the owner is not the mover, by the moved cell's
+   share alone: its share before the move, read before its pending slot
+   is rewritten, against the owner's halo in the state the evaluation
+   holds it in.  Each proposal through [check_twin_move], with every
+   cached penalty checked against a fresh evaluation after each move:
    interchanges with a keepout owner moving first and second (also two
-   owners swapping), a list that touches one cell twice, and
-   displacements that carry a cell's edge across a blockage edge or a
-   keepout's halo edge. *)
+   owners swapping), and displacements that carry a cell's edge across a
+   blockage edge or a keepout's halo edge. *)
 let test_delta_vs_apply_shares () =
   let module Constr = Twmc_netlist.Constr in
   let module Orient = Twmc_geometry.Orient in
@@ -784,15 +815,13 @@ let test_delta_vs_apply_shares () =
   Placement.set_p2 p 0.7;
   Placement.set_p2 twin 0.7;
   let n = Twmc_netlist.Netlist.n_cells nl in
-  let cm ?x ?y ?orient ci =
-    Placement.Cell_move { ci; x; y; orient; variant = None; sites = None }
-  in
+  let cm ?x ?y ci = cell_move p ?x ?y ci in
   let checked = ref 0 and keepout_changes = ref 0 in
-  let check what moves =
+  let check what prop =
     let before =
       Array.init (Array.length cons) (Placement.constraint_penalty twin)
     in
-    check_twin_move ~what p twin moves;
+    check_twin_move ~what p twin prop;
     assert_constraint_accounting ~what p;
     assert_constraint_accounting ~what:(what ^ " (committed)") twin;
     Array.iteri
@@ -827,24 +856,21 @@ let test_delta_vs_apply_shares () =
       (fun d ->
         List.iter
           (fun e ->
-            check (what ^ " x") [ cm ~x:(e + d - right) ~y:cy ci ];
-            check (what ^ " x") [ cm ~x:(e + d + left) ~y:cy ci ])
+            check (what ^ " x") (cm ~x:(e + d - right) ~y:cy ci);
+            check (what ^ " x") (cm ~x:(e + d + left) ~y:cy ci))
           [ r.Rect.x0; r.Rect.x1 ];
         List.iter
           (fun e ->
-            check (what ^ " y") [ cm ~x:cx ~y:(e + d - above) ci ];
-            check (what ^ " y") [ cm ~x:cx ~y:(e + d + below) ci ])
+            check (what ^ " y") (cm ~x:cx ~y:(e + d - above) ci);
+            check (what ^ " y") (cm ~x:cx ~y:(e + d + below) ci))
           [ r.Rect.y0; r.Rect.y1 ])
       [ -1; 0; 1 ]
   in
-  let interchange what i j =
-    let xi, yi = Placement.cell_pos p i and xj, yj = Placement.cell_pos p j in
-    check what [ cm ~x:xj ~y:yj i; cm ~x:xi ~y:yi j ];
-    let xi, yi = Placement.cell_pos p i and xj, yj = Placement.cell_pos p j in
+  let swap what i j =
+    check what (interchange p i j);
     let oi = Orient.aspect_inversion_of (Placement.cell_orient p i)
     and oj = Orient.aspect_inversion_of (Placement.cell_orient p j) in
-    check (what ^ " inverted")
-      [ cm ~x:xj ~y:yj ~orient:oi i; cm ~x:xi ~y:yi ~orient:oj j ]
+    check (what ^ " inverted") (interchange p ~orient_i:oi ~orient_j:oj i j)
   in
   for round = 1 to 3 do
     for ci = 0 to n - 1 do
@@ -856,25 +882,19 @@ let test_delta_vs_apply_shares () =
       List.iter
         (fun o ->
           if o <> ci then begin
-            interchange "owner moves first" o ci;
-            interchange "owner moves second" ci o
+            swap "owner moves first" o ci;
+            swap "owner moves second" ci o
           end)
         owners;
-      (* One cell touched twice: the second move starts from the first
-         one's pending state. *)
-      let x = Rng.int_incl rng core.Rect.x0 core.Rect.x1
-      and y = Rng.int_incl rng core.Rect.y0 core.Rect.y1 in
-      check "displace then orient"
-        [ cm ~x ~y ci; cm ~orient:(Rng.pick_list rng Orient.all) ci ];
       (* Park the cell on an owner's halo for the next round. *)
       let owner = List.nth owners (round mod 2) in
       if owner <> ci then begin
         let ox, oy = Placement.cell_pos p owner in
-        check "onto a halo" [ cm ~x:(ox + round) ~y:(oy - round) ci ]
+        check "onto a halo" (cm ~x:(ox + round) ~y:(oy - round) ci)
       end
     done;
     (match owners with
-    | [ a; b ] -> interchange "two owners swap" a b
+    | [ a; b ] -> swap "two owners swap" a b
     | _ -> ())
   done;
   checkb "coverage: enough share moves exercised" true (!checked > 500);
@@ -884,8 +904,8 @@ let test_delta_vs_apply_shares () =
   assert_no_drift ~what:"shares end" p
 
 (* [commit] installs only an evaluation of the current placement: any
-   mutation after [delta_cost] — here a [set_cell] — makes it raise, and
-   so does a second commit of the same evaluation. *)
+   mutation after the evaluation — here a [set_cell] — makes it raise,
+   and so does a second commit of the same evaluation. *)
 let test_commit_stale_raises () =
   let nl =
     Synth.generate ~seed:23
@@ -897,18 +917,17 @@ let test_commit_stale_raises () =
       ~expander:Placement.No_expansion ~rng:(Rng.create ~seed:5) nl
   in
   let move x =
-    [ Placement.Cell_move
-        { ci = 0; x = Some x; y = Some 0; orient = None; variant = None;
-          sites = None } ]
+    Placement.delta_cell p 0 ~x ~y:0 ~orient:(Placement.cell_orient p 0)
+      ~variant:(Placement.cell_variant p 0)
   in
   let stale = Invalid_argument "Placement.commit: no evaluation of the current placement" in
   Alcotest.check_raises "commit before any evaluation" stale (fun () ->
       Placement.commit p);
-  ignore (Placement.delta_cost p (move 10));
+  ignore (move 10);
   Placement.set_cell p 1 ~x:(-20) ();
   Alcotest.check_raises "commit after set_cell" stale (fun () ->
       Placement.commit p);
-  ignore (Placement.delta_cost p (move 30));
+  ignore (move 30);
   Placement.commit p;
   checkb "committed move installed" true (Placement.cell_pos p 0 = (30, 0));
   Alcotest.check_raises "second commit of one evaluation" stale (fun () ->
@@ -920,7 +939,7 @@ let test_commit_stale_raises () =
    the position and [total_cost] stay as they were, nothing drifts, and
    there is no evaluation left to commit.  Out-of-range pin sites are
    rejected where the assignment enters, against the variant the move
-   evaluates, through both move constructors. *)
+   evaluates, through [set_cell] and [delta_sites]. *)
 let test_set_cell_raises_unchanged () =
   let module Builder = Twmc_netlist.Builder in
   let module Cell = Twmc_netlist.Cell in
@@ -990,9 +1009,8 @@ let test_set_cell_raises_unchanged () =
           Placement.set_cell p 0 ~x:(x + 50) ~sites ());
       rejects (what ^ ", sites only") out_of_range (fun () ->
           Placement.set_cell p 0 ~sites ());
-      rejects (what ^ ", Sites_move") out_of_range (fun () ->
-          ignore
-            (Placement.delta_cost p [ Placement.Sites_move { ci = 0; sites } ])))
+      rejects (what ^ ", delta_sites") out_of_range (fun () ->
+          ignore (Placement.delta_sites p 0 sites)))
     [ -1; n_sites 0; n_sites 0 + 7 ];
   (* A site on the L's table, past the rectangle's: checked against the
      variant the move evaluates, and accepted for the committed one. *)
@@ -1003,27 +1021,23 @@ let test_set_cell_raises_unchanged () =
   checkb "valid sites installed" true (sites_of () = sites);
   Placement.verify_consistency p
 
-(* ------------------------------------- entry points vs move lists *)
-
-(* A placement of a Synth netlist of [kind] — 0 unconstrained, 1 carrying
-   every constraint type, 2 above [Placement.grid_min_cells] — under the
-   dynamic expander; the same [seed] gives the same netlist and state. *)
-let entry_placement ~kind ~seed =
+(* A placement of a Synth netlist of 5-12 cells carrying every constraint
+   type, under the dynamic expander: [make ()] gives a fresh one, the same
+   netlist and state on every call. *)
+let constrained_placement ~seed =
   let rng = Rng.create ~seed in
-  let n_cells =
-    if kind = 2 then Placement.grid_min_cells + 4 else Rng.int_incl rng 5 12
-  in
+  let n_cells = Rng.int_incl rng 5 12 in
   let nl =
-    Synth.generate ~seed
-      { Synth.default_spec with
-        Synth.name = "entry";
-        n_cells;
-        n_nets = 3 * n_cells;
-        n_pins = 8 * n_cells;
-        frac_custom = 0.5;
-        frac_rectilinear = 0.4 }
+    constrain ~seed
+      (Synth.generate ~seed
+         { Synth.default_spec with
+           Synth.name = "entry";
+           n_cells;
+           n_nets = 3 * n_cells;
+           n_pins = 8 * n_cells;
+           frac_custom = 0.5;
+           frac_rectilinear = 0.4 })
   in
-  let nl = if kind = 1 then constrain ~seed nl else nl in
   let sizing =
     Twmc_estimator.Core_area.determine ~beta:Params.default.Params.beta
       ~aspect:1.0 ~fill_target:0.6 nl
@@ -1045,139 +1059,6 @@ let entry_placement ~kind ~seed =
     p
   in
   make
-
-(* Cell [ci]'s committed site assignment with one random uncommitted pin
-   moved to a random allowed site, if it has such a pin. *)
-let reassign_one_pin p rng ci =
-  let module Cell = Twmc_netlist.Cell in
-  let c = (Placement.netlist p).Twmc_netlist.Netlist.cells.(ci) in
-  let variant = Placement.cell_variant p ci in
-  let sites =
-    Array.init (Cell.n_pins c) (fun pin ->
-        Placement.site_of_pin p ~cell:ci ~pin)
-  in
-  let movable =
-    List.filter
-      (fun pin ->
-        Array.length (Placement.allowed_sites p ~cell:ci ~variant ~pin) > 0)
-      (List.init (Cell.n_pins c) Fun.id)
-  in
-  match movable with
-  | [] -> None
-  | l ->
-      let pin = Rng.pick_list rng l in
-      sites.(pin) <-
-        Rng.pick rng (Placement.allowed_sites p ~cell:ci ~variant ~pin);
-      Some sites
-
-(* Random proposals through the entry points on [p] and as move lists
-   through [delta_cost] on its same-seed twin [q]: the two deltas must
-   agree bit for bit, and, when both commit, the two placements too.
-   Fields the list leaves [None] are passed to the entry point as the
-   cell's committed values, the way [Moves] resolves them; half the
-   cell moves give every field as [Some].  Halfway, both switch to a
-   static expander. *)
-let entry_points_run (kind, seed) =
-  let make = entry_placement ~kind ~seed in
-  let p = make () and q = make () in
-  let rng = Rng.create ~seed:(seed + 1) in
-  let module Cell = Twmc_netlist.Cell in
-  let module Orient = Twmc_geometry.Orient in
-  let nl = Placement.netlist p in
-  let n = Twmc_netlist.Netlist.n_cells nl in
-  let core = Placement.core p in
-  let cm ?x ?y ?orient ?variant ?sites ci =
-    Placement.Cell_move { ci; x; y; orient; variant; sites }
-  in
-  for step = 1 to 60 do
-    if step = 31 then begin
-      let e = Placement.Static (Array.make n (4, 2, 3, 5)) in
-      Placement.set_expander p e;
-      Placement.set_expander q e
-    end;
-    let ci = Rng.int_incl rng 0 (n - 1) in
-    let x0 = Placement.cell_x p ci and y0 = Placement.cell_y p ci in
-    let o0 = Placement.cell_orient p ci and v0 = Placement.cell_variant p ci in
-    let what, d, moves =
-      match Rng.int_incl rng 0 4 with
-      | 0 ->
-          let x = Rng.int_incl rng core.Rect.x0 core.Rect.x1
-          and y = Rng.int_incl rng core.Rect.y0 core.Rect.y1
-          and o = Rng.pick_list rng Orient.all
-          and v =
-            Rng.int_incl rng 0
-              (Cell.n_variants nl.Twmc_netlist.Netlist.cells.(ci) - 1)
-          in
-          ( "cell, every field",
-            Placement.delta_cell p ci ~x ~y ~orient:o ~variant:v,
-            [ cm ~x ~y ~orient:o ~variant:v ci ] )
-      | 1 ->
-          let x = Rng.int_incl rng core.Rect.x0 core.Rect.x1
-          and y = Rng.int_incl rng core.Rect.y0 core.Rect.y1 in
-          let inverted = Rng.bool_with_prob rng 0.5 in
-          let o = if inverted then Orient.aspect_inversion_of o0 else o0 in
-          ( "displacement",
-            Placement.delta_cell p ci ~x ~y ~orient:o ~variant:v0,
-            [ (if inverted then cm ~x ~y ~orient:o ci else cm ~x ~y ci) ] )
-      | 2 ->
-          let vary = Rng.bool_with_prob rng 0.5 in
-          let nv = Cell.n_variants nl.Twmc_netlist.Netlist.cells.(ci) in
-          if vary && nv > 1 then
-            let v = (v0 + 1) mod nv in
-            ( "variant",
-              Placement.delta_cell p ci ~x:x0 ~y:y0 ~orient:o0 ~variant:v,
-              [ cm ~variant:v ci ] )
-          else
-            let o = Rng.pick_list rng Orient.all in
-            ( "orientation",
-              Placement.delta_cell p ci ~x:x0 ~y:y0 ~orient:o ~variant:v0,
-              [ cm ~orient:o ci ] )
-      | 3 ->
-          let cj = (ci + 1 + Rng.int_incl rng 0 (n - 2)) mod n in
-          let xj = Placement.cell_x p cj and yj = Placement.cell_y p cj in
-          let oj = Placement.cell_orient p cj in
-          if Rng.bool_with_prob rng 0.5 then
-            ( "interchange",
-              Placement.delta_interchange p ci cj ~orient_i:o0 ~orient_j:oj,
-              [ cm ~x:xj ~y:yj ci; cm ~x:x0 ~y:y0 cj ] )
-          else
-            let oi' = Orient.aspect_inversion_of o0
-            and oj' = Orient.aspect_inversion_of oj in
-            ( "inverted interchange",
-              Placement.delta_interchange p ci cj ~orient_i:oi' ~orient_j:oj',
-              [ cm ~x:xj ~y:yj ~orient:oi' ci; cm ~x:x0 ~y:y0 ~orient:oj' cj ] )
-      | _ -> (
-          match reassign_one_pin p rng ci with
-          | Some sites ->
-              ( "sites",
-                Placement.delta_sites p ci sites,
-                [ Placement.Sites_move { ci; sites = Array.copy sites } ] )
-          | None ->
-              ( "orientation (no pin to move)",
-                Placement.delta_cell p ci ~x:x0 ~y:y0 ~orient:o0 ~variant:v0,
-                [ cm ~orient:o0 ci ] ))
-    in
-    let what =
-      Printf.sprintf "kind %d seed %d step %d %s" kind seed step what
-    in
-    let dl = Placement.delta_cost q moves in
-    if Int64.bits_of_float d <> Int64.bits_of_float dl then
-      Alcotest.failf "%s: entry point %.17g, move list %.17g" what d dl;
-    if Rng.bool_with_prob rng 0.5 then begin
-      Placement.commit p;
-      Placement.commit q;
-      assert_same_placement ~what ~against:"move list" p q
-    end
-  done;
-  assert_same_placement ~what:"end" ~against:"move list" p q;
-  assert_no_drift ~what:"entry points end" p;
-  true
-
-let prop_entry_points =
-  QCheck.Test.make ~name:"entry points match delta_cost of their move lists"
-    ~count:12
-    QCheck.(pair (int_bound 2) (int_bound 9999))
-    entry_points_run
 
 (* [Placement.resum], the per-temperature correction, against
    [recompute_all] on a constrained netlist whose net weights are not
@@ -1252,30 +1133,24 @@ let test_resum_vs_recompute () =
    fills the memo, then takes a mutation; its same-seed twin [q] takes the
    same mutation without having evaluated [c].  The next evaluation of a
    move of [c] must then agree on both, bit for bit, for each mutation: a
-   commit that moved another cell onto [c] (as the second move of a list
-   whose first, a no-op of [c], read the memo), [set_p2], [set_core],
-   [set_expander], [recompute_all] and [restore_cost]. *)
+   committed interchange of [c] and another cell (on [p] with [c] moving
+   first, which reads the memo; on [q] with [c] moving second, which
+   takes its before terms afresh), [set_p2], [set_core], [set_expander],
+   [recompute_all] and [restore_cost]. *)
 let test_ladder_memo_invalidation () =
-  let make = entry_placement ~kind:1 ~seed:57 in
+  let make = constrained_placement ~seed:57 in
   let n = Twmc_netlist.Netlist.n_cells (Placement.netlist (make ())) in
   checkb "two cells or more" true (n >= 2);
   let c = 0 and d = 1 in
   let mutations =
-    [ ( "commit of another cell",
+    [ ( "commit of an interchange",
         fun p ~fresh ->
-          let x = Placement.cell_x p c and y = Placement.cell_y p c in
-          if fresh then Placement.set_cell p d ~x:(x + 3) ~y:(y - 2) ()
-          else begin
-            ignore
-              (Placement.delta_cost p
-                 [ Placement.Cell_move
-                     { ci = c; x = Some x; y = Some y; orient = None;
-                       variant = None; sites = None };
-                   Placement.Cell_move
-                     { ci = d; x = Some (x + 3); y = Some (y - 2);
-                       orient = None; variant = None; sites = None } ]);
-            Placement.commit p
-          end );
+          let i, j = if fresh then (d, c) else (c, d) in
+          ignore
+            (Placement.delta_interchange p i j
+               ~orient_i:(Placement.cell_orient p i)
+               ~orient_j:(Placement.cell_orient p j));
+          Placement.commit p );
       ("set_p2", fun p ~fresh:_ -> Placement.set_p2 p 2.5);
       ( "set_core",
         fun p ~fresh:_ ->
@@ -1317,14 +1192,13 @@ let test_ladder_memo_invalidation () =
       assert_same_placement ~what ~against:"fresh twin" p q)
     mutations
 
-(* The evaluation allocates nothing but its boxed float result: 10,000
-   rejected single-cell displacements (pre-built, never committed) on an
-   unconstrained netlist, after a warm-up that fills the geometry caches,
-   under the stage-1 dynamic and the stage-2 static expander; on a circuit
-   below [Placement.grid_min_cells] and one above it.  The same for the
-   entry points: displacements with an orientation, interchanges and
-   pin-site moves. *)
-let delta_cost_no_alloc_run ~n_cells ~side =
+(* Each entry point allocates nothing but its boxed float result: 10,000
+   rejected proposals of each kind (pre-drawn, never committed) —
+   displacements with an orientation, interchanges and pin-site moves —
+   on an unconstrained netlist, after a warm-up that fills the geometry
+   caches, under the stage-1 dynamic and the stage-2 static expander; on
+   a circuit below [Placement.grid_min_cells] and one above it. *)
+let entry_points_no_alloc_run ~n_cells ~side =
   let nl =
     Synth.generate ~seed:31
       { Synth.default_spec with
@@ -1345,27 +1219,14 @@ let delta_cost_no_alloc_run ~n_cells ~side =
   in
   let rng = Rng.create ~seed:33 in
   let n = Twmc_netlist.Netlist.n_cells nl in
-  let moves =
-    Array.init 256 (fun _ ->
-        let ci = Rng.int_incl rng 0 (n - 1) in
-        [ Placement.Cell_move
-            { ci;
-              x = Some (Rng.int_incl rng core.Rect.x0 core.Rect.x1);
-              y = Some (Rng.int_incl rng core.Rect.y0 core.Rect.y1);
-              orient = None;
-              variant = None;
-              sites = None } ])
-  in
   let module Orient = Twmc_geometry.Orient in
   let module Cell = Twmc_netlist.Cell in
-  (* The same cells and targets for the entry points. *)
   let targets =
-    Array.map
-      (function
-        | [ Placement.Cell_move { ci; x = Some x; y = Some y; _ } ] ->
-            (ci, x, y)
-        | _ -> assert false)
-      moves
+    Array.init 256 (fun _ ->
+        let ci = Rng.int_incl rng 0 (n - 1) in
+        let x = Rng.int_incl rng core.Rect.x0 core.Rect.x1 in
+        let y = Rng.int_incl rng core.Rect.y0 core.Rect.y1 in
+        (ci, x, y))
   in
   let orients = Array.init 256 (fun k -> Orient.of_int (k land 7)) in
   let partners =
@@ -1397,8 +1258,6 @@ let delta_cost_no_alloc_run ~n_cells ~side =
       true (per_call <= 2.0)
   in
   let measure expander =
-    measure_one (expander ^ ", delta_cost") (fun k ->
-        Placement.delta_cost p moves.(k));
     measure_one (expander ^ ", delta_cell") (fun k ->
         let ci, x, y = targets.(k) in
         Placement.delta_cell p ci ~x ~y ~orient:orients.(k)
@@ -1422,8 +1281,9 @@ let delta_cost_no_alloc_run ~n_cells ~side =
    result of each evaluation, the boxed uniform draw of each Metropolis
    test of an uphill move, and the step pair the range limiter returns.
    This circuit measured 21.9 words per call (x86-64, OCaml 5.1.1); the
-   bound is that plus about a quarter, so an allocating proposal (a move
-   list alone is 12-16 words per trial) cannot come back unnoticed. *)
+   bound is that plus about a quarter, so an allocating proposal (a
+   one-element list of a record of options alone is 12-16 words per
+   trial) cannot come back unnoticed. *)
 let test_generate_alloc_bound () =
   let nl =
     Synth.generate ~seed:61
@@ -1469,9 +1329,9 @@ let test_generate_alloc_bound () =
     (Printf.sprintf "%.2f minor words per generate call" per_call)
     true (per_call <= 28.0)
 
-let test_delta_cost_no_alloc () =
-  delta_cost_no_alloc_run ~n_cells:12 ~side:400;
-  delta_cost_no_alloc_run ~n_cells:(Placement.grid_min_cells + 12) ~side:900
+let test_entry_points_no_alloc () =
+  entry_points_no_alloc_run ~n_cells:12 ~side:400;
+  entry_points_no_alloc_run ~n_cells:(Placement.grid_min_cells + 12) ~side:900
 
 let () =
   Alcotest.run "incremental"
@@ -1484,11 +1344,11 @@ let () =
             test_per_move_terms;
           Alcotest.test_case "indexed overlap vs full scan" `Quick
             test_index_vs_scan;
-          Alcotest.test_case "delta_cost vs apply-and-measure" `Quick
+          Alcotest.test_case "entry points vs apply-and-measure" `Quick
             test_delta_vs_apply;
           Alcotest.test_case "500 moves, 3 constrained netlists" `Quick
             test_differential_constrained;
-          Alcotest.test_case "constrained delta_cost vs apply" `Quick
+          Alcotest.test_case "constrained entry points vs apply" `Quick
             test_delta_vs_apply_constrained;
           Alcotest.test_case "per-cell C4 shares vs apply" `Quick
             test_delta_vs_apply_shares;
@@ -1496,12 +1356,11 @@ let () =
             test_commit_stale_raises;
           Alcotest.test_case "set_cell that raises changes nothing" `Quick
             test_set_cell_raises_unchanged;
-          Alcotest.test_case "delta_cost allocates only its result" `Quick
-            test_delta_cost_no_alloc;
+          Alcotest.test_case "entry points allocate only a float" `Quick
+            test_entry_points_no_alloc;
           Alcotest.test_case "generate allocates a bounded amount" `Quick
             test_generate_alloc_bound;
           Alcotest.test_case "resum equals recompute_all" `Quick
             test_resum_vs_recompute;
           Alcotest.test_case "ladder memo invalidated by mutations" `Quick
-            test_ladder_memo_invalidation;
-          QCheck_alcotest.to_alcotest prop_entry_points ] ) ]
+            test_ladder_memo_invalidation ] ) ]

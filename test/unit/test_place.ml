@@ -289,8 +289,7 @@ let test_moves_stage2_restrictions () =
   in
   let stats = Moves.make_stats () in
   let ctx =
-    Moves.make_ctx ~allow_orient:false ~allow_variant:false ~interchanges:false
-      ~placement:p ~limiter:lim ~stats ()
+    Moves.make_ctx ~refine:true ~placement:p ~limiter:lim ~stats ()
   in
   let rng = Rng.create ~seed:7 in
   for _ = 1 to 2000 do
@@ -468,17 +467,16 @@ let test_fig2_aspect_rescue () =
   let _ctx = Moves.make_ctx ~placement:p ~limiter:lim ~stats () in
   (* Drive the ladder directly through the evaluations
      Moves.attempt_displacement/_inverted run at T=0. *)
-  let displace ?orient () =
-    Placement.Cell_move
-      { ci = 2; x = Some 0; y = Some 0; orient; variant = None; sites = None }
+  let displace orient =
+    Placement.delta_cell p 2 ~x:0 ~y:0 ~orient
+      ~variant:(Placement.cell_variant p 2)
   in
-  let upright_delta = Placement.delta_cost p [ displace () ] in
+  let upright_delta = displace (Placement.cell_orient p 2) in
   checkb "upright move rejected (overlaps walls)" true (upright_delta > 0.0);
   checkf 1e-9 "rejected evaluation leaves the placement" 0.0
     (Placement.c2_raw p);
   let inverted_delta =
-    Placement.delta_cost p
-      [ displace ~orient:(Orient.aspect_inversion_of (Placement.cell_orient p 2)) () ]
+    displace (Orient.aspect_inversion_of (Placement.cell_orient p 2))
   in
   checkb "inverted move accepted" true (inverted_delta < 0.0);
   Placement.commit p;

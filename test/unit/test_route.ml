@@ -405,25 +405,20 @@ module Steiner_reference = struct
     let compare = compare_route
   end)
 
-  let prim_order ~skip g terminals =
+  let prim_order g terminals =
     match terminals with
     | [] | [ _ ] -> terminals
     | first :: rest ->
         let ordered = ref [ first ] in
         let connected = ref first in
         let remaining = ref rest in
-        let steps = ref 0 in
         while !remaining <> [] do
           let dist = Reference.distances g ~sources:!connected in
           let dist_of t = List.fold_left (fun acc c -> min acc dist.(c)) max_int t in
           let ranked =
             List.sort (fun a b -> Stdlib.compare (dist_of a) (dist_of b)) !remaining
           in
-          let choice =
-            let want = if !steps = 0 then skip else 0 in
-            List.nth ranked (min want (List.length ranked - 1))
-          in
-          incr steps;
+          let choice = List.hd ranked in
           ordered := choice :: !ordered;
           connected := choice @ !connected;
           remaining := List.filter (fun t' -> t' != choice) !remaining
@@ -478,20 +473,12 @@ module Steiner_reference = struct
         grow ~tree_nodes:[] ~tree_edges:[] ~depth:0 rest;
         Route_set.elements !best
 
-  let routes ~budget_factor ~prim_k g ~m ~terminals =
-    let n_orders = min prim_k (max 1 (List.length terminals - 1)) in
-    let merged = ref Route_set.empty in
-    for skip = 0 to n_orders - 1 do
-      List.iter
-        (fun r -> merged := Route_set.add r !merged)
-        (routes_in_order ~budget_factor g ~m ~order:(prim_order ~skip g terminals))
-    done;
-    List.filteri (fun i _ -> i < m) (Route_set.elements !merged)
+  let routes ~budget_factor g ~m ~terminals =
+    routes_in_order ~budget_factor g ~m ~order:(prim_order g terminals)
 end
 
 (* The lattice graphs above, each with two nets of 1-5 terminals of 1-3
-   candidates, enumerated at [m] 1-8, [budget_factor] 1-12 and [prim_k]
-   1-2. *)
+   candidates, enumerated at [m] 1-8 and [budget_factor] 1-12. *)
 let steiner_case =
   QCheck.Gen.(
     int_range 2 31 >>= fun n ->
@@ -506,7 +493,7 @@ let steiner_case =
     in
     pair (list_repeat n rect)
       (list_repeat 2
-         (pair terminals (triple (int_range 1 8) (int_range 1 12) (int_range 1 2)))))
+         (pair terminals (pair (int_range 1 8) (int_range 1 12)))))
 
 let print_steiner_case (rects, nets) =
   let ints l = String.concat ";" (List.map string_of_int l) in
@@ -515,10 +502,10 @@ let print_steiner_case (rects, nets) =
   ^ " | "
   ^ String.concat " "
       (List.map
-         (fun (terminals, (m, bf, pk)) ->
-           Printf.sprintf "{%s} m=%d budget_factor=%d prim_k=%d"
+         (fun (terminals, (m, bf)) ->
+           Printf.sprintf "{%s} m=%d budget_factor=%d"
              (String.concat " " (List.map (fun t -> "[" ^ ints t ^ "]") terminals))
-             m bf pk)
+             m bf)
          nets)
 
 let prop_steiner_matches_reference =
@@ -528,9 +515,9 @@ let prop_steiner_matches_reference =
     (fun (rects, nets) ->
       let g = lattice_graph rects in
       List.for_all
-        (fun (terminals, (m, budget_factor, prim_k)) ->
-          Steiner.routes ~budget_factor ~prim_k g ~m ~terminals
-          = Steiner_reference.routes ~budget_factor ~prim_k g ~m ~terminals)
+        (fun (terminals, (m, budget_factor)) ->
+          Steiner.routes ~budget_factor g ~m ~terminals
+          = Steiner_reference.routes ~budget_factor g ~m ~terminals)
         nets)
 
 (* ------------------------------------------------------------- Steiner *)
@@ -605,24 +592,6 @@ let test_steiner_equivalent_pins () =
   let routes = Steiner.routes g ~m:5 ~terminals:[ [ 0 ]; [ 8; 1 ] ] in
   checkb "found" true (routes <> []);
   check "uses near equivalent" 10 (List.hd routes).Steiner.length
-
-let test_steiner_prim_k () =
-  let g = grid ~w:6 ~h:5 ~cell:10 in
-  let terminals = [ [ 0 ]; [ 5 ]; [ 24 ]; [ 29 ] ] in
-  let r1 = Steiner.routes g ~m:8 ~terminals in
-  let r2 = Steiner.routes ~prim_k:3 g ~m:8 ~terminals in
-  checkb "prim_k finds routes" true (r2 <> []);
-  (* Exploring more orders can only improve (or match) the best length. *)
-  checkb "prim_k no worse" true
-    ((List.hd r2).Steiner.length <= (List.hd r1).Steiner.length);
-  (* Results remain sorted and within m. *)
-  checkb "within m" true (List.length r2 <= 8);
-  let rec nondec = function
-    | (a : Steiner.route) :: (b :: _ as rest) ->
-        a.Steiner.length <= b.Steiner.length && nondec rest
-    | _ -> true
-  in
-  checkb "sorted" true (nondec r2)
 
 let test_steiner_unreachable () =
   let dummy_edge pos =
@@ -976,7 +945,6 @@ let () =
         [ Alcotest.test_case "two pin" `Quick test_steiner_two_pin;
           Alcotest.test_case "multi pin" `Quick test_steiner_multi_pin;
           Alcotest.test_case "equivalent pins" `Quick test_steiner_equivalent_pins;
-          Alcotest.test_case "prim_k orders" `Quick test_steiner_prim_k;
           Alcotest.test_case "unreachable" `Quick test_steiner_unreachable;
           QCheck_alcotest.to_alcotest ~long:false
             ~rand:(Random.State.make [| 22 |])
