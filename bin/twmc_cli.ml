@@ -175,13 +175,26 @@ let check_cmd =
 
 (* ------------------------------------------------------- place / flow *)
 
+(* Integers of at least [lo]; anything else is a usage error. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1
+let nonneg_int = int_at_least 0
+
 (* --jobs/--replicas: policy (how many annealing replicas compete) is
    separate from mechanism (how many domains execute them), so results
    depend only on --replicas; --jobs is free to match the machine. *)
 let parallel_term =
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt nonneg_int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for parallel execution (stage-1 replicas, \
@@ -190,7 +203,7 @@ let parallel_term =
   in
   let replicas =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "k"; "replicas" ] ~docv:"K"
           ~doc:
             "Independent stage-1 annealing replicas (split RNG streams); \
@@ -198,8 +211,7 @@ let parallel_term =
              replicas buy quality, --jobs buys speed.")
   in
   let make jobs replicas =
-    let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
-    (max 1 jobs, max 1 replicas)
+    ((if jobs = 0 then Domain.recommended_domain_count () else jobs), replicas)
   in
   Term.(const make $ jobs $ replicas)
 
@@ -267,15 +279,6 @@ let make_obs (trace_path, metrics_path) =
       metrics_path
   in
   (Twmc_obs.Ctx.create sink, finish)
-
-(* An integer of at least 1; anything else is a usage error. *)
-let pos_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
 let params_term =
   let a_c = Arg.(value & opt pos_int 100 & info [ "a-c" ] ~docv:"N"
@@ -346,7 +349,7 @@ let flow_cmd =
   in
   let max_retries =
     Arg.(
-      value & opt int 2
+      value & opt nonneg_int 2
       & info [ "max-retries" ] ~docv:"N"
           ~doc:"Stage-1 retries with perturbed seeds after a failure.")
   in
@@ -363,7 +366,7 @@ let flow_cmd =
     in
     let every =
       Arg.(
-        value & opt int 1
+        value & opt pos_int 1
         & info [ "checkpoint-every" ] ~docv:"N"
             ~doc:"Checkpoint every $(docv)-th stage-2 refinement (default 1).")
     in

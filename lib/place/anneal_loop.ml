@@ -97,7 +97,8 @@ let run tag ?should_stop ?(obs = Obs.disabled) ~rng ~schedule ~t_start
   let stats = Moves.stats moves in
   let n_cells = Netlist.n_cells (Placement.netlist p) in
   let a = (Placement.params p).Params.a_c * n_cells in
-  let temp_event = stage_name tag ^ ".temp" in
+  let temp_event = stage_name tag ^ ".temp"
+  and quench_span = stage_name tag ^ ".quench" in
   let index = match tag with Stage1 i | Stage2 i -> i in
   let poll = match should_stop with None -> fun () -> false | Some f -> f in
   let stopped = ref false in
@@ -171,6 +172,9 @@ let run tag ?should_stop ?(obs = Obs.disabled) ~rng ~schedule ~t_start
      interleaving the constant-window escape loops — at near-zero T they
      only ever accept improving hops, so they can unjam without churning. *)
   and quench temp =
+    Obs.span obs ~name:quench_span
+      ~attrs:(if Obs.tracing obs then index_attr tag else [])
+    @@ fun () ->
     let core = Placement.core p in
     (* rho = 1 makes the window temperature-independent. *)
     let escape =

@@ -34,12 +34,13 @@ type tag =
 (** Which stage is annealing.  It fixes the event names ([stage1.*] or
     [stage2.*]), including the anneal's span (["stage1.anneal"] or
     ["stage2.anneal"], with the index, the cell count and the start
-    temperature), the index attribute they carry ([replica] or
-    [iteration], when given), and the stage's extras: stage 1 adds the
-    window spans and the Eqn 19–21 average cell area ([wx], [wy], [est])
-    to its temperature points and carries its full move-outcome counters
-    on its [.moves] point (stage 2 carries attempts, displacements and pin
-    moves). *)
+    temperature) and its quench tail's (["stage1.quench"] or
+    ["stage2.quench"], with the index), the index attribute they carry
+    ([replica] or [iteration], when given), and the stage's extras: stage
+    1 adds the window spans and the Eqn 19–21 average cell area ([wx],
+    [wy], [est]) to its temperature points and carries its full
+    move-outcome counters on its [.moves] point (stage 2 carries attempts,
+    displacements and pin moves). *)
 
 type stop =
   | Min_window
@@ -85,7 +86,8 @@ val run :
     without a quench.  Each inner loop ends with {!Placement.resum}, so
     the placement's cost caches are left as a full recomputation would
     leave them, bit for bit, either way.  Quench loops count in
-    [temperatures] but are not traced.
+    [temperatures]; they emit no [.temp] point, and the quench runs inside
+    a ["<stage>.quench"] span within the anneal's.
 
     [obs] (default disabled, zero overhead) receives the events described
     at {!tag}: one [.temp] point per temperature, then at the end one

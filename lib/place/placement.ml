@@ -96,7 +96,8 @@ type t = {
      two cells), whether a slot's geometry differs from the committed
      cell's, its C3; and the simulated per-net C1 and length, and
      per-constraint penalties, valid where their stamp equals
-     [sim_stamp]. *)
+     [sim_stamp].  A pin-site move stamps [moved_net_stamp] of each net
+     that holds a pin it moves. *)
   slots : cell_state array;
   sl_ci : int array;
   sl_geom : bool array;
@@ -106,6 +107,7 @@ type t = {
   sim_c1 : float array;
   sim_len : float array;
   sim_net_stamp : int array;
+  moved_net_stamp : int array;
   sim_cpen : float array;
   sim_cpen_stamp : int array;
   mutable sim_stamp : int;
@@ -842,6 +844,7 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
       sim_c1 = Array.make n_nets 0.0;
       sim_len = Array.make n_nets 0.0;
       sim_net_stamp = Array.make n_nets 0;
+      moved_net_stamp = Array.make n_nets 0;
       sim_cpen = Array.make (Array.length cons) 0.0;
       sim_cpen_stamp = Array.make (Array.length cons) 0;
       sim_stamp = 0;
@@ -984,16 +987,22 @@ let acquire t ci =
 
 (* The C1 and TEIL chains of a move of cell [ci]: net by net in
    [cell_nets] order, the net's last value out (evaluated earlier in this
-   evaluation, else committed) and its rescan at the pending pin
-   positions in. *)
-let sim_nets t ci =
+   evaluation, else committed) and its new value in: its rescan at the
+   pending pin positions, or, with [~moved_only] and no pin of the net
+   moved, the last value itself, which is what the rescan would give. *)
+let sim_nets t ci ~moved_only =
   let nets = t.cell_nets.(ci) and a = t.acc and stamp = t.sim_stamp in
   for k = 0 to Array.length nets - 1 do
     let n = nets.(k) in
     let seen = t.sim_net_stamp.(n) = stamp in
     a.(k_c1) <- a.(k_c1) -. (if seen then t.sim_c1.(n) else t.net_c1.(n));
     a.(k_teil) <- a.(k_teil) -. (if seen then t.sim_len.(n) else t.net_len.(n));
-    net_cost t n ~pending:true t.sim_c1 t.sim_len;
+    if (not moved_only) || t.moved_net_stamp.(n) = stamp then
+      net_cost t n ~pending:true t.sim_c1 t.sim_len
+    else if not seen then begin
+      t.sim_c1.(n) <- t.net_c1.(n);
+      t.sim_len.(n) <- t.net_len.(n)
+    end;
     t.sim_net_stamp.(n) <- stamp;
     a.(k_c1) <- a.(k_c1) +. t.sim_c1.(n);
     a.(k_teil) <- a.(k_teil) +. t.sim_len.(n)
@@ -1007,13 +1016,24 @@ let sim_c3 t s ci =
   c3_into t ci ~variant:g.variant g.sites t.sl_c3 s;
   a.(k_c3) <- a.(k_c3) +. t.sl_c3.(s)
 
-(* A pin-site move: the pins, nets and C3 change, the geometry does not. *)
+(* A pin-site move: the pins, nets and C3 change, the geometry does not.
+   It is the first and only move of its evaluation, so the evaluation held
+   every pin at its committed site, and only the nets of the uncommitted
+   pins whose site changed are rescanned. *)
 let sim_sites_move t ci sites =
   let s = acquire t ci in
   let g = t.slots.(s) in
   set_sites t ci ~variant:g.variant g.sites sites;
+  let pins = t.nl.Netlist.cells.(ci).Cell.pins
+  and committed = t.cells.(ci).sites
+  and unc = t.uncommitted.(ci) in
+  for j = 0 to Array.length unc - 1 do
+    let p = unc.(j) in
+    if g.sites.(p) <> committed.(p) then
+      t.moved_net_stamp.(pins.(p).Pin.net) <- t.sim_stamp
+  done;
   refresh_pins t ci g;
-  sim_nets t ci;
+  sim_nets t ci ~moved_only:true;
   sim_c3 t s ci
 
 (* The "before" terms of a move of cell [ci], in the state the
@@ -1077,7 +1097,7 @@ let sim_cell_move t ci ~x ~y ~orient ~variant ~sites =
   in
   refresh_geometry t ci g;
   t.sl_geom.(s) <- true;
-  sim_nets t ci;
+  sim_nets t ci ~moved_only:false;
   let ov_new = overlap t ci g ~pending:true in
   a.(k_c2) <- a.(k_c2) -. float_of_int ov_old +. float_of_int ov_new;
   if variant_changed || sites_given then sim_c3 t s ci;

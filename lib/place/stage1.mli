@@ -63,9 +63,10 @@ val run :
     anneal exits after repairing its cost caches, flagging [interrupted].
 
     [obs] (default disabled, zero overhead) wraps the anneal in a
-    ["stage1.anneal"] span, emits one ["stage1.temp"] point per
-    temperature (cost, C1/C2/C3 decomposition, acceptance rate,
-    range-limiter window, average expanded cell area), then one
+    ["stage1.anneal"] span and its quench tail in a ["stage1.quench"] span
+    inside it, emits one ["stage1.temp"] point per temperature (cost,
+    C1/C2/C3 decomposition, acceptance rate, range-limiter window,
+    average expanded cell area), then one
     ["stage1.moves"] point with the move counters and one
     ["stage1.classes"] point per move class.  [replica]
     tags every emitted event with the replica index (set by

@@ -171,11 +171,14 @@ let assign_endpoints rng ~budget degrees =
     degrees
 
 let generate ?(seed = 42) spec =
-  if spec.n_cells < 2 then invalid_arg "Synth.generate: need >= 2 cells";
+  let reject fmt = Printf.ksprintf invalid_arg ("Synth.generate: " ^^ fmt) in
+  if spec.n_cells < 2 then reject "n_cells = %d, need at least 2" spec.n_cells;
+  if spec.n_nets < 1 then reject "n_nets = %d, need at least 1" spec.n_nets;
   if spec.n_pins < 2 * spec.n_nets then
-    invalid_arg "Synth.generate: need n_pins >= 2*n_nets";
+    reject "n_pins = %d, need at least 2 * n_nets = %d" spec.n_pins
+      (2 * spec.n_nets);
   if spec.n_pins < spec.n_cells then
-    invalid_arg "Synth.generate: need n_pins >= n_cells";
+    reject "n_pins = %d, need at least n_cells = %d" spec.n_pins spec.n_cells;
   let rng = Rng.create ~seed in
   let plans = plan_cells rng spec in
   let budget = pin_budget plans spec.n_pins in

@@ -27,6 +27,6 @@ val default_spec : spec
 (** A 25-cell, 100-net circuit in the style of the paper's examples. *)
 
 val generate : ?seed:int -> spec -> Twmc_netlist.Netlist.t
-(** Deterministic in [(spec, seed)].  Raises [Invalid_argument] when the
-    counts are inconsistent (fewer than [2·n_nets] pins, or fewer than 2
-    cells). *)
+(** Deterministic in [(spec, seed)].  Raises [Invalid_argument], naming
+    the field and its value, when the counts are inconsistent: fewer than 2
+    cells, no net, fewer than [2·n_nets] pins or fewer pins than cells. *)

@@ -1060,37 +1060,39 @@ let constrained_placement ~seed =
   in
   make
 
-(* [Placement.resum], the per-temperature correction, against
-   [recompute_all] on a constrained netlist whose net weights are not
-   integers, so C1 drifts along its incremental chain: after each batch of
-   hot and cold moves, all five totals after the re-sum equal those of a
-   full recomputation bit for bit. *)
-let test_resum_vs_recompute () =
+(* [base] with net weights that are not integers, so C1 drifts along its
+   incremental chain. *)
+let weighted (base : Twmc_netlist.Netlist.t) =
   let module Net = Twmc_netlist.Net in
   let module Netlist = Twmc_netlist.Netlist in
-  let base =
-    constrain ~seed:41
-      (Synth.generate ~seed:41
-         { Synth.default_spec with
-           Synth.n_cells = 10;
-           n_nets = 30;
-           n_pins = 80;
-           frac_custom = 0.5;
-           frac_rectilinear = 0.4 })
-  in
+  Netlist.make ~name:"weighted" ~track_spacing:base.Netlist.track_spacing
+    ~constraints:(Array.to_list base.Netlist.constraints)
+    ~cells:(Array.to_list base.Netlist.cells)
+    ~nets:
+      (Array.to_list
+         (Array.mapi
+            (fun k (net : Net.t) ->
+              { net with
+                Net.hweight = 1.0 +. (0.13 *. float_of_int (k mod 7));
+                vweight = 0.3 +. (0.17 *. float_of_int (k mod 5)) })
+            base.Netlist.nets))
+    ()
+
+(* [Placement.resum], the per-temperature correction, against
+   [recompute_all] on a constrained netlist whose net weights are not
+   integers: after each batch of hot and cold moves, all five totals after
+   the re-sum equal those of a full recomputation bit for bit. *)
+let test_resum_vs_recompute () =
   let nl =
-    Netlist.make ~name:"weighted" ~track_spacing:base.Netlist.track_spacing
-      ~constraints:(Array.to_list base.Netlist.constraints)
-      ~cells:(Array.to_list base.Netlist.cells)
-      ~nets:
-        (Array.to_list
-           (Array.mapi
-              (fun k (net : Net.t) ->
-                { net with
-                  Net.hweight = 1.0 +. (0.13 *. float_of_int (k mod 7));
-                  vweight = 0.3 +. (0.17 *. float_of_int (k mod 5)) })
-              base.Netlist.nets))
-      ()
+    weighted
+      (constrain ~seed:41
+         (Synth.generate ~seed:41
+            { Synth.default_spec with
+              Synth.n_cells = 10;
+              n_nets = 30;
+              n_pins = 80;
+              frac_custom = 0.5;
+              frac_rectilinear = 0.4 }))
   in
   let core = centered_core ~w:320 ~h:320 in
   let est =
@@ -1127,6 +1129,123 @@ let test_resum_vs_recompute () =
       Alcotest.failf "batch %d: re-summed totals differ from recompute_all" b
   done;
   checkb "coverage: C1 drifted before some re-sums" true (!drifted > 0)
+
+(* A pin-site move rescans only the nets of the pins it moves, and copies
+   the committed value of every other net of the cell.  [p] takes each
+   proposal through [delta_sites] and [commit]; its same-seed [twin] takes
+   it through [set_cell] at the cell's own position, the cell-move chain,
+   which rescans every net of the cell.  On custom cells with many pins,
+   nets with non-integer weights, and proposals that move one lone pin,
+   shift a whole group, move several pins or change nothing, the delta must
+   equal the twin's cost change, and C1, TEIL, C3 and the total must match,
+   bit for bit. *)
+let test_sites_vs_cell_chain () =
+  let module Cell = Twmc_netlist.Cell in
+  let module Pin = Twmc_netlist.Pin in
+  let module Pin_site = Twmc_netlist.Pin_site in
+  let nl =
+    weighted
+      (Synth.generate ~seed:25
+         { Synth.default_spec with
+           Synth.n_cells = 8;
+           n_nets = 40;
+           n_pins = 160;
+           frac_custom = 0.8;
+           frac_grouped_pins = 0.5 })
+  in
+  let core = centered_core ~w:320 ~h:320 in
+  let est =
+    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
+      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+  in
+  let make () =
+    let p =
+      Placement.create ~params:Params.default ~core
+        ~expander:(Placement.Dynamic est) ~rng:(Rng.create ~seed:25) nl
+    in
+    Placement.set_p2 p 0.6;
+    p
+  in
+  let p = make () and twin = make () in
+  let cells = nl.Twmc_netlist.Netlist.cells in
+  let uncommitted ci =
+    List.filter
+      (fun pin -> not (Pin.is_committed cells.(ci).Cell.pins.(pin)))
+      (List.init (Cell.n_pins cells.(ci)) Fun.id)
+  in
+  let custom =
+    List.filter
+      (fun ci -> List.length (uncommitted ci) >= 8)
+      (List.init (Array.length cells) Fun.id)
+  in
+  checkb "coverage: custom cells with many pins" true (List.length custom >= 3);
+  let rng = Rng.create ~seed:26 in
+  let bits = Int64.bits_of_float in
+  let group_shifts = ref 0 and c1_changes = ref 0 in
+  for i = 0 to 239 do
+    let ci = Rng.pick_list rng custom in
+    let c = cells.(ci) in
+    let variant = Placement.cell_variant p ci in
+    let sites =
+      Array.init (Cell.n_pins c) (fun pin ->
+          Placement.site_of_pin p ~cell:ci ~pin)
+    in
+    let reassign pin =
+      let allowed = Placement.allowed_sites p ~cell:ci ~variant ~pin in
+      if Array.length allowed > 0 then sites.(pin) <- Rng.pick rng allowed
+    in
+    let what =
+      match i mod 4 with
+      | 0 ->
+          (match Sites.lone_uncommitted c with
+          | [] -> ()
+          | lone -> reassign (Rng.pick_list rng lone));
+          "lone pin"
+      | 1 ->
+          (match Sites.group_members c with
+          | [] -> ()
+          | groups ->
+              (* Every member [off] sites along its edge, as a group
+                 move's consecutive placement would leave it. *)
+              let v = Cell.variant c variant in
+              let ranges = Sites.edge_ranges v in
+              let off = Rng.int_incl rng 1 3 in
+              List.iter
+                (fun pin ->
+                  let s = sites.(pin) in
+                  let start, len = ranges.(v.Cell.sites.(s).Pin_site.edge) in
+                  sites.(pin) <- start + ((s - start + off) mod len))
+                (snd (Rng.pick_list rng groups));
+              incr group_shifts);
+          "group"
+      | 2 ->
+          let unc = uncommitted ci in
+          for _ = 1 to Rng.int_incl rng 2 5 do
+            reassign (Rng.pick_list rng unc)
+          done;
+          "several pins"
+      | _ -> "unchanged"
+    in
+    let what = Printf.sprintf "proposal %d (%s, cell %d)" i what ci in
+    let c1 = Placement.c1 p in
+    let d = Placement.delta_sites p ci sites in
+    Placement.commit p;
+    let t0 = Placement.total_cost twin in
+    Placement.set_cell twin ci ~x:(Placement.cell_x twin ci)
+      ~y:(Placement.cell_y twin ci) ~sites ();
+    let measured = Placement.total_cost twin -. t0 in
+    if bits d <> bits measured then
+      Alcotest.failf "%s: delta_sites %.17g, cell-move chain %.17g" what d
+        measured;
+    if bits (Placement.total_cost p) <> bits (Placement.total_cost twin) then
+      Alcotest.failf "%s: total %.17g, cell-move chain %.17g" what
+        (Placement.total_cost p) (Placement.total_cost twin);
+    assert_same_placement ~what ~against:"the cell-move chain" p twin;
+    if bits (Placement.c1 p) <> bits c1 then incr c1_changes
+  done;
+  checkb "coverage: groups shifted" true (!group_shifts >= 20);
+  checkb "coverage: C1 changed" true (!c1_changes >= 60);
+  assert_no_drift ~what:"pin-site moves end" p
 
 (* The memo of a moved cell's "before" overlap and shares is keyed by the
    cell and the mutation count.  [p] evaluates a move of cell [c], which
@@ -1362,5 +1481,7 @@ let () =
             test_generate_alloc_bound;
           Alcotest.test_case "resum equals recompute_all" `Quick
             test_resum_vs_recompute;
+          Alcotest.test_case "pin-site moves match the full cell-move chain"
+            `Quick test_sites_vs_cell_chain;
           Alcotest.test_case "ladder memo invalidated by mutations" `Quick
             test_ladder_memo_invalidation ] ) ]

@@ -432,6 +432,46 @@ let test_stage2_anneal_span () =
     (List.length
        (List.filter (fun (_, _, name) -> name = "stage2.anneal") begins))
 
+(* The quench tail has its own span: in a flow that nothing interrupts,
+   each [stage1.anneal] and [stage2.anneal] span has exactly one quench
+   child of its stage, carrying its replica or iteration attribute, and
+   there is no quench span elsewhere. *)
+let test_quench_span () =
+  let sink = Sink.memory () in
+  ignore (flow ~jobs:test_jobs ~obs:(Obs.create sink) ());
+  let begins =
+    List.filter_map
+      (function
+        | Sink.Span_begin { id; parent; name; attrs; _ } ->
+            Some (id, parent, name, attrs)
+        | _ -> None)
+      (Sink.memory_events sink)
+  in
+  let named n = List.filter (fun (_, _, name, _) -> name = n) begins in
+  let index attrs =
+    List.filter (fun (k, _) -> k = "replica" || k = "iteration") attrs
+  in
+  List.iter
+    (fun stage ->
+      let anneal = stage ^ ".anneal" and quench = stage ^ ".quench" in
+      let anneals = named anneal in
+      checkb (anneal ^ " spans traced") true (anneals <> []);
+      List.iter
+        (fun (id, _, _, attrs) ->
+          match
+            List.filter (fun (_, parent, _, _) -> parent = id) (named quench)
+          with
+          | [ (_, _, _, q) ] ->
+              checkb (quench ^ " carries the anneal's index") true
+                (index q = index attrs)
+          | l ->
+              Alcotest.failf "%s span %d has %d %s children" anneal id
+                (List.length l) quench)
+        anneals;
+      check ("no " ^ quench ^ " span outside an anneal") (List.length anneals)
+        (List.length (named quench)))
+    [ "stage1"; "stage2" ]
+
 (* [--metrics] folds a memory sink's events when no trace file is written
    and reads the file back when one is: both must give the same document.
    The extra point carries an infinite float, which the file holds as the
@@ -547,6 +587,8 @@ let () =
             test_route_phases;
           Alcotest.test_case "refinements have an anneal span" `Quick
             test_stage2_anneal_span;
+          Alcotest.test_case "anneals have a quench span" `Quick
+            test_quench_span;
           Alcotest.test_case "concurrent points stay ordered" `Quick
             test_concurrent_points_ordered;
           Alcotest.test_case "validate rejects malformed" `Quick

@@ -69,19 +69,35 @@ let test_equivalent_pins () =
          Array.exists (fun (p : Pin.t) -> p.Pin.equiv <> None) c.Cell.pins)
        nl.Netlist.cells)
 
+(* Each rejected spec raises [Invalid_argument] naming the field it
+   rejects and that field's value, before any count reaches the
+   generator. *)
 let test_invalid_specs () =
-  checkb "too few pins" true
-    (try
-       ignore
-         (Synth.generate
-            { Synth.default_spec with Synth.n_nets = 100; n_pins = 150 });
-       false
-     with Invalid_argument _ -> true);
-  checkb "one cell" true
-    (try
-       ignore (Synth.generate { Synth.default_spec with Synth.n_cells = 1 });
-       false
-     with Invalid_argument _ -> true)
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (what, spec, field) ->
+      match Synth.generate spec with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument m ->
+          if not (contains m field) then
+            Alcotest.failf "%s: %S does not name %S" what m field)
+    [ ( "too few pins",
+        { Synth.default_spec with Synth.n_nets = 100; n_pins = 150 },
+        "n_pins = 150" );
+      ("one cell", { Synth.default_spec with Synth.n_cells = 1 }, "n_cells = 1");
+      ( "negative nets",
+        { Synth.default_spec with Synth.n_nets = -5 },
+        "n_nets = -5" );
+      ("no nets", { Synth.default_spec with Synth.n_nets = 0 }, "n_nets = 0");
+      ( "fewer pins than cells",
+        { Synth.default_spec with Synth.n_cells = 30; n_nets = 10; n_pins = 25 },
+        "n_pins = 25" ) ]
 
 let test_circuits_table () =
   check "nine circuits" 9 (List.length Circuits.names);
