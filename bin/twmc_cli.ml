@@ -53,7 +53,7 @@ let gen_cmd =
       & opt (some (enum names)) None
       & info [ "circuit" ] ~docv:"NAME"
           ~doc:
-            ("The paper's circuit $(docv), one of "
+            ("The paper's circuit $(docv), "
             ^ doc_alts_enum ~quoted:false names
             ^ "; overrides $(b,--cells), $(b,--nets) and $(b,--pins)."))
   in
@@ -187,6 +187,17 @@ let int_at_least lo =
 
 let pos_int = int_at_least 1
 let nonneg_int = int_at_least 0
+
+(* A budget in seconds: any float but NaN, which would never expire.  A
+   negative budget has expired at the start, [inf] never does. *)
+let budget_secs =
+  let parse s =
+    match float_of_string_opt s with
+    | Some b when not (Float.is_nan b) -> Ok b
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected a number of seconds, got %S" s))
+  in
+  Arg.conv ~docv:"SECS" (parse, Format.pp_print_float)
 
 (* --jobs/--replicas: policy (how many annealing replicas compete) is
    separate from mechanism (how many domains execute them), so results
@@ -340,7 +351,7 @@ let flow_cmd =
   let time_budget =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some budget_secs) None
       & info [ "time-budget" ] ~docv:"SECS"
           ~doc:
             "Wall-clock budget for the whole flow; on expiry the best \

@@ -64,10 +64,20 @@ let[@inline] tent m slope half_span v =
 let[@inline] tent_x k x = tent k.mx k.sx k.hx x
 let[@inline] tent_y k y = tent k.my k.sy k.hy y
 
+(* [int_of_float (Float.round x)] without the libm call: to the nearest
+   integer, halves away from zero.  [f] is exact: for |x| >= 1, [i] (x
+   truncated) has x's sign and |x|/2 <= |i| <= |x|, so Sterbenz's lemma
+   makes x - i exact; below 1, [i] is 0 and [f] is x; from 2^52 on, x is
+   an integer and [f] is 0.  Inlined here, not shared: a float argument
+   that crosses a module boundary is boxed under [-opaque]. *)
+let[@inline] round_nearest x =
+  let i = int_of_float x in
+  let f = x -. float_of_int i in
+  if f >= 0.5 then i + 1 else if f <= -0.5 then i - 1 else i
+
 (* Eqn 2 for one edge with pin-density factor [f_rp] and modulation
    [w = f_x · f_y]: [0.5 · C_w / ᾱ · w · f_rp], rounded. *)
-let[@inline] expansion k w f_rp =
-  int_of_float (Float.round (k.scale *. w *. f_rp))
+let[@inline] expansion k w f_rp = round_nearest (k.scale *. w *. f_rp)
 
 let edge_expansion t ~cell ~variant ~side ~x ~y =
   expansion t.k
@@ -107,4 +117,4 @@ let expand_tile t ~cell ~variant r =
 
 (* At the core centre both tents are at their peaks. *)
 let center_expansion t =
-  int_of_float (Float.round (t.k.scale *. (tent_x t.k 0.0 *. tent_y t.k 0.0)))
+  round_nearest (t.k.scale *. (tent_x t.k 0.0 *. tent_y t.k 0.0))

@@ -25,6 +25,11 @@ val create :
 
 val c_w : t -> float
 
+val round_nearest : float -> int
+(** How every expansion is rounded: to the nearest integer, halves away
+    from zero.  It equals [int_of_float (Float.round x)] for finite [x]
+    within ±2^53, and calls no libm function. *)
+
 val edge_expansion :
   t -> cell:int -> variant:int -> side:Twmc_netlist.Side.t -> x:float -> y:float -> int
 (** Expansion (in grid units, rounded to nearest) for a cell edge whose

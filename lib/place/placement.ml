@@ -127,6 +127,21 @@ let touch t = t.version <- t.version + 1
 let[@inline] imin (a : int) b = if a < b then a else b
 let[@inline] imax (a : int) b = if a > b then a else b
 
+(* [Array.blit] of [n] ints from [src.(so)] to [dst.(d)], for arrays that do
+   not overlap.  An int store needs no write barrier, but [caml_array_blit]
+   runs [caml_modify] on every element of a major-heap destination. *)
+let[@inline] copy_ints (src : int array) so (dst : int array) d n =
+  for k = 0 to n - 1 do
+    dst.(d + k) <- src.(so + k)
+  done
+
+(* The first [n] floats of [src] into [dst]: unboxed loads and stores,
+   where [Array.blit] makes a C call. *)
+let[@inline] copy_floats (src : float array) (dst : float array) n =
+  for k = 0 to n - 1 do
+    dst.(k) <- src.(k)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Geometry caches                                                     *)
 
@@ -223,7 +238,7 @@ let set_expanded g k ~left ~right ~bottom ~top =
 
 let expand_tiles t ci g =
   match t.expander with
-  | No_expansion -> Array.blit g.abs 0 g.exp 0 (4 * g.n_tiles)
+  | No_expansion -> copy_ints g.abs 0 g.exp 0 (4 * g.n_tiles)
   | Static exps ->
       let left, right, bottom, top = exps.(ci) in
       for k = 0 to g.n_tiles - 1 do
@@ -243,13 +258,18 @@ let expand_tiles t ci g =
 (* [List.fold_left Rect.hull] over the first [n] rectangles of [flat],
    written to [dst.(o)] .. [dst.(o + 3)]; all zero when [n] is 0. *)
 let hull_into flat n dst o =
-  if n = 0 then Array.fill dst o 4 0
+  if n = 0 then begin
+    dst.(o) <- 0;
+    dst.(o + 1) <- 0;
+    dst.(o + 2) <- 0;
+    dst.(o + 3) <- 0
+  end
   else begin
-    Array.blit flat 0 dst o 4;
+    copy_ints flat 0 dst o 4;
     for k = 1 to n - 1 do
       let q = 4 * k in
       if dst.(o) >= dst.(o + 2) || dst.(o + 1) >= dst.(o + 3) then
-        Array.blit flat q dst o 4
+        copy_ints flat q dst o 4
       else if not (flat.(q) >= flat.(q + 2) || flat.(q + 1) >= flat.(q + 3))
       then begin
         dst.(o) <- imin dst.(o) flat.(q);
@@ -316,10 +336,10 @@ let grid_min_cells = 48
 
 let make_grid core n =
   let g =
-    max 4 (min 64 (2 * int_of_float (ceil (sqrt (float_of_int (max 1 n))))))
+    imax 4 (imin 64 (2 * int_of_float (ceil (sqrt (float_of_int (imax 1 n))))))
   in
-  let extent = max (Rect.width core) (Rect.height core) in
-  Spatial.create ~world:core ~cell_size:(max 1 ((extent + g - 1) / g))
+  let extent = imax (Rect.width core) (Rect.height core) in
+  Spatial.create ~world:core ~cell_size:(imax 1 ((extent + g - 1) / g))
 
 (* ------------------------------------------------------------------ *)
 (* Per-cell cache refresh                                              *)
@@ -356,17 +376,23 @@ let slot_of t ci =
 
 (* C1 and TEIL contribution of net [n], written to [c1.(n)] and
    [len.(n)]: its span in one pass over the pin refs, at the pending
-   slots' pin positions when [pending].  Extremes are exact ints and the
-   two floats come from one expression on every path, so evaluated and
-   recomputed values agree bit for bit. *)
+   slots' pin positions when [pending].  The slots' cells are read once
+   per net and matched in [slot_of]'s order; no cell index is -1.
+   Extremes are exact ints and the two floats come from one expression on
+   every path, so evaluated and recomputed values agree bit for bit. *)
 let net_cost t n ~pending c1 len =
   let refs = t.net_refs.(n) in
+  let ci0 = if pending && t.n_pending > 0 then t.sl_ci.(0) else -1
+  and ci1 = if pending && t.n_pending > 1 then t.sl_ci.(1) else -1 in
   let minx = ref max_int and maxx = ref min_int in
   let miny = ref max_int and maxy = ref min_int in
   for k = 0 to (Array.length refs / 2) - 1 do
     let c = refs.(2 * k) and p = refs.((2 * k) + 1) in
-    let s = if pending then slot_of t c else -1 in
-    let pp = if s >= 0 then t.slots.(s).pp else t.cells.(c).pp in
+    let pp =
+      if c = ci0 then t.slots.(0).pp
+      else if c = ci1 then t.slots.(1).pp
+      else t.cells.(c).pp
+    in
     let x = pp.(2 * p) and y = pp.((2 * p) + 1) in
     minx := imin !minx x;
     maxx := imax !maxx x;
@@ -699,7 +725,7 @@ let make_state ~max_tiles ~n_pins ~x ~y ~sites =
 let max_tiles_of (c : Cell.t) =
   let m = ref 0 in
   for vi = 0 to Cell.n_variants c - 1 do
-    m := max !m (List.length (Shape.tiles (Cell.variant c vi).Cell.shape))
+    m := imax !m (List.length (Shape.tiles (Cell.variant c vi).Cell.shape))
   done;
   !m
 
@@ -764,13 +790,13 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
       (fun (c : Cell.t) -> Array.init (Cell.n_variants c) (f c))
       nl.Netlist.cells
   in
-  let fold_cells f = Array.fold_left (fun acc c -> max acc (f c)) 0 nl.Netlist.cells in
+  let fold_cells f = Array.fold_left (fun acc c -> imax acc (f c)) 0 nl.Netlist.cells in
   let max_pins = fold_cells Cell.n_pins in
   let max_tiles = fold_cells max_tiles_of in
   let max_sites =
     fold_cells (fun c ->
         Array.fold_left
-          (fun acc (v : Cell.variant) -> max acc (Array.length v.Cell.sites))
+          (fun acc (v : Cell.variant) -> imax acc (Array.length v.Cell.sites))
           0 c.Cell.variants)
   in
   let slot () =
@@ -826,7 +852,7 @@ let create ~params ~core ~expander ~rng (nl : Netlist.t) =
       idx = (if n >= grid_min_cells then Some (make_grid core n) else None);
       version = 0;
       evaluated = -1;
-      qbuf = Array.make (max 1 n) 0;
+      qbuf = Array.make (imax 1 n) 0;
       share_old = Array.make (Array.length cons) 0;
       memo_ci = -1;
       memo_version = -1;
@@ -945,7 +971,7 @@ let set_sites t ci ~variant (dst : int array) (src : int array) =
     if s < 0 || s >= n_sites then
       invalid_arg "Placement: pin site out of range for the variant"
   done;
-  Array.blit src 0 dst 0 n
+  copy_ints src 0 dst 0 n
 
 (* Clamp the first [n] entries of a site assignment into [variant]'s site
    array, honouring edge restrictions; mutates [sites] in place. *)
@@ -955,12 +981,17 @@ let reclamp_sites t ci ~variant sites n =
   for p = 0 to n - 1 do
     let s = sites.(p) in
     if s >= 0 then begin
-      let s = if s < n_sites then s else s mod max 1 n_sites in
+      let s = if s < n_sites then s else s mod imax 1 n_sites in
       let a = allowed.(p) in
       if Array.length a = 0 then
         invalid_arg
           "Placement.set_cell: pin has no allowed site in new variant";
-      sites.(p) <- (if Array.mem s a then s else a.(0))
+      (* [Array.mem], on ints. *)
+      let j = ref 0 in
+      while !j < Array.length a && a.(!j) <> s do
+        incr j
+      done;
+      sites.(p) <- (if !j < Array.length a then s else a.(0))
     end
   done
 
@@ -981,7 +1012,7 @@ let acquire t ci =
     g.y <- cs.y;
     g.orient <- cs.orient;
     g.variant <- cs.variant;
-    Array.blit cs.sites 0 g.sites 0 (Array.length cs.sites);
+    copy_ints cs.sites 0 g.sites 0 (Array.length cs.sites);
     s
   end
 
@@ -1126,7 +1157,7 @@ let[@inline] begin_eval t =
   t.evaluated <- -1;
   t.n_pending <- 0;
   t.sim_stamp <- t.sim_stamp + 1;
-  Array.blit t.tot 0 t.acc 0 5
+  copy_floats t.tot t.acc 5
 
 let[@inline] end_eval t =
   t.evaluated <- t.version;
@@ -1166,13 +1197,13 @@ let commit t =
     cs.y <- g.y;
     cs.orient <- g.orient;
     cs.variant <- g.variant;
-    Array.blit g.sites 0 cs.sites 0 (Array.length cs.sites);
-    Array.blit g.pp 0 cs.pp 0 (Array.length cs.pp);
+    copy_ints g.sites 0 cs.sites 0 (Array.length cs.sites);
+    copy_ints g.pp 0 cs.pp 0 (Array.length cs.pp);
     if t.sl_geom.(s) then begin
       cs.n_tiles <- g.n_tiles;
-      Array.blit g.abs 0 cs.abs 0 (4 * g.n_tiles);
-      Array.blit g.exp 0 cs.exp 0 (4 * g.n_tiles);
-      Array.blit g.bb 0 cs.bb 0 4;
+      copy_ints g.abs 0 cs.abs 0 (4 * g.n_tiles);
+      copy_ints g.exp 0 cs.exp 0 (4 * g.n_tiles);
+      copy_ints g.bb 0 cs.bb 0 4;
       index_update t ci cs
     end;
     t.cell_c3.(ci) <- t.sl_c3.(s);
@@ -1188,7 +1219,7 @@ let commit t =
       if t.sim_cpen_stamp.(k) = stamp then t.cpen.(k) <- t.sim_cpen.(k)
     done
   done;
-  Array.blit t.acc 0 t.tot 0 5;
+  copy_floats t.acc t.tot 5;
   t.n_pending <- 0;
   touch t
 
@@ -1219,7 +1250,7 @@ let snapshot_cost t = Array.copy t.tot
 
 let restore_cost t s =
   touch t;
-  Array.blit s 0 t.tot 0 5
+  copy_floats s t.tot 5
 
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
@@ -1274,8 +1305,8 @@ let verify_index t =
       Array.iteri (fun ci cs -> Spatial.insert fresh ci (bbox_rect cs)) t.cells;
       Array.iteri
         (fun ci cs ->
-          let a = List.sort compare (Spatial.query idx (bbox_rect cs))
-          and b = List.sort compare (Spatial.query fresh (bbox_rect cs)) in
+          let a = List.sort Int.compare (Spatial.query idx (bbox_rect cs))
+          and b = List.sort Int.compare (Spatial.query fresh (bbox_rect cs)) in
           if a <> b then
             failwith
               (Printf.sprintf

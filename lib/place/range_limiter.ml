@@ -80,8 +80,8 @@ let select_ds rng t ~temp =
 
 let select_dr rng t ~temp =
   memo_window t temp;
-  let hx = max 1 (int_of_float (t.memo.(1) /. 2.0))
-  and hy = max 1 (int_of_float (t.memo.(2) /. 2.0)) in
+  let hx = Int.max 1 (int_of_float (t.memo.(1) /. 2.0))
+  and hy = Int.max 1 (int_of_float (t.memo.(2) /. 2.0)) in
   let dx = ref 0 and dy = ref 0 in
   while !dx = 0 && !dy = 0 do
     dx := Twmc_sa.Rng.int_incl rng (-hx) hx;

@@ -201,6 +201,16 @@ let of_string s =
             | None -> err "bad trace line: t %s" v)
           (Ok []) !trace
       in
+      (* [trace N] counts the [t] lines: a file cut short among them, or
+         one with lines added, does not load. *)
+      let n_t = List.length trace in
+      let* n = intf "trace" ~default:n_t in
+      let* () =
+        if n < 0 then err "bad trace value: trace %d, need a count >= 0" n
+        else if n <> n_t then
+          err "bad trace value: trace %d, but the file has %d t lines" n n_t
+        else Ok ()
+      in
       Ok
         { name; netlist_digest; seed; a_c; m_routes; status; c1; c2_raw; c3;
           c4; teil_s1; teil_final; area_s1; area_final; route_length;

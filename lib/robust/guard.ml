@@ -8,6 +8,10 @@ type t = { deadline : float option }
 let now_s () = Clock.s_of_ns (Clock.now_ns ())
 
 let create ?time_budget_s () =
+  (match time_budget_s with
+  | Some b when Float.is_nan b ->
+      invalid_arg "Guard.create: time budget is nan, not a number of seconds"
+  | _ -> ());
   let deadline = Option.map (fun b -> now_s () +. b) time_budget_s in
   { deadline }
 

@@ -16,7 +16,11 @@ type t
 val create : ?time_budget_s:float -> unit -> t
 (** [time_budget_s] is measured from this call on the monotonic
     {!Twmc_obs.Clock}, so a wall-clock step neither extends nor cuts the
-    budget.  Without it the guard never expires. *)
+    budget.  Without it, or with [infinity], the guard never expires; a
+    budget of 0 or less has expired when [create] returns.
+
+    @raise Invalid_argument when [time_budget_s] is NaN: [now +. nan] is a
+    deadline no clock reading reaches. *)
 
 val should_stop : t -> unit -> bool
 (** Closure suitable for the [?should_stop] parameter of the annealing

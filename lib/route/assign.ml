@@ -24,7 +24,10 @@ let run ?m ~rng ~graph ~alternatives () =
   let m =
     match m with
     | Some m -> m
-    | None -> Array.fold_left (fun acc a -> max acc (Array.length a)) 1 alternatives
+    | None ->
+        Array.fold_left
+          (fun acc a -> Int.max acc (Array.length a))
+          1 alternatives
   in
   let n_edges = G.n_edges graph in
   let density = Array.make n_edges 0 in
@@ -34,7 +37,10 @@ let run ?m ~rng ~graph ~alternatives () =
   in
   Array.iteri (fun i a -> if live i then use 1 a.(0)) alternatives;
   let capacity e = graph.G.edges.(e).G.capacity in
-  let overflow_of_edge e = max 0 (density.(e) - capacity e) in
+  let overflow_of_edge e =
+    let o = density.(e) - capacity e in
+    if o > 0 then o else 0
+  in
   (* The over-capacity edges, as 0/1 flags in a Fenwick tree over edge
      ids: [n_over] of them, and the [r]-th smallest found in O(log E). *)
   let over = Array.make (n_edges + 1) 0 and n_over = ref 0 in
@@ -111,7 +117,7 @@ let run ?m ~rng ~graph ~alternatives () =
   let idle = ref 0 in
   (* The paper's stopping budget is M·N idle attempts; floor it so tiny
      instances still get a fair number of random draws. *)
-  let max_idle = max 200 (m * n_nets) in
+  let max_idle = Int.max 200 (m * n_nets) in
   let rec loop () =
     if !x > 0 && !idle < max_idle then begin
       incr attempts;

@@ -12,7 +12,7 @@ type heap = {
 }
 
 let heap_create cap =
-  let cap = max 1 cap in
+  let cap = Int.max 1 cap in
   { size = 0; keys = Array.make cap 0; vals = Array.make cap 0 }
 
 let heap_push h k v =
@@ -76,7 +76,15 @@ let heap_pop h =
 module Seen = Hashtbl.Make (struct
   type t = int array
 
-  let equal (a : t) b = a = b
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let j = ref 0 in
+    while !j < n && a.(!j) = b.(!j) do
+      incr j
+    done;
+    !j = n
 
   let hash a =
     let h = ref 0 in
@@ -322,7 +330,9 @@ let walk w ~root ~keep =
   let rec count v acc = if v = -1 then acc else count w.prev.(v) (acc + 1) in
   let len = count w.vtgt 0 in
   let nodes = Array.make (keep + len) 0 in
-  Array.blit root 0 nodes 0 keep;
+  for j = 0 to keep - 1 do
+    nodes.(j) <- root.(j)
+  done;
   let v = ref w.vtgt in
   for j = keep + len - 1 downto keep do
     nodes.(j) <- !v;
@@ -379,17 +389,17 @@ let distances g ~sources =
   dist
 
 let common_prefix a b =
-  let n = min (Array.length a) (Array.length b) in
+  let n = Int.min (Array.length a) (Array.length b) in
   let rec go j = if j < n && a.(j) = b.(j) then go (j + 1) else j in
   go 0
 
 (* Grows [a] to hold at least [n] entries, keeping its contents. *)
 let ensure a n fill =
   if n <= Array.length a then a
-  else Array.append a (Array.make (max n (Array.length a)) fill)
+  else Array.append a (Array.make (Int.max n (Array.length a)) fill)
 
 let k_shortest_in w ~h ~k ~sources ~targets =
-  if k <= 0 || sources = [] || targets = [] then []
+  if k <= 0 || List.is_empty sources || List.is_empty targets then []
   else begin
     let g = w.g in
     w.query <- fresh w;
@@ -441,13 +451,13 @@ let k_shortest_in w ~h ~k ~sources ~targets =
           heap_push queue len (-c);
           incr n_cands;
           if len < cutoff () then begin
-            let j = ref (min !n_least (k - !n_a - 1)) in
+            let j = ref (Int.min !n_least (k - !n_a - 1)) in
             while !j > 0 && least.(!j - 1) > len do
               least.(!j) <- least.(!j - 1);
               decr j
             done;
             least.(!j) <- len;
-            n_least := min (!n_least + 1) (k - !n_a)
+            n_least := Int.min (!n_least + 1) (k - !n_a)
           end
         end
       in
@@ -500,17 +510,19 @@ let k_shortest_in w ~h ~k ~sources ~targets =
           accepted.(!n_a) <-
             accept w w.cand_nodes.(c) w.cand_len.(c) w.cand_dev.(c);
           incr n_a;
-          Array.blit least 1 least 0 (!n_least - 1);
+          for j = 0 to !n_least - 2 do
+            least.(j) <- least.(j + 1)
+          done;
           decr n_least
         end
       done;
       List.init !n_a (fun q -> to_path accepted.(q))
-      |> List.stable_sort (fun p1 p2 -> Stdlib.compare p1.length p2.length)
+      |> List.stable_sort (fun p1 p2 -> Int.compare p1.length p2.length)
     end
   end
 
 let k_shortest g ~k ~sources ~targets =
-  if k <= 0 || sources = [] || targets = [] then []
+  if k <= 0 || List.is_empty sources || List.is_empty targets then []
   else
     k_shortest_in (workspace g) ~h:(distances g ~sources:targets) ~k ~sources
       ~targets

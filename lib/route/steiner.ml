@@ -2,10 +2,24 @@ module G = Twmc_channel.Graph
 
 type route = { edges : int list; nodes : int list; length : int }
 
-(* By length, then structurally (for deterministic ordering). *)
+(* Lexicographic on int lists, [[]] first: the order [Stdlib.compare]
+   gives them. *)
+let rec compare_ints (a : int list) (b : int list) =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a', y :: b' ->
+      if x < y then -1 else if x > y then 1 else compare_ints a' b'
+
+(* By length, then structurally (for deterministic ordering): the order
+   of [Stdlib.compare] on [(edges, nodes)]. *)
 let compare_route a b =
-  match Stdlib.compare a.length b.length with
-  | 0 -> Stdlib.compare (a.edges, a.nodes) (b.edges, b.nodes)
+  match Int.compare a.length b.length with
+  | 0 -> (
+      match compare_ints a.edges b.edges with
+      | 0 -> compare_ints a.nodes b.nodes
+      | c -> c)
   | c -> c
 
 module Route_set = Set.Make (struct
@@ -28,16 +42,16 @@ let prim_order g terminals =
       let ordered = ref [ first ] in
       let connected = ref first.cands in
       let remaining = ref rest in
-      while !remaining <> [] do
+      while not (List.is_empty !remaining) do
         (* One all-distances sweep from the connected set serves every
            remaining terminal at once. *)
         let dist = Mshortest.distances g ~sources:!connected in
         let dist_of t =
-          List.fold_left (fun acc c -> min acc dist.(c)) max_int t.cands
+          List.fold_left (fun acc c -> Int.min acc dist.(c)) max_int t.cands
         in
         let ranked =
           List.sort
-            (fun a b -> Stdlib.compare (dist_of a) (dist_of b))
+            (fun a b -> Int.compare (dist_of a) (dist_of b))
             !remaining
         in
         let choice = List.hd ranked in
@@ -48,8 +62,8 @@ let prim_order g terminals =
       List.rev !ordered
 
 let route_of_edge_set g edge_ids node_ids =
-  let edges = List.sort_uniq Stdlib.compare edge_ids in
-  let nodes = List.sort_uniq Stdlib.compare node_ids in
+  let edges = List.sort_uniq Int.compare edge_ids in
+  let nodes = List.sort_uniq Int.compare node_ids in
   let length =
     List.fold_left (fun acc e -> acc + g.G.edges.(e).G.length) 0 edges
   in
@@ -104,10 +118,14 @@ let routes_in_order ~budget_factor ~mark ~stamp ~ws g ~m ~order =
       let rec grow ~tree_nodes ~tree_edges ~depth = function
         | [] -> record tree_edges tree_nodes
         | terminal :: todo ->
-            let sources = if tree_nodes = [] then first.cands else tree_nodes in
+            let sources =
+              if List.is_empty tree_nodes then first.cands else tree_nodes
+            in
             (* Full fan-out at the first level, narrowing with depth; from
                the third terminal on, a single shortest path suffices. *)
-            let k = max (if depth >= 2 then 1 else 2) (m lsr min depth 8) in
+            let k =
+              Int.max (if depth >= 2 then 1 else 2) (m lsr Int.min depth 8)
+            in
             let paths =
               Mshortest.k_shortest_in ws ~h:(Lazy.force terminal.h) ~k ~sources
                 ~targets:terminal.cands
@@ -133,7 +151,7 @@ let routes_in_order ~budget_factor ~mark ~stamp ~ws g ~m ~order =
 let routes ?(budget_factor = 12) g ~m ~terminals =
   if m <= 0 then invalid_arg "Steiner.routes: m <= 0";
   if budget_factor <= 0 then invalid_arg "Steiner.routes: budget_factor <= 0";
-  if List.exists (fun t -> t = []) terminals then
+  if List.exists List.is_empty terminals then
     invalid_arg "Steiner.routes: empty terminal candidate list";
   (* One search workspace and one heuristic per terminal serve every
      k-shortest query of this net. *)

@@ -229,6 +229,20 @@ let test_guard_deadline () =
   let g2 = Guard.create ~time_budget_s:3600.0 () in
   checkb "not expired" false (Guard.expired g2)
 
+(* A NaN budget would make a deadline no clock reaches: [create] rejects
+   it, naming it.  A negative budget has expired at once, [infinity]
+   never expires. *)
+let test_guard_budget_domain () =
+  Alcotest.check_raises "nan"
+    (Invalid_argument
+       "Guard.create: time budget is nan, not a number of seconds")
+    (fun () -> ignore (Guard.create ~time_budget_s:Float.nan ()));
+  checkb "negative expired" true
+    (Guard.expired (Guard.create ~time_budget_s:(-1.0) ()));
+  let g = Guard.create ~time_budget_s:Float.infinity () in
+  checkb "infinity not expired" false (Guard.expired g);
+  checkb "infinity remains" true (Guard.remaining_s g = Some Float.infinity)
+
 let test_resilient_flow_clean () =
   let rr = Twmc.Flow.run_resilient ~params:quick_params (small_nl ()) in
   checkb "has result" true (Option.is_some rr.Twmc.Flow.flow);
@@ -365,7 +379,9 @@ let () =
       ( "guard",
         [ Alcotest.test_case "contains exceptions" `Quick
             test_guard_contains_exceptions;
-          Alcotest.test_case "deadline" `Quick test_guard_deadline ] );
+          Alcotest.test_case "deadline" `Quick test_guard_deadline;
+          Alcotest.test_case "NaN budget rejected" `Quick
+            test_guard_budget_domain ] );
       ( "checkpoint",
         [ Alcotest.test_case "roundtrip" `Quick test_checkpoint_roundtrip ] );
       ( "invariant",

@@ -9,6 +9,7 @@ module Corpus = Twmc_qa.Corpus
 module Oracle = Twmc_qa.Oracle
 module Fuzz = Twmc_qa.Fuzz
 module Fingerprint = Twmc_qa.Fingerprint
+module Golden = Twmc_qa.Golden
 module Mutate = Twmc_workload.Mutate
 module Synth = Twmc_workload.Synth
 module Flow = Twmc.Flow
@@ -89,6 +90,27 @@ let test_case_rejects_bad_numbers () =
       | Ok _ -> ()
       | Error m -> Alcotest.failf "%s rejected: %s" line m)
     [ "a_c 1"; "replicas 1"; "peko 0"; "frac_custom 0"; "frac_rect 1" ]
+
+(* A golden file's [trace N] counts its [t] lines: a count that is not a
+   non-negative integer, or that is one off, is rejected with the key and
+   the value; the exact count loads. *)
+let test_golden_trace_count () =
+  let file count =
+    "twmc-golden v1\nname x\ntrace " ^ count ^ "\nt 1 2 3 4 5 0.5\n\
+     t 0.5 2 3 4 5 0.25\n"
+  in
+  List.iter
+    (fun (count, reason) ->
+      match Golden.of_string (file count) with
+      | Error m -> Alcotest.(check string) ("trace " ^ count) reason m
+      | Ok _ -> Alcotest.failf "trace %s loaded" count)
+    [ ("abc", "bad int value for trace: abc");
+      ("-1", "bad trace value: trace -1, need a count >= 0");
+      ("1", "bad trace value: trace 1, but the file has 2 t lines");
+      ("3", "bad trace value: trace 3, but the file has 2 t lines") ];
+  match Golden.of_string (file "2") with
+  | Ok g -> Alcotest.(check int) "trace 2" 2 (List.length g.Golden.trace)
+  | Error m -> Alcotest.failf "trace 2 rejected: %s" m
 
 let test_case_mutations_roundtrip () =
   let c = { Fuzz_case.default with Fuzz_case.mutations = Mutate.all_kinds } in
@@ -346,6 +368,9 @@ let () =
             test_case_mutations_roundtrip;
           Alcotest.test_case "rejects bad numbers" `Quick
             test_case_rejects_bad_numbers ] );
+      ( "golden",
+        [ Alcotest.test_case "trace count checked" `Quick
+            test_golden_trace_count ] );
       ( "corpus",
         [ Alcotest.test_case "save/load/replay" `Quick
             test_corpus_save_load_replay;
