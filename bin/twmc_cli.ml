@@ -821,7 +821,7 @@ let qa_fuzz_cmd =
              ~doc:"Save shrunk reproducers of any failure here.")
   in
   let time_limit =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some budget_secs) None
          & info [ "time-limit" ] ~docv:"SECS"
              ~doc:"Stop the campaign after this much wall clock.")
   in

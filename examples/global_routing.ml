@@ -51,22 +51,19 @@ let () =
       ;
       [ node 5 3 ]  (* P4 *) ]
   in
-  let routes = Steiner.routes g ~m:20 ~terminals in
+  let routes = Steiner.enumerate g ~m:20 ~terminals in
   Format.printf "phase 1 stored %d alternative routes; five shortest:@."
-    (List.length routes);
-  List.iteri
-    (fun k (r : Steiner.route) ->
-      if k < 5 then
-        Format.printf "  route %d: length=%d edges=%d nodes=[%s]@." (k + 1)
-          r.Steiner.length
-          (List.length r.Steiner.edges)
-          (String.concat ";" (List.map string_of_int r.Steiner.nodes)))
-    routes;
+    routes.Steiner.n_routes;
+  for k = 0 to Int.min 5 routes.Steiner.n_routes - 1 do
+    let r = Steiner.alternative routes k in
+    Format.printf "  route %d: length=%d edges=%d nodes=[%s]@." (k + 1)
+      r.Steiner.length
+      (List.length r.Steiner.edges)
+      (String.concat ";" (List.map string_of_int r.Steiner.nodes))
+  done;
   (* Phase 2: three copies of the net compete for the same channels; the
      random-interchange selection spreads them to meet edge capacities. *)
-  let alternatives =
-    Array.init 3 (fun _ -> Array.of_list routes)
-  in
+  let alternatives = Array.make 3 routes in
   let result =
     Assign.run ~m:20
       ~rng:(Twmc_sa.Rng.create ~seed:9)

@@ -63,7 +63,12 @@ let regions ~core ~cells =
           (fun (o2, es2) ->
             (* Boundary-boundary pairs span the whole (possibly occupied)
                core and are not channels between cells; skip them. *)
-            if not (o1 = Region.Boundary && o2 = Region.Boundary) then
+            let both_boundary =
+              match (o1, o2) with
+              | Region.Boundary, Region.Boundary -> true
+              | _ -> false
+            in
+            if not both_boundary then
               List.iter
                 (fun e1 ->
                   List.iter

@@ -23,8 +23,8 @@ let build ~track_spacing regions =
     for j = i + 1 to n - 1 do
       if Rect.touches regions.(i).Region.rect regions.(j).Region.rect then begin
         let cap =
-          max 1
-            (min (Region.thickness regions.(i)) (Region.thickness regions.(j))
+          Int.max 1
+            (Int.min (Region.thickness regions.(i)) (Region.thickness regions.(j))
             / track_spacing)
         in
         (* Centers can coincide for overlapping regions; traversing is then
@@ -106,7 +106,7 @@ let connected_components t =
       let comp = ref [] in
       let stack = ref [ s ] in
       seen.(s) <- true;
-      while !stack <> [] do
+      while not (List.is_empty !stack) do
         match !stack with
         | [] -> ()
         | v :: rest ->

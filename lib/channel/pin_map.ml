@@ -49,7 +49,7 @@ let tasks g p =
            List.rev_map
              (fun key ->
                let cands, pos = Hashtbl.find groups key in
-               { candidates = List.sort_uniq Stdlib.compare cands; pos })
+               { candidates = List.sort_uniq Int.compare cands; pos })
              !order
          in
          { net = ni; terminals })

@@ -13,7 +13,7 @@ let contains_interval outer inner =
   is_empty inner || (inner.lo >= outer.lo && inner.hi <= outer.hi)
 
 let inter a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
+  let lo = Int.max a.lo b.lo and hi = Int.min a.hi b.hi in
   if lo >= hi then empty else { lo; hi }
 
 let overlap a b = length (inter a b)
@@ -25,7 +25,7 @@ let touches a b =
 let hull a b =
   if is_empty a then b
   else if is_empty b then a
-  else { lo = min a.lo b.lo; hi = max a.hi b.hi }
+  else { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
 
 let shift i d = { lo = i.lo + d; hi = i.hi + d }
 
@@ -35,16 +35,17 @@ let subtract i cuts =
     |> List.filter_map (fun c ->
            let c = inter c i in
            if is_empty c then None else Some c)
-    |> List.sort (fun a b -> Stdlib.compare a.lo b.lo)
+    |> List.sort (fun a b -> Int.compare a.lo b.lo)
   in
   let rec go pos acc = function
     | [] -> if pos < i.hi then { lo = pos; hi = i.hi } :: acc else acc
     | c :: rest ->
         let acc = if c.lo > pos then { lo = pos; hi = c.lo } :: acc else acc in
-        go (max pos c.hi) acc rest
+        go (Int.max pos c.hi) acc rest
   in
   if is_empty i then [] else List.rev (go i.lo [] cuts)
 
-let compare a b = Stdlib.compare (a.lo, a.hi) (b.lo, b.hi)
-let equal a b = compare a b = 0
+(* Lexicographic on (lo, hi), the order [Stdlib.compare] gives the pair. *)
+let compare a b = match Int.compare a.lo b.lo with 0 -> Int.compare a.hi b.hi | c -> c
+let equal a b = a.lo = b.lo && a.hi = b.hi
 let pp ppf i = Format.fprintf ppf "[%d,%d)" i.lo i.hi

@@ -5,7 +5,7 @@ let make ~x0 ~y0 ~x1 ~y1 =
   { x0; y0; x1; y1 }
 
 let of_corners (xa, ya) (xb, yb) =
-  { x0 = min xa xb; y0 = min ya yb; x1 = max xa xb; y1 = max ya yb }
+  { x0 = Int.min xa xb; y0 = Int.min ya yb; x1 = Int.max xa xb; y1 = Int.max ya yb }
 
 let of_center_dims ~cx ~cy ~w ~h =
   if w < 0 || h < 0 then invalid_arg "Rect.of_center_dims: negative dims";
@@ -22,10 +22,10 @@ let xspan r = if is_empty r then Interval.empty else Interval.make r.x0 r.x1
 let yspan r = if is_empty r then Interval.empty else Interval.make r.y0 r.y1
 
 let inter a b =
-  let x0 = max a.x0 b.x0
-  and y0 = max a.y0 b.y0
-  and x1 = min a.x1 b.x1
-  and y1 = min a.y1 b.y1 in
+  let x0 = Int.max a.x0 b.x0
+  and y0 = Int.max a.y0 b.y0
+  and x1 = Int.min a.x1 b.x1
+  and y1 = Int.min a.y1 b.y1 in
   if x0 >= x1 || y0 >= y1 then empty else { x0; y0; x1; y1 }
 
 let inter_area a b = area (inter a b)
@@ -47,10 +47,10 @@ let hull a b =
   if is_empty a then b
   else if is_empty b then a
   else
-    { x0 = min a.x0 b.x0;
-      y0 = min a.y0 b.y0;
-      x1 = max a.x1 b.x1;
-      y1 = max a.y1 b.y1 }
+    { x0 = Int.min a.x0 b.x0;
+      y0 = Int.min a.y0 b.y0;
+      x1 = Int.max a.x1 b.x1;
+      y1 = Int.max a.y1 b.y1 }
 
 let translate r ~dx ~dy =
   { x0 = r.x0 + dx; y0 = r.y0 + dy; x1 = r.x1 + dx; y1 = r.y1 + dy }
@@ -75,8 +75,18 @@ let disjoint_union_area rects =
   assert (pairwise_disjoint rects);
   List.fold_left (fun acc r -> acc + area r) 0 rects
 
-let compare a b = Stdlib.compare (a.x0, a.y0, a.x1, a.y1) (b.x0, b.y0, b.x1, b.y1)
-let equal a b = compare a b = 0
+(* Lexicographic on (x0, y0, x1, y1), the order [Stdlib.compare] gives
+   the tuple. *)
+let compare a b =
+  match Int.compare a.x0 b.x0 with
+  | 0 -> (
+      match Int.compare a.y0 b.y0 with
+      | 0 -> (
+          match Int.compare a.x1 b.x1 with 0 -> Int.compare a.y1 b.y1 | c -> c)
+      | c -> c)
+  | c -> c
+
+let equal a b = a.x0 = b.x0 && a.y0 = b.y0 && a.x1 = b.x1 && a.y1 = b.y1
 
 let pp ppf r =
   Format.fprintf ppf "@[<h>(%d,%d)-(%d,%d)@]" r.x0 r.y0 r.x1 r.y1

@@ -24,6 +24,10 @@ type report = {
 
 let campaign ?corpus_dir ?time_limit_s ?(run = Runner.run ?oracles:None ?extra_oracle:None)
     ?(progress = fun _ _ _ -> ()) ~seed ~iters () =
+  (match time_limit_s with
+  | Some lim when Float.is_nan lim ->
+      invalid_arg "Fuzz.campaign: time limit is nan, not a number of seconds"
+  | _ -> ());
   let rng = Rng.create ~seed in
   let t0 = Clock.now_ns () in
   let clean = ref 0 and degraded = ref 0 and invalid = ref 0 in

@@ -32,7 +32,8 @@ val campaign :
   unit ->
   report
 (** Run up to [iters] random cases from a campaign rng seeded with [seed];
-    stop early when [time_limit_s] expires.  Each failing case is shrunk
+    stop early when [time_limit_s] expires (raises [Invalid_argument] when
+    it is NaN, which never would).  Each failing case is shrunk
     (re-running through [run], default {!Runner.run}) and saved to
     [corpus_dir] when given.  Deterministic for a fixed [(seed, iters)]
     without a time limit. *)

@@ -11,31 +11,34 @@ type result = {
   skipped : int list;
 }
 
-let run ?m ~rng ~graph ~alternatives () =
+let run ?m ~rng ~graph ~(alternatives : Steiner.alternatives array) () =
   let n_nets = Array.length alternatives in
+  let n_alts i = alternatives.(i).Steiner.n_routes in
   (* A net with no stored alternative cannot abort the whole selection:
      mark it unroutable (skipped) and select among the rest. *)
   let skipped = ref [] in
-  Array.iteri
-    (fun i a -> if Array.length a = 0 then skipped := i :: !skipped)
-    alternatives;
-  let skipped = List.rev !skipped in
-  let live i = Array.length alternatives.(i) > 0 in
+  for i = n_nets - 1 downto 0 do
+    if n_alts i = 0 then skipped := i :: !skipped
+  done;
   let m =
     match m with
     | Some m -> m
     | None ->
         Array.fold_left
-          (fun acc a -> Int.max acc (Array.length a))
+          (fun acc (a : Steiner.alternatives) -> Int.max acc a.Steiner.n_routes)
           1 alternatives
   in
   let n_edges = G.n_edges graph in
   let density = Array.make n_edges 0 in
   let chosen = Array.make n_nets 0 in
-  let use sign (r : Steiner.route) =
-    List.iter (fun e -> density.(e) <- density.(e) + sign) r.Steiner.edges
-  in
-  Array.iteri (fun i a -> if live i then use 1 a.(0)) alternatives;
+  for i = 0 to n_nets - 1 do
+    let a = alternatives.(i) in
+    if a.Steiner.n_routes > 0 then
+      for j = a.Steiner.edge_at.(0) to a.Steiner.edge_at.(1) - 1 do
+        let e = a.Steiner.edge_ids.(j) in
+        density.(e) <- density.(e) + 1
+      done
+  done;
   let capacity e = graph.G.edges.(e).G.capacity in
   let overflow_of_edge e =
     let o = density.(e) - capacity e in
@@ -77,85 +80,121 @@ let run ?m ~rng ~graph ~alternatives () =
      the "overflow before" a telemetry consumer plots per iteration. *)
   let initial_overflow = !x in
   let l = ref 0 in
-  Array.iteri
-    (fun i a -> if live i then l := !l + a.(chosen.(i)).Steiner.length)
-    alternatives;
-  (* Nets using each edge, maintained incrementally as chosen routes move. *)
-  let users = Array.make n_edges [] in
-  let add_user i r =
-    List.iter (fun e -> users.(e) <- i :: users.(e)) r.Steiner.edges
+  for i = 0 to n_nets - 1 do
+    if n_alts i > 0 then l := !l + alternatives.(i).Steiner.lengths.(0)
+  done;
+  (* The nets using each edge, oldest first, maintained as chosen routes
+     move: a net leaves an edge's array in place, keeping the others'
+     order, and joins at the end. *)
+  let users = Array.make n_edges [||] and n_users = Array.make n_edges 0 in
+  let add_user i k =
+    let a = alternatives.(i) in
+    for j = a.Steiner.edge_at.(k) to a.Steiner.edge_at.(k + 1) - 1 do
+      let e = a.Steiner.edge_ids.(j) in
+      let n = n_users.(e) in
+      if n = Array.length users.(e) then begin
+        let grown = Array.make (Int.max 4 (2 * n)) 0 in
+        for u = 0 to n - 1 do
+          grown.(u) <- users.(e).(u)
+        done;
+        users.(e) <- grown
+      end;
+      users.(e).(n) <- i;
+      n_users.(e) <- n + 1
+    done
   in
-  let remove_user i r =
-    List.iter
-      (fun e -> users.(e) <- List.filter (fun j -> j <> i) users.(e))
-      r.Steiner.edges
+  let remove_user i k =
+    let a = alternatives.(i) in
+    for j = a.Steiner.edge_at.(k) to a.Steiner.edge_at.(k + 1) - 1 do
+      let e = a.Steiner.edge_ids.(j) in
+      let us = users.(e) and n = n_users.(e) - 1 in
+      let u = ref 0 in
+      while us.(!u) <> i do
+        incr u
+      done;
+      for v = !u to n - 1 do
+        us.(v) <- us.(v + 1)
+      done;
+      n_users.(e) <- n
+    done
   in
-  Array.iteri (fun i a -> if live i then add_user i a.(0)) alternatives;
+  for i = 0 to n_nets - 1 do
+    if n_alts i > 0 then add_user i 0
+  done;
   (* ΔX and ΔL are computed by applying the change for real and reverting
      on rejection — routes are short, so this is cheap and exact even when
-     the old and new routes share edges. *)
-  let apply i k =
-    let old_r = alternatives.(i).(chosen.(i)) in
-    let new_r = alternatives.(i).(k) in
-    let dx = ref 0 in
-    let shift sign e =
+     the old and new routes share edges.  [shift] moves net [i]'s route
+     [r] on ([sign] 1) or off (-1) the densities, adding its ΔX to [dx]. *)
+  let dx = ref 0 in
+  let shift i r sign =
+    let a = alternatives.(i) in
+    for j = a.Steiner.edge_at.(r) to a.Steiner.edge_at.(r + 1) - 1 do
+      let e = a.Steiner.edge_ids.(j) in
       let before = overflow_of_edge e in
       density.(e) <- density.(e) + sign;
       let after = overflow_of_edge e in
       dx := !dx + after - before;
       if before = 0 && after > 0 then flag e 1
       else if before > 0 && after = 0 then flag e (-1)
-    in
-    List.iter (shift (-1)) old_r.Steiner.edges;
-    List.iter (shift 1) new_r.Steiner.edges;
-    remove_user i old_r;
-    add_user i new_r;
+    done
+  in
+  (* Moves net [i] to route [k] and returns ΔX. *)
+  let apply i k =
+    let old_k = chosen.(i) in
+    dx := 0;
+    shift i old_k (-1);
+    shift i k 1;
+    remove_user i old_k;
+    add_user i k;
     chosen.(i) <- k;
-    (!dx, new_r.Steiner.length - old_r.Steiner.length)
+    !dx
   in
   let attempts = ref 0 in
   let idle = ref 0 in
   (* The paper's stopping budget is M·N idle attempts; floor it so tiny
      instances still get a fair number of random draws. *)
   let max_idle = Int.max 200 (m * n_nets) in
-  let rec loop () =
-    if !x > 0 && !idle < max_idle then begin
-      incr attempts;
-      (if !n_over > 0 then
-         (* The draw of picking from the over-capacity edges listed in
-            decreasing id order: the [r]-th of that list is the
-            [(n_over - 1 - r)]-th smallest id. *)
-         let e = nth_over (!n_over - 1 - Rng.int_incl rng 0 (!n_over - 1)) in
-         match users.(e) with
-         | [] -> incr idle
-         | us -> (
-             let i = Rng.pick_list rng us in
-             let n_alts = Array.length alternatives.(i) in
-             if n_alts < 2 then incr idle
-             else
-               (* Try a random alternative with ΔX <= 0 (apply & revert). *)
-               let k = Rng.int_incl rng 0 (n_alts - 1) in
-               if k = chosen.(i) then incr idle
-               else
-                 let old_k = chosen.(i) in
-                 let dx, dl = apply i k in
-                 if dx < 0 || (dx = 0 && dl <= 0) then begin
-                   x := !x + dx;
-                   l := !l + dl;
-                   if dx = 0 && dl = 0 then incr idle else idle := 0
-                 end
-                 else begin
-                   ignore (apply i old_k);
-                   incr idle
-                 end));
-      loop ()
+  while !x > 0 && !idle < max_idle do
+    incr attempts;
+    if !n_over > 0 then begin
+      (* The draw of picking from the over-capacity edges listed in
+         decreasing id order: the [r]-th of that list is the
+         [(n_over - 1 - r)]-th smallest id. *)
+      let e = nth_over (!n_over - 1 - Rng.int_incl rng 0 (!n_over - 1)) in
+      let n = n_users.(e) in
+      if n = 0 then incr idle
+      else begin
+        (* The draw of [Rng.pick_list] from the users newest first: its
+           [r]-th is the [(n - 1 - r)]-th oldest. *)
+        let i = users.(e).(n - 1 - Rng.int_incl rng 0 (n - 1)) in
+        let count = n_alts i in
+        if count < 2 then incr idle
+        else
+          (* Try a random alternative with ΔX <= 0 (apply & revert). *)
+          let k = Rng.int_incl rng 0 (count - 1) in
+          if k = chosen.(i) then incr idle
+          else begin
+            let old_k = chosen.(i) in
+            let lengths = alternatives.(i).Steiner.lengths in
+            let dl = lengths.(k) - lengths.(old_k) in
+            let dx = apply i k in
+            if dx < 0 || (dx = 0 && dl <= 0) then begin
+              x := !x + dx;
+              l := !l + dl;
+              if dx = 0 && dl = 0 then incr idle else idle := 0
+            end
+            else begin
+              ignore (apply i old_k);
+              incr idle
+            end
+          end
+      end
     end
-  in
-  loop ();
+  done;
   { chosen;
     total_length = !l;
     overflow = !x;
     initial_overflow;
     edge_density = density;
     attempts = !attempts;
-    skipped }
+    skipped = !skipped }

@@ -13,7 +13,10 @@
     ids, updated as densities change, so an attempt draws its edge in
     O(log E) without scanning the edges.  The draw is [Rng.int_incl] over
     their count, read as an index into the over-capacity edges in
-    decreasing id order. *)
+    decreasing id order.  Each edge keeps the nets using it in an array,
+    oldest first, and the net is drawn the same way: [Rng.int_incl] over
+    their count, read newest first, which is [Rng.pick_list]'s draw from
+    the list of users newest first. *)
 
 type result = {
   chosen : int array;  (** Per net: index into its alternative list. *)
@@ -35,10 +38,10 @@ val run :
   ?m:int ->
   rng:Twmc_sa.Rng.t ->
   graph:Twmc_channel.Graph.t ->
-  alternatives:Steiner.route array array ->
+  alternatives:Steiner.alternatives array ->
   unit ->
   result
-(** [alternatives.(i)] are net [i]'s routes, shortest first (index 0 is the
-    [k = 1] route); a net with none is degraded into [skipped] rather than
-    rejected.  [m] is the [M] of the stopping criterion (defaults to the
-    maximum alternative count). *)
+(** [alternatives.(i)] are net [i]'s routes, shortest first (route 0 is
+    the [k = 1] route), each with distinct edges; a net with none is
+    degraded into [skipped] rather than rejected.  [m] is the [M] of the
+    stopping criterion (defaults to the maximum alternative count). *)

@@ -34,12 +34,12 @@ let route ?(m = 20) ?budget_factor ?should_stop ?pool ?(obs = Obs.disabled)
     Twmc_util.Fault.point "router.net";
     (* Cooperative timeout between nets: once the budget is gone, the
        remaining nets are reported unroutable rather than enumerated. *)
-    if poll () then (task.Pin_map.net, [])
+    if poll () then (task.Pin_map.net, Steiner.no_routes)
     else
       let terminals =
         List.map (fun t -> t.Pin_map.candidates) task.Pin_map.terminals
       in
-      (task.Pin_map.net, Steiner.routes ?budget_factor graph ~m ~terminals)
+      (task.Pin_map.net, Steiner.enumerate ?budget_factor graph ~m ~terminals)
   in
   Twmc_obs.Flight_recorder.note ~i:(List.length tasks) "route.start";
   Obs.span obs ~name:"route"
@@ -63,15 +63,14 @@ let route ?(m = 20) ?budget_factor ?should_stop ?pool ?(obs = Obs.disabled)
             Obs.point obs ~name:"route.net"
               ~attrs:
                 [ ("net", Attr.Int net);
-                  ("alternatives", Attr.Int (List.length routes)) ]
+                  ("alternatives", Attr.Int routes.Steiner.n_routes) ]
               ())
           enumerated;
       let with_routes, unroutable =
         Array.fold_left
-          (fun (ok, bad) (net, routes) ->
-            match routes with
-            | [] -> (ok, net :: bad)
-            | routes -> ((net, Array.of_list routes) :: ok, bad))
+          (fun (ok, bad) (net, (routes : Steiner.alternatives)) ->
+            if routes.Steiner.n_routes = 0 then (ok, net :: bad)
+            else ((net, routes) :: ok, bad))
           ([], []) enumerated
       in
       let with_routes = List.rev with_routes in
@@ -96,40 +95,23 @@ let route ?(m = 20) ?budget_factor ?should_stop ?pool ?(obs = Obs.disabled)
       finish
       @@ Obs.span obs ~name:"route.phase2"
       @@ fun () ->
-      if Array.length alternatives = 0 then
-        { graph;
-          routed = [];
-          unroutable = List.rev unroutable;
-          total_length = 0;
-          overflow = 0;
-          initial_overflow = 0;
-          edge_density = Array.make (G.n_edges graph) 0;
-          assign_attempts = 0 }
-      else begin
-        let a = Assign.run ~m ~rng ~graph ~alternatives () in
-        let skipped = List.map (fun i -> nets.(i)) a.Assign.skipped in
-        let is_skipped = Array.make (Array.length nets) false in
-        List.iter (fun i -> is_skipped.(i) <- true) a.Assign.skipped;
-        let routed =
-          List.filter_map
-            (fun i ->
-              if is_skipped.(i) then None
-              else
-                Some
-                  { net = nets.(i);
-                    route = alternatives.(i).(a.Assign.chosen.(i));
-                    alternatives = Array.length alternatives.(i) })
-            (List.init (Array.length nets) Fun.id)
-        in
-        { graph;
-          routed;
-          unroutable = List.rev_append unroutable skipped;
-          total_length = a.Assign.total_length;
-          overflow = a.Assign.overflow;
-          initial_overflow = a.Assign.initial_overflow;
-          edge_density = a.Assign.edge_density;
-          assign_attempts = a.Assign.attempts }
-      end)
+      (* Every net passed has a route, so none is skipped; lists are built
+         for the chosen routes only. *)
+      let a = Assign.run ~m ~rng ~graph ~alternatives () in
+      let routed =
+        List.init (Array.length nets) (fun i ->
+            { net = nets.(i);
+              route = Steiner.alternative alternatives.(i) a.Assign.chosen.(i);
+              alternatives = alternatives.(i).Steiner.n_routes })
+      in
+      { graph;
+        routed;
+        unroutable = List.rev unroutable;
+        total_length = a.Assign.total_length;
+        overflow = a.Assign.overflow;
+        initial_overflow = a.Assign.initial_overflow;
+        edge_density = a.Assign.edge_density;
+        assign_attempts = a.Assign.attempts })
 
 let node_density r =
   let d = Array.make (G.n_nodes r.graph) 0 in

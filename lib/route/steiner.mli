@@ -13,11 +13,12 @@
     alternatives.
 
     One call is one net's enumeration: it allocates one
-    {!Mshortest.workspace} and, for each terminal it adds, the unbanned
-    distance to that terminal's candidates (the lower bound of every path
-    search that targets it) once, and reuses both across all its
-    k-shortest queries.  Calls share nothing mutable, so nets can be
-    enumerated on different domains. *)
+    {!Mshortest.workspace} and, for every terminal but the first, the
+    unbanned distance to that terminal's candidates, which both orders the
+    terminals and bounds every path search that targets it; both are
+    reused across all its k-shortest queries.  The search keeps its paths,
+    the tree's edge counts and the kept routes in flat arrays.  Calls share
+    nothing mutable, so nets can be enumerated on different domains. *)
 
 type route = {
   edges : int list;  (** Sorted unique edge ids of the route tree. *)
@@ -25,15 +26,43 @@ type route = {
   length : int;  (** Sum of the unique edges' lengths. *)
 }
 
+type alternatives = {
+  n_routes : int;
+  lengths : int array;  (** Per route. *)
+  edge_at : int array;
+      (** [n_routes + 1] offsets: route [r]'s edges are [edge_ids.(edge_at.(r))]
+          to [edge_ids.(edge_at.(r + 1) - 1)], ascending. *)
+  edge_ids : int array;
+  node_at : int array;  (** The same for [node_ids]. *)
+  node_ids : int array;
+}
+(** A net's routes, shortest first, in flat arrays: route [r] is
+    [alternative a r]. *)
+
+val no_routes : alternatives
+(** The alternatives of a net that has none. *)
+
+val enumerate :
+  ?budget_factor:int ->
+  Twmc_channel.Graph.t ->
+  m:int ->
+  terminals:int list list ->
+  alternatives
+(** [enumerate g ~m ~terminals] — each terminal is a nonempty
+    candidate-node list.  Returns up to [m] distinct routes, shortest
+    first, ties in the order of [Stdlib.compare] on their [(edges, nodes)];
+    none when some terminal cannot be reached.  A single-terminal net
+    yields one empty route.  [budget_factor] (default 12) bounds the
+    enumeration at [budget_factor·m] expansions per net — lower it to
+    trade route diversity for speed. *)
+
+val alternative : alternatives -> int -> route
+(** Route [r] of a net's alternatives, as lists. *)
+
 val routes :
   ?budget_factor:int ->
   Twmc_channel.Graph.t ->
   m:int ->
   terminals:int list list ->
   route list
-(** [routes g ~m ~terminals] — each terminal is a nonempty candidate-node
-    list.  Returns up to [m] distinct routes, shortest first; [] when some
-    terminal cannot be reached.  A single-terminal net yields one empty
-    route.  [budget_factor] (default 12) bounds the enumeration at
-    [budget_factor·m] expansions per net — lower it to trade route
-    diversity for speed. *)
+(** {!enumerate}'s routes as lists. *)

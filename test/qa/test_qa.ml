@@ -358,6 +358,19 @@ let test_campaign_deterministic () =
   let b = Fuzz.campaign ~seed:11 ~iters:6 () in
   Alcotest.(check bool) "same tallies" true (strip a = strip b)
 
+(* A NaN limit would never expire ([elapsed > nan] is false), so it is
+   rejected before any case runs. *)
+let test_campaign_rejects_nan_limit () =
+  let ran = ref 0 in
+  let run _ =
+    incr ran;
+    Runner.Rejected "unused"
+  in
+  Alcotest.check_raises "nan limit"
+    (Invalid_argument "Fuzz.campaign: time limit is nan, not a number of seconds")
+    (fun () -> ignore (Fuzz.campaign ~time_limit_s:Float.nan ~run ~seed:1 ~iters:3 ()));
+  Alcotest.(check int) "no case ran" 0 !ran
+
 let () =
   Alcotest.run "qa"
     [ ( "case",
@@ -394,4 +407,6 @@ let () =
         [ Alcotest.test_case "20-case smoke, zero failures" `Slow
             test_fuzz_smoke;
           Alcotest.test_case "campaign is deterministic" `Slow
-            test_campaign_deterministic ] ) ]
+            test_campaign_deterministic;
+          Alcotest.test_case "campaign rejects a nan time limit" `Quick
+            test_campaign_rejects_nan_limit ] ) ]

@@ -332,11 +332,52 @@ module Reference = struct
     end
 end
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
+(* A heap entry is one int, the key shifted over the node id, so a graph
+   whose keys could outgrow the bits left is refused when its workspace is
+   made.  Two touching regions whose centres are 2^59 + 1 apart: on 2
+   nodes (4 ids with the virtual ones) a key has 60 bits, room for edge
+   lengths summing to (2^60 - 1) / 3. *)
+let test_key_range () =
+  let dummy_edge pos =
+    Twmc_geometry.Edge.make Twmc_geometry.Edge.V ~pos
+      ~span:(Twmc_geometry.Interval.make 0 1)
+      ~side:Twmc_geometry.Edge.High
+  in
+  let region x0 x1 =
+    { Region.rect = Rect.make ~x0 ~y0:0 ~x1 ~y1:2;
+      dir = Region.V;
+      lo_owner = Region.Boundary;
+      hi_owner = Region.Boundary;
+      lo_edge = dummy_edge x0;
+      hi_edge = dummy_edge x1 }
+  in
+  let big = 1 lsl 60 in
+  let g = Graph.build ~track_spacing:2 [ region 0 big; region big (big + 2) ] in
+  check "edge length" ((1 lsl 59) + 1) g.Graph.edges.(0).Graph.length;
+  (match Mshortest.k_shortest g ~k:1 ~sources:[ 0 ] ~targets:[ 1 ] with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      let value = string_of_int ((1 lsl 59) + 1) in
+      checkb ("message names " ^ value ^ ": " ^ msg) true
+        (contains msg value));
+  (* Lengths near the top of the room still search exactly: a 4 x 3 grid
+     of 2^50-wide cells sums to about 2^55.4, under the 2^56.4 its 14 ids
+     leave. *)
+  let g = grid ~w:4 ~h:3 ~cell:(1 lsl 50) in
+  checkb "k shortest at large keys" true
+    (Mshortest.k_shortest g ~k:8 ~sources:[ 0 ] ~targets:[ 11 ]
+    = Reference.k_shortest g ~k:8 ~sources:[ 0 ] ~targets:[ 11 ])
+
 (* Random channel graphs: 2-31 rectangles with even corners on a lattice
    whose size varies per case, so that regions touch and overlap, centres
    coincide (zero-length edges) and equal path lengths abound.  Each graph
    gets four queries of 1-3 sources and 1-3 targets (repeats and overlaps
-   allowed) at k from 1 to 12. *)
+   allowed) at k from 1 to 20, the flows' M. *)
 let lattice_case =
   QCheck.Gen.(
     int_range 2 31 >>= fun n ->
@@ -347,7 +388,7 @@ let lattice_case =
         (int_range 0 span) (int_range 0 span) (int_range 1 3) (int_range 1 3)
     in
     let nodes = list_size (int_range 1 3) (int_range 0 (n - 1)) in
-    pair (list_repeat n rect) (list_repeat 4 (triple nodes nodes (int_range 1 12))))
+    pair (list_repeat n rect) (list_repeat 4 (triple nodes nodes (int_range 1 20))))
 
 let print_lattice_case (rects, queries) =
   let ints l = String.concat ";" (List.map string_of_int l) in
@@ -378,7 +419,7 @@ let lattice_graph rects =
 
 let prop_matches_reference =
   QCheck.Test.make ~name:"k_shortest and distances match the reference"
-    ~count:2000
+    ~count:1500
     (QCheck.make ~print:print_lattice_case lattice_case)
     (fun (rects, queries) ->
       let g = lattice_graph rects in
@@ -386,7 +427,9 @@ let prop_matches_reference =
         (fun (sources, targets, k) ->
           Mshortest.k_shortest g ~k ~sources ~targets
           = Reference.k_shortest g ~k ~sources ~targets
-          && Mshortest.distances g ~sources = Reference.distances g ~sources)
+          && Mshortest.distances (Mshortest.workspace g)
+               ~sources:(Array.of_list sources)
+             = Reference.distances g ~sources)
         queries)
 
 (* The Prim-ordered Steiner enumeration as it was written over one
@@ -477,11 +520,12 @@ module Steiner_reference = struct
     routes_in_order ~budget_factor g ~m ~order:(prim_order g terminals)
 end
 
-(* The lattice graphs above, each with two nets of 1-5 terminals of 1-3
-   candidates, enumerated at [m] 1-8 and [budget_factor] 1-12. *)
+(* Lattice graphs as above of 2-48 rectangles, each with two nets of 1-5
+   terminals of 1-3 candidates, enumerated at [m] 1-20 (the flows run 10
+   and the default 20) and [budget_factor] 1-12. *)
 let steiner_case =
   QCheck.Gen.(
-    int_range 2 31 >>= fun n ->
+    int_range 2 48 >>= fun n ->
     int_range 1 8 >>= fun span ->
     let rect =
       map4
@@ -493,7 +537,7 @@ let steiner_case =
     in
     pair (list_repeat n rect)
       (list_repeat 2
-         (pair terminals (pair (int_range 1 8) (int_range 1 12)))))
+         (pair terminals (pair (int_range 1 20) (int_range 1 12)))))
 
 let print_steiner_case (rects, nets) =
   let ints l = String.concat ";" (List.map string_of_int l) in
@@ -510,7 +554,7 @@ let print_steiner_case (rects, nets) =
 
 let prop_steiner_matches_reference =
   QCheck.Test.make ~name:"Steiner.routes matches the reference enumeration"
-    ~count:500
+    ~count:250
     (QCheck.make ~print:print_steiner_case steiner_case)
     (fun (rects, nets) ->
       let g = lattice_graph rects in
@@ -616,7 +660,45 @@ let test_steiner_unreachable () =
     []
     (List.map (fun _ -> Alcotest.fail "route?") (Steiner.routes g ~m:5 ~terminals:[ [ 0 ]; [ 1 ] ]))
 
+(* The words one enumeration allocates on a fixed lattice net: a 6 x 5
+   grid with four corner terminals at m = 10, the route workload's M.
+   That is the workspace, the terminals' bounds, the search's flat arrays
+   and the ten routes as lists: 5544 words, and the bound adds 10%.  The
+   list-built search allocated 32721 words here. *)
+let steiner_words_bound = 6098.
+
+let test_steiner_allocation () =
+  let g = grid ~w:6 ~h:5 ~cell:10 in
+  let run () = Steiner.routes g ~m:10 ~terminals:[ [ 0 ]; [ 5 ]; [ 24 ]; [ 29 ] ] in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let routes = run () in
+  let words = Gc.minor_words () -. before in
+  check "routes" 10 (List.length routes);
+  check "shortest" 130 (List.hd routes).Steiner.length;
+  checkb
+    (Printf.sprintf "%.0f words, at most %.0f" words steiner_words_bound)
+    true
+    (words <= steiner_words_bound)
+
 (* -------------------------------------------------------------- Assign *)
+
+(* Routes laid out as [Steiner.enumerate] returns them. *)
+let pack (routes : Steiner.route list) =
+  let rs = Array.of_list routes in
+  let n = Array.length rs in
+  let edge_at = Array.make (n + 1) 0 and node_at = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun r (x : Steiner.route) ->
+      edge_at.(r + 1) <- edge_at.(r) + List.length x.Steiner.edges;
+      node_at.(r + 1) <- node_at.(r) + List.length x.Steiner.nodes)
+    rs;
+  { Steiner.n_routes = n;
+    lengths = Array.map (fun (x : Steiner.route) -> x.Steiner.length) rs;
+    edge_at;
+    edge_ids = Array.of_list (List.concat_map (fun (x : Steiner.route) -> x.Steiner.edges) routes);
+    node_at;
+    node_ids = Array.of_list (List.concat_map (fun (x : Steiner.route) -> x.Steiner.nodes) routes) }
 
 (* A 4-cycle ring: node 0 (bottom) and node 2 (top) are joined by exactly
    two edge-disjoint routes, via node 1 (right) or node 3 (left). *)
@@ -649,7 +731,7 @@ let test_assign_resolves_conflict () =
   check "four edges" 4 (Graph.n_edges g);
   let r01 = Steiner.routes g ~m:4 ~terminals:[ [ 0 ]; [ 2 ] ] in
   check "both disjoint routes found" 2 (List.length r01);
-  let alternatives = [| Array.of_list r01; Array.of_list r01 |] in
+  let alternatives = [| pack r01; pack r01 |] in
   let res =
     Assign.run ~m:4 ~rng:(Twmc_sa.Rng.create ~seed:4) ~graph:g ~alternatives ()
   in
@@ -662,7 +744,7 @@ let test_assign_resolves_conflict () =
     (fun i k ->
       List.iter
         (fun e -> expect.(e) <- expect.(e) + 1)
-        alternatives.(i).(k).Steiner.edges)
+        (Steiner.alternative alternatives.(i) k).Steiner.edges)
     res.Assign.chosen;
   Alcotest.(check (array int)) "densities" expect res.Assign.edge_density
 
@@ -670,7 +752,7 @@ let test_assign_keeps_shortest_when_free () =
   let g = grid ~w:4 ~h:3 ~cell:20 in
   (* Plenty of capacity: everyone keeps the k=1 route and stops at once. *)
   let r = Steiner.routes g ~m:5 ~terminals:[ [ 0 ]; [ 11 ] ] in
-  let alternatives = [| Array.of_list r |] in
+  let alternatives = [| pack r |] in
   let res =
     Assign.run ~m:5 ~rng:(Twmc_sa.Rng.create ~seed:5) ~graph:g ~alternatives ()
   in
@@ -685,7 +767,7 @@ let test_assign_skips_empty () =
   let r = Steiner.routes g ~m:3 ~terminals:[ [ 0 ]; [ 2 ] ] in
   let res =
     Assign.run ~rng:(Twmc_sa.Rng.create ~seed:6) ~graph:g
-      ~alternatives:[| [||]; Array.of_list r |] ()
+      ~alternatives:[| pack []; pack r |] ()
   in
   Alcotest.(check (list int)) "skipped net listed" [ 0 ] res.Assign.skipped;
   checkb "live net still assigned" true
@@ -836,7 +918,11 @@ let prop_assign_matches_reference =
       let alternatives =
         Array.of_list (List.map (fun alts -> Array.of_list (List.map route alts)) nets)
       in
-      let a = Assign.run ?m ~rng:(Twmc_sa.Rng.create ~seed) ~graph:g ~alternatives () in
+      let a =
+        Assign.run ?m ~rng:(Twmc_sa.Rng.create ~seed) ~graph:g
+          ~alternatives:(Array.map (fun alts -> pack (Array.to_list alts)) alternatives)
+          ()
+      in
       (a.Assign.chosen, a.Assign.total_length, a.Assign.overflow, a.Assign.initial_overflow,
        a.Assign.edge_density, a.Assign.attempts)
       = Assign_reference.run ?m ~rng:(Twmc_sa.Rng.create ~seed) ~graph:g ~alternatives ())
@@ -890,7 +976,7 @@ let test_global_router_end_to_end () =
 let test_congestion_report () =
   let g = ring () in
   let r01 = Steiner.routes g ~m:4 ~terminals:[ [ 0 ]; [ 2 ] ] in
-  let alternatives = [| Array.of_list r01; Array.of_list r01 |] in
+  let alternatives = [| pack r01; pack r01 |] in
   let a =
     Assign.run ~m:4 ~rng:(Twmc_sa.Rng.create ~seed:14) ~graph:g ~alternatives ()
   in
@@ -901,8 +987,8 @@ let test_congestion_report () =
           (Array.mapi
              (fun i k ->
                { Global_router.net = i;
-                 route = alternatives.(i).(k);
-                 alternatives = Array.length alternatives.(i) })
+                 route = Steiner.alternative alternatives.(i) k;
+                 alternatives = alternatives.(i).Steiner.n_routes })
              a.Assign.chosen);
       unroutable = [];
       total_length = a.Assign.total_length;
@@ -938,6 +1024,7 @@ let () =
           Alcotest.test_case "multi source/target" `Quick test_multi_source_target;
           Alcotest.test_case "k shortest grid" `Quick test_k_shortest_grid;
           Alcotest.test_case "k exhausts" `Quick test_k_shortest_exhausts;
+          Alcotest.test_case "key range" `Quick test_key_range;
           QCheck_alcotest.to_alcotest ~long:false
             ~rand:(Random.State.make [| 16 |])
             prop_matches_reference ] );
@@ -946,6 +1033,7 @@ let () =
           Alcotest.test_case "multi pin" `Quick test_steiner_multi_pin;
           Alcotest.test_case "equivalent pins" `Quick test_steiner_equivalent_pins;
           Alcotest.test_case "unreachable" `Quick test_steiner_unreachable;
+          Alcotest.test_case "allocation" `Quick test_steiner_allocation;
           QCheck_alcotest.to_alcotest ~long:false
             ~rand:(Random.State.make [| 22 |])
             prop_steiner_matches_reference ] );
