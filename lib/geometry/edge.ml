@@ -32,8 +32,8 @@ let transform o e =
   let dir' = if fst a' = fst b' then V else H in
   let pos', span' =
     if dir' = V then
-      (fst a', Interval.make (min (snd a') (snd b')) (max (snd a') (snd b')))
-    else (snd a', Interval.make (min (fst a') (fst b')) (max (fst a') (fst b')))
+      (fst a', Interval.make (Int.min (snd a') (snd b')) (Int.max (snd a') (snd b')))
+    else (snd a', Interval.make (Int.min (fst a') (fst b')) (Int.max (fst a') (fst b')))
   in
   let side' =
     match dir' with
@@ -53,12 +53,23 @@ let common_span a b = Interval.inter a.span b.span
 
 let point_on e c = match e.dir with V -> (e.pos, c) | H -> (c, e.pos)
 
-let compare a b =
-  Stdlib.compare
-    (a.dir, a.pos, a.span.Interval.lo, a.span.Interval.hi, a.side)
-    (b.dir, b.pos, b.span.Interval.lo, b.span.Interval.hi, b.side)
+let rank_dir = function H -> 0 | V -> 1
+let rank_side = function Low -> 0 | High -> 1
 
-let equal a b = compare a b = 0
+(* Lexicographic on (dir, pos, span, side), constructors in declaration
+   order: the order [Stdlib.compare] gives the tuple. *)
+let compare a b =
+  match Int.compare (rank_dir a.dir) (rank_dir b.dir) with
+  | 0 -> (
+      match Int.compare a.pos b.pos with
+      | 0 -> (
+          match Interval.compare a.span b.span with
+          | 0 -> Int.compare (rank_side a.side) (rank_side b.side)
+          | c -> c)
+      | c -> c)
+  | c -> c
+
+let equal a b = a.dir = b.dir && a.pos = b.pos && Interval.equal a.span b.span && a.side = b.side
 
 let pp ppf e =
   Format.fprintf ppf "%s@%d %a %s"

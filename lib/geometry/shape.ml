@@ -5,7 +5,7 @@ let compute_bbox = function
   | r :: rest -> List.fold_left Rect.hull r rest
 
 let of_tiles tiles =
-  if tiles = [] then invalid_arg "Shape.of_tiles: empty tile list";
+  if List.is_empty tiles then invalid_arg "Shape.of_tiles: empty tile list";
   if List.exists Rect.is_empty tiles then
     invalid_arg "Shape.of_tiles: empty tile";
   if not (Rect.pairwise_disjoint tiles) then

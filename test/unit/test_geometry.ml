@@ -157,6 +157,37 @@ let prop_rect_translate =
       let b = Rect.translate a ~dx ~dy in
       Rect.area a = Rect.area b && Rect.width a = Rect.width b)
 
+(* [Rect], [Interval] and [Edge] compare their ints field by field; they
+   must give what [Stdlib.compare] gives the records, whose fields are in
+   the compared order.  Fields of 0-2 make ties in every position. *)
+let prop_compare_orders =
+  let small = QCheck.Gen.int_range 0 2 in
+  let rect =
+    QCheck.Gen.map
+      (fun (x0, y0, x1, y1) -> { Rect.x0; y0; x1; y1 })
+      (QCheck.Gen.quad small small small small)
+  in
+  let interval = QCheck.Gen.map2 (fun lo hi -> { Interval.lo; hi }) small small in
+  let edge =
+    QCheck.Gen.map
+      (fun (h, pos, span, low) ->
+        { Edge.dir = (if h then Edge.H else Edge.V);
+          pos;
+          span;
+          side = (if low then Edge.Low else Edge.High) })
+      (QCheck.Gen.quad QCheck.Gen.bool small interval QCheck.Gen.bool)
+  in
+  QCheck.Test.make ~name:"compare and equal agree with Stdlib.compare" ~count:2000
+    (QCheck.make
+       QCheck.Gen.(pair (pair rect rect) (pair (pair interval interval) (pair edge edge))))
+    (fun ((r1, r2), ((i1, i2), (e1, e2))) ->
+      Rect.compare r1 r2 = Stdlib.compare r1 r2
+      && Rect.equal r1 r2 = (Stdlib.compare r1 r2 = 0)
+      && Interval.compare i1 i2 = Stdlib.compare i1 i2
+      && Interval.equal i1 i2 = (Stdlib.compare i1 i2 = 0)
+      && Edge.compare e1 e2 = Stdlib.compare e1 e2
+      && Edge.equal e1 e2 = (Stdlib.compare e1 e2 = 0))
+
 (* -------------------------------------------------------------- Orient *)
 
 let test_orient_group () =
@@ -487,7 +518,7 @@ let () =
           Alcotest.test_case "intersection" `Quick test_rect_inter;
           Alcotest.test_case "expand" `Quick test_rect_expand;
           Alcotest.test_case "disjoint" `Quick test_rect_disjoint ] );
-      ("rect-props", qt [ prop_rect_inter; prop_rect_translate ]);
+      ("rect-props", qt [ prop_rect_inter; prop_rect_translate; prop_compare_orders ]);
       ( "orient",
         [ Alcotest.test_case "group laws" `Quick test_orient_group;
           Alcotest.test_case "action" `Quick test_orient_action;
