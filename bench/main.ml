@@ -80,7 +80,7 @@ let micro_tests () =
     let _, _, p = make_bench_placement () in
     let limiter =
       Twmc_place.Range_limiter.of_core ~rho:4.0 ~t_inf:1e5
-        ~core:(Twmc_place.Placement.core p) ~min_window:6
+        ~core:(Twmc_place.Placement.core p)
     in
     let stats = Twmc_place.Moves.make_stats () in
     let ctx = Twmc_place.Moves.make_ctx ~placement:p ~limiter ~stats () in
@@ -201,11 +201,7 @@ let place_bench_scene =
            n_pins = 1600;
            frac_custom = 0.3 }
      in
-     let sizing =
-       Twmc_estimator.Core_area.determine
-         ~beta:Twmc_place.Params.default.Twmc_place.Params.beta ~aspect:1.0
-         ~fill_target:0.6 nl
-     in
+     let sizing = Twmc_estimator.Core_area.determine ~fill_target:0.6 nl in
      let w = sizing.Twmc_estimator.Core_area.core_w
      and h = sizing.Twmc_estimator.Core_area.core_h in
      let core = Twmc_geometry.Rect.of_center_dims ~cx:0 ~cy:0 ~w ~h in

@@ -199,6 +199,17 @@ let budget_secs =
   in
   Arg.conv ~docv:"SECS" (parse, Format.pp_print_float)
 
+(* A blessing margin: a finite factor of at least 1, so that every band
+   covers the ratio it was blessed from and parses back. *)
+let margin_factor =
+  let parse s =
+    match float_of_string_opt s with
+    | Some m when Float.is_finite m && m >= 1.0 -> Ok m
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected a finite factor >= 1, got %S" s))
+  in
+  Arg.conv ~docv:"FACTOR" (parse, Format.pp_print_float)
+
 (* --jobs/--replicas: policy (how many annealing replicas compete) is
    separate from mechanism (how many domains execute them), so results
    depend only on --replicas; --jobs is free to match the machine. *)
@@ -812,7 +823,7 @@ let qa_fuzz_cmd =
            ~doc:"Campaign seed; fixed (seed, iters) replays identically.")
   in
   let iters =
-    Arg.(value & opt int 200 & info [ "iters" ] ~docv:"N"
+    Arg.(value & opt pos_int 200 & info [ "iters" ] ~docv:"N"
            ~doc:"Number of random cases to run.")
   in
   let corpus =
@@ -1018,7 +1029,7 @@ let qa_chaos_cmd =
            ~doc:"Campaign seed; fixed (seed, plans) replays identically.")
   in
   let plans =
-    Arg.(value & opt int 100 & info [ "plans" ] ~docv:"N"
+    Arg.(value & opt pos_int 100 & info [ "plans" ] ~docv:"N"
            ~doc:"Number of fault-injection plans to run.")
   in
   let out =
@@ -1058,7 +1069,7 @@ let qa_gap_cmd =
                  byte-identical across runs.")
   in
   let a_c =
-    Arg.(value & opt int 8 & info [ "a-c" ] ~docv:"N"
+    Arg.(value & opt pos_int 8 & info [ "a-c" ] ~docv:"N"
            ~doc:"Attempted moves per cell per temperature for the annealing \
                  algorithms.  The tolerance band is only meaningful at the \
                  a-c it was blessed with.")
@@ -1095,7 +1106,7 @@ let qa_gap_cmd =
                    and commit the result.")
   in
   let margin =
-    Arg.(value & opt float 1.25
+    Arg.(value & opt margin_factor 1.25
          & info [ "margin" ] ~docv:"FACTOR"
              ~doc:"Blessing headroom: each band is the measured ratio times \
                    this factor.")

@@ -187,16 +187,16 @@ let load_checkpoint ~params ~path nl =
 
 (* The stage-1 result a checkpoint describes.  The derivable parts the
    payload stores only as markers are reattached first: a stage-1 [Dynamic]
-   expander is rebuilt from (params, netlist, stage-1 core) — the same
-   inputs the original run used — before the snapshot is restored. *)
+   expander is rebuilt from (netlist, stage-1 core) — the same inputs the
+   original run used — before the snapshot is restored. *)
 let restore_stage1 ~params nl (d : Checkpoint.durable) =
   let d =
     if d.Checkpoint.dynamic_expander then
       let s1_core = d.Checkpoint.s1.Checkpoint.s1_core in
       Checkpoint.with_expander d
         (Placement.Dynamic
-           (Twmc_estimator.Dynamic_area.create ~beta:params.Params.beta
-              ~core_w:(Rect.width s1_core) ~core_h:(Rect.height s1_core) nl))
+           (Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width s1_core)
+              ~core_h:(Rect.height s1_core) nl))
     else d
   in
   let p =

@@ -89,6 +89,9 @@ let channel_and_route ?should_stop ?pool ?(obs = Obs.disabled) ~rng p =
   in
   route
 
+(* The stage-2 initial window as a fraction of its T∞ span (Sec 4.3). *)
+let mu = 0.03
+
 (* The refinement anneal (Sec 4.3): Table 2 schedule from the temperature
    at which the window is the fraction mu of its T∞ span, displacements and
    pin moves only.  The final iteration stops on a frozen cost, the others
@@ -99,24 +102,22 @@ let anneal ?should_stop ?(obs = Obs.disabled) ?iteration ~rng ~final p =
   let t_inf = Schedule.t_infinity ~s_t in
   let limiter =
     Range_limiter.of_core ~rho:prm.Params.rho ~t_inf ~core:(Placement.core p)
-      ~min_window:prm.Params.min_window
   in
   Anneal_loop.run (Anneal_loop.Stage2 iteration) ?should_stop ~obs ~rng
     ~schedule:(Schedule.stage2 ~s_t)
-    ~t_start:(Range_limiter.t_for_window_fraction limiter ~mu:prm.Params.mu)
+    ~t_start:(Range_limiter.t_for_window_fraction limiter ~mu)
     ~t_floor:(1e-6 *. t_inf)
     ~stop:(if final then Anneal_loop.Frozen 3 else Anneal_loop.Min_window)
     (Moves.make_ctx ~refine:true ~placement:p ~limiter
        ~stats:(Moves.make_stats ()) ())
 
-(* Resize the core so the statically-expanded cells fit at the configured
-   fill fraction — the paper's refinement "provides additional space as
+(* Resize the square core so the statically-expanded cells fit at stage
+   1's fill fraction — the paper's refinement "provides additional space as
    required" and "compacts as much as possible"; with a frozen core the
    routed channel widths could be unrealizable. *)
 let resize_core p =
-  let prm = Placement.params p in
-  let area = float_of_int (Placement.expanded_area p) /. prm.Params.fill_target in
-  let w = sqrt (area *. prm.Params.core_aspect) in
+  let area = float_of_int (Placement.expanded_area p) /. Stage1.fill_target in
+  let w = sqrt area in
   let h = area /. w in
   let w = int_of_float (Float.round w) and h = int_of_float (Float.round h) in
   Placement.set_core p (Rect.of_center_dims ~cx:0 ~cy:0 ~w ~h)

@@ -9,10 +9,9 @@ let cell_dims (nl : Netlist.t) =
          let b = Shape.bbox (Cell.variant c 0).Cell.shape in
          (Rect.width b, Rect.height b))
 
-let determine ?beta ?(aspect = 1.0) ?(fill_target = 0.85) (nl : Netlist.t) =
+let determine ?(fill_target = 0.85) (nl : Netlist.t) =
   let modulation = Modulation.default in
   if Netlist.n_cells nl = 0 then invalid_arg "Core_area.determine: no cells";
-  if aspect <= 0.0 then invalid_arg "Core_area.determine: aspect <= 0";
   if fill_target <= 0.0 || fill_target > 1.0 then
     invalid_arg "Core_area.determine: fill_target out of (0,1]";
   let dims = cell_dims nl in
@@ -20,11 +19,11 @@ let determine ?beta ?(aspect = 1.0) ?(fill_target = 0.85) (nl : Netlist.t) =
     List.fold_left (fun acc (w, h) -> acc + (w * h)) 0 dims
   in
   let dims_of_area area =
-    let w = sqrt (area *. aspect) in
+    let w = sqrt area in
     (w, area /. w)
   in
   let ref_w, ref_h = Wire_estimate.reference_dims nl in
-  let c_w = Wire_estimate.channel_width ?beta ~core_w:ref_w ~core_h:ref_h nl in
+  let c_w = Wire_estimate.channel_width ~core_w:ref_w ~core_h:ref_h nl in
   let expansion_at ~core_w ~core_h =
     (* Eqn 5: maximal modulation, unit pin density; C_w is anchored to the
        reference die so the fixed point cannot run away. *)

@@ -182,7 +182,7 @@ let run tag ?should_stop ?(obs = Obs.disabled) ~rng ~schedule ~t_start
         (Range_limiter.create ~rho:1.0 ~t_inf:10.0
            ~wx_inf:(escape_fraction *. float_of_int (Rect.width core))
            ~wy_inf:(escape_fraction *. float_of_int (Rect.height core))
-           ~min_window:(Placement.params p).Params.min_window)
+           ~min_window:Range_limiter.min_span)
     in
     let best = ref infinity and since_improved = ref 0 in
     let loops = ref 0 and temp = ref temp in

@@ -1,5 +1,9 @@
 (** Tunable parameters of the TimberWolfMC flow, with the paper's published
-    defaults.  Each field cites the section that fixes its value. *)
+    defaults.  Each field cites the section that fixes its value.  The
+    method's constants live in the modules that read them: κ in
+    {!Placement}, the minimum window span in {!Range_limiter}, the p₂
+    sample count and the initial fill in {!Stage1}, μ in [Stage2] and β
+    in {!Twmc_estimator.Wire_estimate}. *)
 
 type displacement_selector =
   | Ds  (** Eqns 15–16: 48 evenly-dispersed candidate points (default). *)
@@ -18,22 +22,7 @@ type t = {
   eta : float;
       (** Overlap-penalty normalization target: [p₂·C₂ = η·C₁] at [T∞]
           (Sec 3.1.2; performance flat over [0.25, 1.0], default 0.5). *)
-  kappa : int;  (** Pin-site penalty offset κ (Eqn 10; the implementation uses 5). *)
-  p3 : float;  (** Weight of the pin-site penalty [C₃] (1.0 in the paper). *)
-  p4 : float;
-      (** Weight of the placement-constraint penalty [C₄] (not in the
-          paper; only consulted when the netlist carries constraints). *)
-  beta : float;
-      (** Optimized-over-random length ratio of the [N_L] estimator
-          (substitution for dissertation Ch 5; default 0.35). *)
-  mu : float;
-      (** Stage-2 initial window as a fraction of the core span (Sec 4.3,
-          μ = 0.03). *)
-  min_window : int;
-      (** Window span ending stage 1 (Sec 3.2.3: 6 grid units). *)
   displacement_selector : displacement_selector;
-  n_p2_samples : int;
-      (** Random configurations sampled to normalize [p₂] (Sec 3.1.2). *)
   refinement_iterations : int;
       (** Stage-2 executions of {channel def, global route, refine}
           (Sec 4: three suffice for convergence). *)
@@ -44,9 +33,10 @@ type t = {
       (** The router's Steiner-enumeration budget factor (expansions =
           effort · M per net); 12 reproduces the paper-quality search,
           lower values trade diversity for speed. *)
-  fill_target : float;  (** Core fill fraction for initial sizing. *)
-  core_aspect : float;  (** Requested core width/height. *)
   seed : int;
+      (** The flow's seed when [Flow.run_resilient] is given none; a
+          checkpoint's params fingerprint covers it, so a resume under
+          another seed is refused. *)
 }
 
 val default : t

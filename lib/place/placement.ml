@@ -498,6 +498,10 @@ let overlap t ci g ~pending =
 let cell_overlap t ci =
   float_of_int (overlap t ci t.cells.(ci) ~pending:false)
 
+(* The pin-site penalty offset κ of Eqn 10: a site [n] pins over its
+   capacity costs [(n + κ)²].  The paper's implementation uses 5. *)
+let kappa = 5
+
 (* C3 of cell [ci] as variant [variant] with site assignment [sites],
    written to [out.(k)]: the penalty of every over-capacity site, summed in
    site order. *)
@@ -508,7 +512,6 @@ let c3_into t ci ~variant sites out k =
     let s = sites.(unc.(j)) in
     occ.(s) <- occ.(s) + 1
   done;
-  let kappa = t.prm.Params.kappa in
   out.(k) <- 0.0;
   for s = 0 to Array.length caps - 1 do
     let n = occ.(s) in
@@ -943,9 +946,8 @@ let constraint_penalty t k = t.cpen.(k)
    constraints produce bit-identical costs (and trajectories) to the
    pre-constraint engine.  Inlined, so an evaluation boxes no float. *)
 let[@inline] cost_of t (a : float array) =
-  let base = a.(k_c1) +. (t.p2v *. a.(k_c2)) +. (t.prm.Params.p3 *. a.(k_c3)) in
-  if Array.length t.cons = 0 then base
-  else base +. (t.prm.Params.p4 *. a.(k_c4))
+  let base = a.(k_c1) +. (t.p2v *. a.(k_c2)) +. a.(k_c3) in
+  if Array.length t.cons = 0 then base else base +. a.(k_c4)
 
 let total_cost t = cost_of t t.tot
 
@@ -1279,7 +1281,7 @@ let verify_index t =
   let n = Array.length t.cells in
   Array.iteri
     (fun ci cs ->
-      if Array.sub t.bbs (4 * ci) 4 <> cs.bb then
+      if not (Array.for_all2 Int.equal (Array.sub t.bbs (4 * ci) 4) cs.bb) then
         failwith
           (Printf.sprintf "Placement.verify_index: cell %d packed bbox stale"
              ci))
@@ -1307,7 +1309,7 @@ let verify_index t =
         (fun ci cs ->
           let a = List.sort Int.compare (Spatial.query idx (bbox_rect cs))
           and b = List.sort Int.compare (Spatial.query fresh (bbox_rect cs)) in
-          if a <> b then
+          if not (List.equal Int.equal a b) then
             failwith
               (Printf.sprintf
                  "Placement.verify_index: query mismatch at cell %d" ci))

@@ -18,8 +18,8 @@
     - [C2] — the overlap penalty (Eqns 7–8): pairwise intersection area of
       {e expanded} tiles plus overlap with the four core-boundary dummy
       cells (footnote 16), scaled by the normalization [p2] (Eqn 9);
-    - [C3] — the pin-site over-capacity penalty (Eqns 10–11), scaled by
-      [p3].
+    - [C3] — the pin-site over-capacity penalty (Eqns 10–11, κ = 5), at
+      weight 1 as in the paper.
 
     Tile expansion is pluggable: stage 1 uses the dynamic estimator, stage 2
     a static per-cell, per-side table derived from routed channel widths. *)
@@ -126,7 +126,7 @@ val eval_constraint : t -> int -> float
 val p2 : t -> float
 val set_p2 : t -> float -> unit
 val total_cost : t -> float
-(** [C1 + p2·C2 + p3·C3], plus [p4·C4] when the netlist carries
+(** [C1 + p2·C2 + C3], plus [C4] when the netlist carries
     constraints.  The unconstrained expression is evaluated verbatim, so
     constraint support cannot perturb unconstrained trajectories. *)
 

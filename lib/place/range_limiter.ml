@@ -22,12 +22,14 @@ let create ~rho ~t_inf ~wx_inf ~wy_inf ~min_window =
     min_window;
     memo = [| nan; 0.0; 0.0 |] }
 
-let of_core ~rho ~t_inf ~core ~min_window =
+let min_span = 6
+
+let of_core ~rho ~t_inf ~core =
   let open Twmc_geometry in
   create ~rho ~t_inf
     ~wx_inf:(2.0 *. float_of_int (Rect.width core))
     ~wy_inf:(2.0 *. float_of_int (Rect.height core))
-    ~min_window
+    ~min_window:min_span
 
 let shrink t ~temp =
   if temp <= 0.0 then 0.0 else t.rho ** log10 temp /. t.lambda

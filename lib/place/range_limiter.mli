@@ -10,7 +10,8 @@
 
     (Eqns 12–14).  ρ = 4 gave both the lowest final TEIL and the lowest
     residual overlap.  The window never shrinks below [min_window] grid
-    units (6); reaching that span is stage 1's stopping criterion.
+    units ({!min_span} in the flow); reaching that span is stage 1's
+    stopping criterion.
 
     The selector [D_s] restricts the step to multiples of [W/6] with factors
     in {-3..3} (48 candidate points); [D_r] picks uniformly in the window
@@ -26,8 +27,12 @@ val create :
 (** [wx_inf]/[wy_inf] are the window spans at [T∞] — typically twice the
     core spans, "extending beyond the core area". *)
 
-val of_core :
-  rho:float -> t_inf:float -> core:Twmc_geometry.Rect.t -> min_window:int -> t
+val min_span : int
+(** The window span that ends stage 1: 6 grid units (Sec 3.2.3). *)
+
+val of_core : rho:float -> t_inf:float -> core:Twmc_geometry.Rect.t -> t
+(** The flow's limiter: spans of twice the core's at [T∞], never below
+    {!min_span}. *)
 
 val window : t -> temp:float -> float * float
 (** [(W_x(T), W_y(T))], each clamped to at least [min_window]. *)

@@ -55,6 +55,9 @@ let randomize rng p =
         ()
   done
 
+(* Random configurations sampled to normalize p2 (Sec 3.1.2). *)
+let p2_samples = 20
+
 let normalize_p2 rng p ~eta ~samples =
   let c1s = ref 0.0 and c2s = ref 0.0 in
   for _ = 1 to samples do
@@ -64,6 +67,15 @@ let normalize_p2 rng p ~eta ~samples =
   done;
   let p2 = if !c2s <= 0.0 then 1.0 else eta *. !c1s /. !c2s in
   Placement.set_p2 p p2
+
+(* The core's fill by expanded cells (Sec 2.2, "Determining the Core
+   Area"); the paper gives no figure. *)
+let fill_target = 0.75
+
+let initial_core nl =
+  let r = Twmc_estimator.Core_area.determine ~fill_target nl in
+  Rect.of_center_dims ~cx:0 ~cy:0 ~w:r.Twmc_estimator.Core_area.core_w
+    ~h:r.Twmc_estimator.Core_area.core_h
 
 module Obs = Twmc_obs.Ctx
 module Attr = Twmc_obs.Attr
@@ -76,35 +88,21 @@ let run ?(params = Params.default) ?core ?should_stop ?(obs = Obs.disabled)
   (* Fault site: fires per replica (inside the worker domain under
      best-of-K), exercising the guarded driver's retry path. *)
   Twmc_util.Fault.point "stage1.replica";
-  let core =
-    match core with
-    | Some c -> c
-    | None ->
-        let r =
-          Twmc_estimator.Core_area.determine ~beta:params.Params.beta
-            ~aspect:params.Params.core_aspect
-            ~fill_target:params.Params.fill_target nl
-        in
-        Rect.of_center_dims ~cx:0 ~cy:0 ~w:r.Twmc_estimator.Core_area.core_w
-          ~h:r.Twmc_estimator.Core_area.core_h
-  in
+  let core = match core with Some c -> c | None -> initial_core nl in
   let estimator =
-    Twmc_estimator.Dynamic_area.create ~beta:params.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let p =
     Placement.create ~params ~core ~expander:(Placement.Dynamic estimator) ~rng
       nl
   in
-  normalize_p2 rng p ~eta:params.Params.eta ~samples:params.Params.n_p2_samples;
+  normalize_p2 rng p ~eta:params.Params.eta ~samples:p2_samples;
   (* The paper scales T∞ by the average cell area including the estimated
      interconnect area (Eqns 19–21). *)
   let s_t = Schedule.s_t ~avg_cell_area:(Anneal_loop.avg_cell_area p) in
   let t_inf = Schedule.t_infinity ~s_t in
-  let limiter =
-    Range_limiter.of_core ~rho:params.Params.rho ~t_inf ~core
-      ~min_window:params.Params.min_window
-  in
+  let limiter = Range_limiter.of_core ~rho:params.Params.rho ~t_inf ~core in
   let stats = Moves.make_stats () in
   (* Stops after an inner loop at the minimum window span (Sec 3.3). *)
   let a =

@@ -28,6 +28,14 @@ val normalize_p2 :
     metamorphic oracles: for identical rng streams, [p₂] is proportional
     to [η]. *)
 
+val fill_target : float
+(** The fraction of the core the expanded cells fill: 0.75 when stage 1
+    sizes the core, and again when stage 2 resizes it. *)
+
+val initial_core : Twmc_netlist.Netlist.t -> Twmc_geometry.Rect.t
+(** The core stage 1 anneals in when given none: {!Twmc_estimator.Core_area}
+    at {!fill_target}, centered on the origin. *)
+
 type result = {
   placement : Placement.t;
   t_inf : float;
@@ -54,8 +62,7 @@ val run :
   rng:Twmc_sa.Rng.t ->
   Twmc_netlist.Netlist.t ->
   result
-(** When [core] is omitted it is determined by {!Twmc_estimator.Core_area}
-    and centered on the origin.  After this setup the anneal is one
+(** When [core] is omitted it is {!initial_core}.  After this setup the anneal is one
     {!Anneal_loop.run}: the full move set from [T∞] down the Table 1
     schedule to a floor of [10⁻⁴·T∞], stopping at the minimum window span
     (Sec 3.3), then quenching.  [should_stop] is polled every 128 moves

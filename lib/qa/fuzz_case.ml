@@ -236,10 +236,7 @@ let params c =
 let core c nl =
   if c.core_scale >= 0.999 then None
   else
-    let r =
-      Twmc_estimator.Core_area.determine
-        ~beta:Params.default.Params.beta nl
-    in
+    let r = Twmc_estimator.Core_area.determine nl in
     let w =
       int_of_float (float_of_int r.Twmc_estimator.Core_area.core_w *. c.core_scale)
     in

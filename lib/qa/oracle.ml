@@ -611,15 +611,7 @@ let check_flow (r : Twmc.Flow.result) =
 let eta_monotone ?eta ?(samples = 6) ~seed nl =
   let params = Params.default in
   let eta = match eta with Some e -> e | None -> params.Params.eta in
-  let core =
-    let r =
-      Twmc_estimator.Core_area.determine ~beta:params.Params.beta
-        ~aspect:params.Params.core_aspect
-        ~fill_target:params.Params.fill_target nl
-    in
-    Rect.of_center_dims ~cx:0 ~cy:0 ~w:r.Twmc_estimator.Core_area.core_w
-      ~h:r.Twmc_estimator.Core_area.core_h
-  in
+  let core = Stage1.initial_core nl in
   let p2_for eta =
     (* Fresh placement and rng per η: identical streams sample identical
        ensembles, so p₂ = η·⟨C1⟩/⟨C2⟩ is exactly proportional to η. *)

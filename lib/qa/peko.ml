@@ -3,13 +3,8 @@ module Writer = Twmc_netlist.Writer
 module Parser = Twmc_netlist.Parser
 module Atomic_io = Twmc_util.Atomic_io
 
-let spec_of_scale ?(locality = 0.7) ?(utilization = 0.5) n =
-  { Gen.default_spec with
-    Gen.name = Printf.sprintf "peko%d" n;
-    n_cells = n;
-    nets_per_cell = 1.6;
-    locality;
-    utilization }
+let spec_of_scale n =
+  { Gen.default_spec with Gen.name = Printf.sprintf "peko%d" n; n_cells = n }
 
 let default_scales = [ 25; 49; 100 ]
 

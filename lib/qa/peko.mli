@@ -5,15 +5,11 @@
     netlist+certificate pair side by side on disk.  {!Oracle} checks a
     placement against a certificate. *)
 
-val spec_of_scale :
-  ?locality:float ->
-  ?utilization:float ->
-  int ->
-  Twmc_workload.Peko.spec
-(** The standard sweep case at [n] cells, named ["peko<n>"], with 1.6
-    nets per cell; locality defaults to 0.7 and utilization to 0.5 — the
-    {!Twmc_workload.Peko.default_spec} knee where the bound is tight but
-    the instance is not trivial. *)
+val spec_of_scale : int -> Twmc_workload.Peko.spec
+(** The standard sweep case at [n] cells, named ["peko<n>"]: otherwise
+    {!Twmc_workload.Peko.default_spec}, whose 1.6 nets per cell, locality
+    0.7 and utilization 0.5 are the knee where the bound is tight but the
+    instance is not trivial. *)
 
 val default_scales : int list
 (** The per-PR sweep sizes: [[25; 49; 100]]. *)

@@ -41,8 +41,7 @@ let measure ~algo ~params ~seed nl =
           let pr = place ~seed nl in
           (Baseline.evaluate ~seed nl pr).Baseline.teil)
 
-let run ?algos ?(a_c = 8) ?locality ?utilization ?(progress = fun _ -> ())
-    ~scales ~seed () =
+let run ?algos ?(a_c = 8) ?(progress = fun _ -> ()) ~scales ~seed () =
   let algos = match algos with Some l -> l | None -> all_algos in
   List.iter
     (fun a ->
@@ -52,7 +51,7 @@ let run ?algos ?(a_c = 8) ?locality ?utilization ?(progress = fun _ -> ())
   let points =
     List.concat_map
       (fun n ->
-        let spec = Peko.spec_of_scale ?locality ?utilization n in
+        let spec = Peko.spec_of_scale n in
         let case_seed = seed + (7919 * n) in
         let nl, cert = Gen.generate ~seed:case_seed spec in
         let optimal = cert.Gen.optimal_teil in
@@ -147,6 +146,10 @@ let bands_of_string text =
   | header :: _ -> Error (Printf.sprintf "bad tolerance header %S" header)
 
 let bless ?(margin = 1.25) sweep =
+  if not (Float.is_finite margin && margin >= 1.0) then
+    invalid_arg
+      (Printf.sprintf
+         "Suboptimality.bless: margin %g is not a finite factor >= 1" margin);
   List.filter_map
     (fun p ->
       if p.status = "ok" && Float.is_finite p.ratio then

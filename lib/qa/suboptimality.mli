@@ -28,8 +28,6 @@ type sweep = { seed : int; a_c : int; points : point list }
 val run :
   ?algos:string list ->
   ?a_c:int ->
-  ?locality:float ->
-  ?utilization:float ->
   ?progress:(string -> unit) ->
   scales:int list ->
   seed:int ->
@@ -60,7 +58,10 @@ val bands_of_string : string -> (band list, string) result
 val bless : ?margin:float -> sweep -> band list
 (** One band per successful point: [max_ratio = ratio ·  margin] (margin
     default 1.25 — headroom for seed-to-seed variation when the band is
-    re-blessed at a new effort level or scale list). *)
+    re-blessed at a new effort level or scale list).  Raises
+    [Invalid_argument], naming the margin, unless it is finite and at
+    least 1: a smaller one blesses a band the sweep itself fails, and a
+    NaN one a band that does not parse back. *)
 
 val scales_of_bands : band list -> int list
 (** Sorted distinct scales a band list covers (the gate's default sweep). *)

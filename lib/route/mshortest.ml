@@ -24,11 +24,10 @@ type path = { nodes : int list; edges : int list; length : int }
    Yen's candidates of the current query are stored back to back: candidate
    [c]'s augmented nodes are [cnodes.(cfirst.(c))] onwards, [ccount.(c)] of
    them, and at the same offsets [chops] holds the hop from each node to the
-   next (a real edge id, or -1 for the two virtual hops).  [slot_query] and
-   [slot_cand] are an open-addressing set of the query's candidates by node
-   sequence, a slot being full while it holds the query's stamp.  [pending]
-   lists the candidates that can still be accepted, [accepted] the accepted
-   ones, both as candidate ids. *)
+   next (a real edge id, or -1 for the two virtual hops).  [pending] lists
+   the candidates that can still be accepted, [accepted] the accepted ones,
+   both as candidate ids.  No two candidates of a query visit the same
+   nodes (see [k_shortest_in]), so none is checked against the others. *)
 type workspace = {
   g : G.t;
   vsrc : int;
@@ -59,10 +58,7 @@ type workspace = {
   mutable ccount : int array;
   mutable clength : int array;
   mutable cdev : int array;
-  mutable chash : int array;
   mutable n_cands : int;
-  mutable slot_query : int array;
-  mutable slot_cand : int array;
   mutable pending : int array;
   mutable n_pending : int;
   mutable accepted : int array;
@@ -141,10 +137,7 @@ let workspace g =
     ccount = Array.make 16 0;
     clength = Array.make 16 0;
     cdev = Array.make 16 0;
-    chash = Array.make 16 0;
     n_cands = 0;
-    slot_query = Array.make 32 0;
-    slot_cand = Array.make 32 0;
     pending = Array.make 16 0;
     n_pending = 0;
     accepted = Array.make 16 0;
@@ -408,49 +401,9 @@ let common_prefix w a b =
   done;
   !j
 
-let same_nodes w a b =
-  w.ccount.(a) = w.ccount.(b) && common_prefix w a b = w.ccount.(a)
-
-(* Adds candidate [c], known to be new, to the query's set. *)
-let slot_insert w c =
-  let mask = Array.length w.slot_query - 1 in
-  let i = ref (w.chash.(c) land mask) in
-  while w.slot_query.(!i) = w.query do
-    i := (!i + 1) land mask
-  done;
-  w.slot_query.(!i) <- w.query;
-  w.slot_cand.(!i) <- c
-
-(* Whether candidate [c] visits the nodes of an earlier candidate of the
-   query; when it does not, it joins the set.  The table is kept at most
-   half full, doubling (and re-adding the query's candidates) as needed. *)
-let seen_before w c =
-  if 2 * (c + 1) > Array.length w.slot_query then begin
-    let size = 2 * Array.length w.slot_query in
-    w.slot_query <- Array.make size 0;
-    w.slot_cand <- Array.make size 0;
-    for d = 0 to c - 1 do
-      slot_insert w d
-    done
-  end;
-  let mask = Array.length w.slot_query - 1 in
-  let hash = w.chash.(c) in
-  let i = ref (hash land mask) and found = ref false in
-  while (not !found) && w.slot_query.(!i) = w.query do
-    let d = w.slot_cand.(!i) in
-    if w.chash.(d) = hash && same_nodes w d c then found := true
-    else i := (!i + 1) land mask
-  done;
-  if not !found then begin
-    w.slot_query.(!i) <- w.query;
-    w.slot_cand.(!i) <- c
-  end;
-  !found
-
 (* Stores the path [search] found as the next candidate: the first [keep]
-   nodes of candidate [root], then start .. virtual target.  Returns its id,
-   or -1 (storing nothing) when an earlier candidate of the query visits
-   the same nodes. *)
+   nodes of candidate [root], then start .. virtual target.  Returns its
+   id. *)
 let store w ~root ~keep ~len ~dev =
   let total = ref keep and v = ref w.vtgt in
   while !v >= 0 do
@@ -474,36 +427,27 @@ let store w ~root ~keep ~len ~dev =
     if j > keep then hops.(at + j - 1) <- w.hop.(!v);
     v := w.prev.(!v)
   done;
-  let hash = ref 0 in
-  for j = at to at + total - 1 do
-    hash := (!hash * 65599) + nodes.(j)
-  done;
   if c = Array.length w.cfirst then begin
     w.cfirst <- grown w.cfirst (c + 1);
     w.ccount <- grown w.ccount (c + 1);
     w.clength <- grown w.clength (c + 1);
-    w.cdev <- grown w.cdev (c + 1);
-    w.chash <- grown w.chash (c + 1)
+    w.cdev <- grown w.cdev (c + 1)
   end;
   w.cfirst.(c) <- at;
   w.ccount.(c) <- total;
   w.clength.(c) <- len;
   w.cdev.(c) <- dev;
-  w.chash.(c) <- !hash land max_int;
-  if seen_before w c then -1
-  else begin
-    w.n_cands <- c + 1;
-    w.fill <- at + total;
-    c
-  end
+  w.n_cands <- c + 1;
+  w.fill <- at + total;
+  c
 
 (* The pending candidates, by length and, among equal lengths, newest
    first: the order in which the unbounded search accepts them.  Each round
    accepts the first, so a candidate at or past position [slots] (the
    accepts left) can never be accepted: new candidates only join ahead of
    it, and each accept moves it up by one as [slots] falls by one.  Such a
-   candidate is dropped; it stays in the query's set, so finding it again
-   adds nothing, as in the unbounded search. *)
+   candidate is dropped, and no later spur can find it again: no spur
+   finds a path an earlier spur found (see [k_shortest_in]). *)
 let insert_pending w ~slots c =
   let len = w.clength.(c) and pending = w.pending in
   let pos = ref 0 in
@@ -600,12 +544,19 @@ let k_shortest_in w ~h ~k ~sources ~n_sources ~targets =
         for q = 0 to n_a - 1 do
           lcp.(q) <- common_prefix w accepted.(q) prev
         done;
-        (* Lawler's refinement: a spur before [prev]'s deviation is skipped.
-           Its root is a prefix of the path [prev] deviated from, which
-           carries [prev]'s next hop, so its bans are those it had when the
-           last earlier path with that root was processed.  The search would
-           repeat that one under a cutoff no higher, and find a candidate
-           already seen or none. *)
+        (* Lawler's refinement.  Spur [i] searches the loopless paths that
+           share [prev]'s first [i + 1] nodes and leave node [i] by a hop no
+           accepted path with that root takes.  Run for each [i] from
+           [prev]'s deviation [dev] on, these classes split the class [prev]
+           was found in, less [prev], by the node where a path leaves
+           [prev]: at [i = dev] the banned hops are [prev]'s and the ones
+           that class excluded, and past [dev] no other accepted path has
+           the root.  So the accepted paths and the classes not yet split
+           always partition the loopless paths, and no spur finds a path an
+           earlier spur found; a node pair names at most one hop, so their
+           node sequences differ too (DESIGN.md §5).  A spur before [dev]
+           would search inside a class already split, and could find an
+           earlier candidate again. *)
         let root_len = ref 0 in
         for i = 0 to w.ccount.(prev) - 2 do
           if i >= w.cdev.(prev) then begin
@@ -629,12 +580,9 @@ let k_shortest_in w ~h ~k ~sources ~n_sources ~targets =
               | c -> c - !root_len
             in
             let spur_len = search w ~h ~bans ~start:w.cnodes.(pf + i) ~limit in
-            if spur_len >= 0 then begin
-              let c =
-                store w ~root:prev ~keep:i ~len:(!root_len + spur_len) ~dev:i
-              in
-              if c >= 0 then insert_pending w ~slots c
-            end
+            if spur_len >= 0 then
+              insert_pending w ~slots
+                (store w ~root:prev ~keep:i ~len:(!root_len + spur_len) ~dev:i)
           end;
           let e = w.chops.(pf + i) in
           if e >= 0 then root_len := !root_len + g.G.edges.(e).G.length

@@ -108,8 +108,10 @@ val k_shortest :
       its neighbours in (a target's virtual-target hop first, then its
       {!Twmc_channel.Graph} slots; the virtual source takes the sources in
       list order);
-    - candidate paths are deduplicated by their node sequence, and among
-      equal-length candidates the newest is accepted first;
+    - every spur search covers a class of paths that holds no accepted
+      path and no earlier candidate (Lawler's partition), so the paths
+      are distinct without a check, and among equal-length candidates
+      the newest is accepted first;
     - the accepted paths are returned stable-sorted by length, so paths of
       equal length keep their acceptance order.
 

@@ -285,10 +285,11 @@ let no_routes =
     node_ids = [||] }
 
 let enumerate ?(budget_factor = 12) g ~m ~terminals =
-  if m <= 0 then invalid_arg "Steiner.routes: m <= 0";
-  if budget_factor <= 0 then invalid_arg "Steiner.routes: budget_factor <= 0";
+  if m <= 0 then invalid_arg "Steiner.enumerate: m <= 0";
+  if budget_factor <= 0 then
+    invalid_arg "Steiner.enumerate: budget_factor <= 0";
   if List.exists List.is_empty terminals then
-    invalid_arg "Steiner.routes: empty terminal candidate list";
+    invalid_arg "Steiner.enumerate: empty terminal candidate list";
   match terminals with
   | [] -> no_routes
   | [ single ] ->

@@ -55,26 +55,21 @@ let differential_run seed =
   let rng = Rng.create ~seed in
   let spec = random_spec rng in
   let nl = Synth.generate ~seed:(Rng.int_incl rng 0 9999) spec in
-  let sizing =
-    Twmc_estimator.Core_area.determine ~beta:Params.default.Params.beta
-      ~aspect:1.0 ~fill_target:0.6 nl
-  in
+  let sizing = Twmc_estimator.Core_area.determine ~fill_target:0.6 nl in
   let core =
     centered_core ~w:sizing.Twmc_estimator.Core_area.core_w
       ~h:sizing.Twmc_estimator.Core_area.core_h
   in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let p =
     Placement.create ~params:Params.default ~core
       ~expander:(Placement.Dynamic est) ~rng nl
   in
   Placement.set_p2 p 0.5;
-  let limiter =
-    Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core ~min_window:6
-  in
+  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core in
   let dyn_ctx =
     Moves.make_ctx ~placement:p ~limiter ~stats:(Moves.make_stats ()) ()
   in
@@ -151,26 +146,21 @@ let differential_constrained_run seed =
   let nl = constrain ~seed (Synth.generate ~seed:(Rng.int_incl rng 0 9999) spec) in
   checkb "netlist is constrained" true
     (Twmc_netlist.Netlist.n_constraints nl > 0);
-  let sizing =
-    Twmc_estimator.Core_area.determine ~beta:Params.default.Params.beta
-      ~aspect:1.0 ~fill_target:0.6 nl
-  in
+  let sizing = Twmc_estimator.Core_area.determine ~fill_target:0.6 nl in
   let core =
     centered_core ~w:sizing.Twmc_estimator.Core_area.core_w
       ~h:sizing.Twmc_estimator.Core_area.core_h
   in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let p =
     Placement.create ~params:Params.default ~core
       ~expander:(Placement.Dynamic est) ~rng nl
   in
   Placement.set_p2 p 0.5;
-  let limiter =
-    Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core ~min_window:6
-  in
+  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core in
   let dyn_ctx =
     Moves.make_ctx ~placement:p ~limiter ~stats:(Moves.make_stats ()) ()
   in
@@ -223,7 +213,7 @@ let test_per_move_terms () =
       ~expander:Placement.No_expansion ~rng nl
   in
   Placement.set_p2 p 1.0;
-  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e3 ~core ~min_window:6 in
+  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e3 ~core in
   let ctx =
     Moves.make_ctx ~placement:p ~limiter ~stats:(Moves.make_stats ()) ()
   in
@@ -274,24 +264,21 @@ let index_vs_scan_run spec_of seed =
   let rng = Rng.create ~seed in
   let spec = spec_of rng in
   let nl = Synth.generate ~seed:(Rng.int_incl rng 0 9999) spec in
-  let sizing =
-    Twmc_estimator.Core_area.determine ~beta:Params.default.Params.beta
-      ~aspect:1.0 ~fill_target:0.6 nl
-  in
+  let sizing = Twmc_estimator.Core_area.determine ~fill_target:0.6 nl in
   let core =
     centered_core ~w:sizing.Twmc_estimator.Core_area.core_w
       ~h:sizing.Twmc_estimator.Core_area.core_h
   in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let p =
     Placement.create ~params:Params.default ~core
       ~expander:(Placement.Dynamic est) ~rng nl
   in
   Placement.set_p2 p 0.5;
-  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core ~min_window:6 in
+  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core in
   let ctx =
     Moves.make_ctx ~placement:p ~limiter ~stats:(Moves.make_stats ()) ()
   in
@@ -544,8 +531,8 @@ let test_delta_vs_apply () =
   in
   let core = centered_core ~w:300 ~h:300 in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let p =
     Placement.create ~params:Params.default ~core
@@ -659,8 +646,8 @@ let test_delta_vs_apply_constrained () =
   in
   let core = centered_core ~w:300 ~h:300 in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let p =
     Placement.create ~params:Params.default ~core
@@ -801,8 +788,8 @@ let test_delta_vs_apply_shares () =
   let owners = List.map fst keepouts in
   let core = centered_core ~w:300 ~h:300 in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let p =
     Placement.create ~params:Params.default ~core
@@ -1038,17 +1025,14 @@ let constrained_placement ~seed =
            frac_custom = 0.5;
            frac_rectilinear = 0.4 })
   in
-  let sizing =
-    Twmc_estimator.Core_area.determine ~beta:Params.default.Params.beta
-      ~aspect:1.0 ~fill_target:0.6 nl
-  in
+  let sizing = Twmc_estimator.Core_area.determine ~fill_target:0.6 nl in
   let core =
     centered_core ~w:sizing.Twmc_estimator.Core_area.core_w
       ~h:sizing.Twmc_estimator.Core_area.core_h
   in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let make () =
     let p =
@@ -1096,8 +1080,8 @@ let test_resum_vs_recompute () =
   in
   let core = centered_core ~w:320 ~h:320 in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let rng = Rng.create ~seed:42 in
   let p =
@@ -1105,7 +1089,7 @@ let test_resum_vs_recompute () =
       ~expander:(Placement.Dynamic est) ~rng nl
   in
   Placement.set_p2 p 0.6;
-  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core ~min_window:6 in
+  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core in
   let ctx =
     Moves.make_ctx ~placement:p ~limiter ~stats:(Moves.make_stats ()) ()
   in
@@ -1155,8 +1139,8 @@ let test_sites_vs_cell_chain () =
   in
   let core = centered_core ~w:320 ~h:320 in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let make () =
     let p =
@@ -1329,8 +1313,8 @@ let entry_points_no_alloc_run ~n_cells ~side =
   in
   let core = centered_core ~w:side ~h:side in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let p =
     Placement.create ~params:Params.default ~core
@@ -1415,8 +1399,8 @@ let test_generate_alloc_bound () =
   in
   let core = centered_core ~w:360 ~h:360 in
   let est =
-    Twmc_estimator.Dynamic_area.create ~beta:Params.default.Params.beta
-      ~core_w:(Rect.width core) ~core_h:(Rect.height core) nl
+    Twmc_estimator.Dynamic_area.create ~core_w:(Rect.width core)
+      ~core_h:(Rect.height core) nl
   in
   let rng = Rng.create ~seed:62 in
   let p =
@@ -1424,7 +1408,7 @@ let test_generate_alloc_bound () =
       ~expander:(Placement.Dynamic est) ~rng nl
   in
   Placement.set_p2 p 0.5;
-  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core ~min_window:6 in
+  let limiter = Range_limiter.of_core ~rho:4.0 ~t_inf:1e4 ~core in
   let stats = Moves.make_stats () in
   let ctx = Moves.make_ctx ~placement:p ~limiter ~stats () in
   let temp = 1.0 in

@@ -371,6 +371,33 @@ let test_campaign_rejects_nan_limit () =
     (fun () -> ignore (Fuzz.campaign ~time_limit_s:Float.nan ~run ~seed:1 ~iters:3 ()));
   Alcotest.(check int) "no case ran" 0 !ran
 
+(* A margin below 1 blesses bands under the ratios they came from, so the
+   next gate fails; a NaN margin writes bands that do not parse back. *)
+let test_bless_rejects_bad_margin () =
+  let sweep =
+    { Twmc_qa.Suboptimality.seed = 5;
+      a_c = 8;
+      points =
+        [ { Twmc_qa.Suboptimality.algo = "shelf";
+            case_name = "peko9";
+            n_cells = 9;
+            optimal = 100.0;
+            measured = 120.0;
+            ratio = 1.2;
+            status = "ok" } ] }
+  in
+  List.iter
+    (fun (margin, shown) ->
+      Alcotest.check_raises shown
+        (Invalid_argument
+           (Printf.sprintf
+              "Suboptimality.bless: margin %s is not a finite factor >= 1"
+              shown))
+        (fun () -> ignore (Twmc_qa.Suboptimality.bless ~margin sweep)))
+    [ (0.5, "0.5"); (Float.nan, "nan"); (Float.infinity, "inf") ];
+  Alcotest.(check int) "margin 1 blesses" 1
+    (List.length (Twmc_qa.Suboptimality.bless ~margin:1.0 sweep))
+
 let () =
   Alcotest.run "qa"
     [ ( "case",
@@ -409,4 +436,7 @@ let () =
           Alcotest.test_case "campaign is deterministic" `Slow
             test_campaign_deterministic;
           Alcotest.test_case "campaign rejects a nan time limit" `Quick
-            test_campaign_rejects_nan_limit ] ) ]
+            test_campaign_rejects_nan_limit ] );
+      ( "gap",
+        [ Alcotest.test_case "bless rejects a bad margin" `Quick
+            test_bless_rejects_bad_margin ] ) ]

@@ -216,11 +216,11 @@ let test_core_area () =
         n_nets = 30;
         n_pins = 100 }
   in
-  let r = Core_area.determine ~aspect:1.0 ~fill_target:0.85 nl in
+  let r = Core_area.determine ~fill_target:0.85 nl in
   checkb "converged" true (r.Core_area.iterations < 40);
   checkb "positive dims" true (r.Core_area.core_w > 0 && r.Core_area.core_h > 0);
-  (* Near-square when aspect 1. *)
-  checkb "aspect respected" true
+  (* The core is square, up to rounding. *)
+  checkb "square core" true
     (Float.abs
        (float_of_int r.Core_area.core_w /. float_of_int r.Core_area.core_h
       -. 1.0)
@@ -238,12 +238,9 @@ let test_core_area () =
     float_of_int eff /. float_of_int (r.Core_area.core_w * r.Core_area.core_h)
   in
   checkb "fill near target" true (Float.abs (fill -. 0.85) < 0.08);
-  (* A wide aspect request produces a wide core. *)
-  let r2 = Core_area.determine ~aspect:2.0 nl in
-  checkb "wide core" true (r2.Core_area.core_w > r2.Core_area.core_h);
-  Alcotest.check_raises "bad aspect"
-    (Invalid_argument "Core_area.determine: aspect <= 0") (fun () ->
-      ignore (Core_area.determine ~aspect:0.0 nl))
+  Alcotest.check_raises "bad fill target"
+    (Invalid_argument "Core_area.determine: fill_target out of (0,1]")
+    (fun () -> ignore (Core_area.determine ~fill_target:0.0 nl))
 
 let () =
   Alcotest.run "estimator"

@@ -94,35 +94,6 @@ let test_multi_source_target () =
       checkb "starts at 5" true (List.hd p.Mshortest.nodes = 5)
   | None -> Alcotest.fail "path expected"
 
-let test_k_shortest_grid () =
-  let g = grid ~w:4 ~h:3 ~cell:10 in
-  let paths = Mshortest.k_shortest g ~k:8 ~sources:[ 0 ] ~targets:[ 11 ] in
-  checkb "several paths" true (List.length paths >= 4);
-  (* Nondecreasing lengths. *)
-  let rec nondec = function
-    | (a : Mshortest.path) :: (b :: _ as rest) ->
-        a.Mshortest.length <= b.Mshortest.length && nondec rest
-    | _ -> true
-  in
-  checkb "sorted" true (nondec paths);
-  (* Distinct node sequences, loopless. *)
-  let seqs = List.map (fun (p : Mshortest.path) -> p.Mshortest.nodes) paths in
-  check "distinct" (List.length seqs)
-    (List.length (List.sort_uniq compare seqs));
-  List.iter
-    (fun (p : Mshortest.path) ->
-      check "loopless"
-        (List.length p.Mshortest.nodes)
-        (List.length (List.sort_uniq compare p.Mshortest.nodes)))
-    paths;
-  (* Shortest is a Manhattan-optimal route in the diagonal-enabled grid:
-     with corner adjacency, the diagonal distance dominates. *)
-  let best = List.hd paths in
-  checkb "first is shortest" true
-    (List.for_all
-       (fun (p : Mshortest.path) -> p.Mshortest.length >= best.Mshortest.length)
-       paths)
-
 let test_k_shortest_exhausts () =
   let g = line 4 ~cell:10 in
   (* Only one loopless path exists along a line. *)
@@ -336,6 +307,45 @@ let contains s sub =
   let n = String.length s and k = String.length sub in
   let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
   go 0
+
+let test_k_shortest_grid () =
+  let g = grid ~w:4 ~h:3 ~cell:10 in
+  let paths = Mshortest.k_shortest g ~k:8 ~sources:[ 0 ] ~targets:[ 11 ] in
+  checkb "several paths" true (List.length paths >= 4);
+  (* Nondecreasing lengths. *)
+  let rec nondec = function
+    | (a : Mshortest.path) :: (b :: _ as rest) ->
+        a.Mshortest.length <= b.Mshortest.length && nondec rest
+    | _ -> true
+  in
+  checkb "sorted" true (nondec paths);
+  (* Distinct node sequences, loopless. *)
+  let seqs = List.map (fun (p : Mshortest.path) -> p.Mshortest.nodes) paths in
+  check "distinct" (List.length seqs)
+    (List.length (List.sort_uniq compare seqs));
+  List.iter
+    (fun (p : Mshortest.path) ->
+      check "loopless"
+        (List.length p.Mshortest.nodes)
+        (List.length (List.sort_uniq compare p.Mshortest.nodes)))
+    paths;
+  (* Shortest is a Manhattan-optimal route in the diagonal-enabled grid:
+     with corner adjacency, the diagonal distance dominates. *)
+  let best = List.hd paths in
+  checkb "first is shortest" true
+    (List.for_all
+       (fun (p : Mshortest.path) -> p.Mshortest.length >= best.Mshortest.length)
+       paths);
+  (* Equal hop lengths tie many paths, and the source and target sets
+     overlap: 40 paths from 3 sources to 3 targets on a 5 x 4 grid, in the
+     reference's order.  Without Lawler's refinement this query finds
+     earlier candidates again. *)
+  let g = grid ~w:5 ~h:4 ~cell:10 in
+  let sources = [ 0; 6; 12 ] and targets = [ 12; 13; 19 ] in
+  let paths = Mshortest.k_shortest g ~k:40 ~sources ~targets in
+  check "adversarial query finds k" 40 (List.length paths);
+  checkb "adversarial query matches the reference" true
+    (paths = Reference.k_shortest g ~k:40 ~sources ~targets)
 
 (* A heap entry is one int, the key shifted over the node id, so a graph
    whose keys could outgrow the bits left is refused when its workspace is
@@ -573,7 +583,9 @@ let test_steiner_two_pin () =
   checkb "routes found" true (routes <> []);
   check "two-pin = shortest path"
     (List.hd direct).Mshortest.length
-    (List.hd routes).Steiner.length
+    (List.hd routes).Steiner.length;
+  Alcotest.check_raises "m = 0" (Invalid_argument "Steiner.enumerate: m <= 0")
+    (fun () -> ignore (Steiner.routes g ~m:0 ~terminals:[ [ 0 ]; [ 19 ] ]))
 
 let connected g (r : Steiner.route) =
   (* The route's edges form a connected subgraph over its nodes. *)
